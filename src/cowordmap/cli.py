@@ -7,8 +7,8 @@ Usage::
     coword-map terms --input texts/ --out results/   # pipeline prefix only
 
 Subcommands ``ingest | terms | map | factors | cooc | render`` run the
-pipeline up to the named stage, reusing cached artifacts of earlier stages
-when inputs and configuration are unchanged.
+pipeline up to the named stage, skipping the writes of stages whose inputs,
+configuration and artifacts are unchanged.
 
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
 3 I/O error. Progress lines go to stderr; artifacts are deterministic.
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, metavar="N", help="layout seed (default 42)")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument(
-        "--threads", type=int, metavar="N", help="worker cap; never changes results"
+        "--threads", type=int, metavar="N", help="accepted and validated; has no effect"
     )
     shared.add_argument(
         "--binary", action="store_true",
@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("run", "run the full pipeline and write all artifacts"),
-        ("ingest", "build and write the word-document matrix"),
-        ("terms", "score terms and write terms.csv / expected.csv"),
+        ("ingest", "build the word-document matrix; write matrix.csv / expected.csv"),
+        ("terms", "score terms and write terms.csv"),
         ("cooc", "write the selected-term co-occurrence matrix"),
         ("factors", "extract factors; write loadings.csv / factors.net"),
         ("map", "build and lay out the map; write map.net"),

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -335,24 +334,7 @@ def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
     return out
 
 
-def _tokenize_all(
-    corpus: Corpus, cfg: TokenizerConfig, threads: int = 1
-) -> list[list[str]]:
-    """Tokenize every document, in corpus order.
-
-    With ``threads > 1`` documents are tokenized by a thread pool;
-    ``Executor.map`` preserves input order, so the result is identical for
-    any worker count.
-    """
-    if threads > 1 and len(corpus) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda d: tokenize(d, cfg), corpus.documents))
-    return [tokenize(d, cfg) for d in corpus.documents]
-
-
-def build_vocabulary(
-    corpus: Corpus, cfg: TokenizerConfig, threads: int = 1
-) -> Vocabulary:
+def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
     """Count every surviving term across the corpus.
 
     Returns:
@@ -366,7 +348,8 @@ def build_vocabulary(
         raise DataError("empty corpus")
     totals: dict[str, int] = {}
     docfreq: dict[str, int] = {}
-    for tokens in _tokenize_all(corpus, cfg, threads):
+    for doc in corpus:
+        tokens = tokenize(doc, cfg)
         for tok in tokens:
             totals[tok] = totals.get(tok, 0) + 1
         for tok in set(tokens):
@@ -386,7 +369,6 @@ def build_word_doc_matrix(
     vocab: Vocabulary,
     cfg: TokenizerConfig,
     binary: bool = False,
-    threads: int = 1,
 ) -> WordDocMatrix:
     """Fill the documents x terms count matrix.
 
@@ -395,7 +377,6 @@ def build_word_doc_matrix(
         vocab: Vocabulary built with the same tokenizer settings.
         cfg: The same tokenizer settings.
         binary: Record presence (0/1) instead of occurrence counts.
-        threads: Worker cap for tokenization; does not affect the result.
 
     Returns:
         The pruned count matrix. ``counts[i][k]`` is the number of
@@ -403,8 +384,8 @@ def build_word_doc_matrix(
     """
     index = vocab.index()
     counts = np.zeros((len(corpus), len(vocab)), dtype=np.int64)
-    for i, tokens in enumerate(_tokenize_all(corpus, cfg, threads)):
-        for tok in tokens:
+    for i, doc in enumerate(corpus):
+        for tok in tokenize(doc, cfg):
             k = index.get(tok)
             if k is not None:
                 counts[i, k] += 1

@@ -13,9 +13,16 @@ render     map.svg (map with factor coloring)
 (always)   report.json (config echo, counts, pruning, warnings)
 ========== ==================================================
 
-Each stage is cached under a content hash of its inputs and the config
-keys it depends on; a repeated run skips the file writes of unchanged
-stages. Identical inputs, config and seed produce byte-identical artifacts.
+One table, :data:`STAGES`, drives every run. Each row names a stage, the
+stages it runs after, the config keys it reads, its artifacts, and a
+compute and a write step; a subcommand runs its stage and everything
+upstream. One cache rule holds: a stage's key hashes its declared reads
+(files by content) plus its upstream keys, and a stage is a hit only
+when its key matches the manifest and every artifact still has the
+sha256 recorded when it was written. A hit skips the write step; the
+in-memory state later stages and report.json need is always rebuilt from
+the inputs. Identical inputs, config and seed produce byte-identical
+artifacts, whatever ran in the output directory before.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ import json
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -35,37 +44,11 @@ from . import corpus as corpus_mod
 from . import export, layout as layout_mod, termstats, vectorspace
 from . import factors as factors_mod
 from ._stopwords import DEFAULT_STOPWORDS
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 __all__ = ["ARTIFACTS", "PipelineConfig", "RunResult", "run", "run_stage"]
 
 logger = logging.getLogger("cowordmap")
-
-STAGE_ORDER = ("ingest", "terms", "cooc", "factors", "map", "render")
-
-STAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
-    "ingest": ("matrix.csv", "expected.csv"),
-    "terms": ("terms.csv",),
-    "cooc": ("coocc.dat",),
-    "factors": ("loadings.csv", "factors.net"),
-    "map": ("map.net",),
-    "render": ("map.svg",),
-}
-
-ARTIFACTS = (
-    "terms.csv", "matrix.csv", "expected.csv", "loadings.csv",
-    "coocc.dat", "map.net", "factors.net", "map.svg", "report.json",
-)
-
-PREFIXES: dict[str, tuple[str, ...]] = {
-    "ingest": ("ingest",),
-    "terms": ("ingest", "terms"),
-    "cooc": ("ingest", "terms", "cooc"),
-    "factors": ("ingest", "terms", "factors"),
-    "map": ("ingest", "terms", "map"),
-    "render": ("ingest", "terms", "factors", "map", "render"),
-    "run": STAGE_ORDER,
-}
 
 _MANIFEST = ".coword-cache.json"
 
@@ -116,7 +99,7 @@ class PipelineConfig:
     kk_max_iter: int = 1000
     seed: int = 42
     out: str = "coword-out"
-    threads: int = 1
+    threads: int = 1  # accepted and validated; has no effect
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -228,23 +211,22 @@ class RunResult:
     report: dict
 
 
-@dataclass
-class _State:
-    """In-memory products shared between stages of one invocation."""
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
 
-    config: PipelineConfig
-    matrix: corpus_mod.WordDocMatrix | None = None
-    documents_total: int = 0
-    pruned_documents: list[str] = field(default_factory=list)
-    scores: termstats.TermScores | None = None
-    order: list[int] = field(default_factory=list)
-    selected: list[str] = field(default_factory=list)
-    selected_matrix: corpus_mod.WordDocMatrix | None = None
-    solution: factors_mod.FactorSolution | None = None
-    assignment: factors_mod.FactorAssignment | None = None
-    map_graph: vectorspace.Graph | None = None
-    map_layout: layout_mod.Layout | None = None
-    warnings: dict[str, list[str]] = field(default_factory=dict)
+    ``compute(view, products)`` fills the in-memory products and runs on
+    every invocation; ``write(view, products, out)`` writes the artifacts
+    and is skipped on a cache hit. Both see only the config keys named in
+    ``reads``, which together with the upstream keys make the cache key.
+    """
+
+    name: str
+    after: tuple[str, ...]
+    reads: tuple[str, ...]
+    artifacts: tuple[str, ...]
+    compute: Callable[[SimpleNamespace, dict], object]
+    write: Callable[[SimpleNamespace, dict, Path], None]
 
 
 def _digest(parts: list) -> str:
@@ -259,74 +241,43 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _input_digest(config: PipelineConfig) -> str:
-    source = Path(config.input)
-    if not source.exists():
-        raise FileNotFoundError(f"corpus source not found: {source}")
-    if config.input_format == "files":
-        if not source.is_dir():
-            raise FileNotFoundError(f"not a directory: {source}")
-        parts = [(p.name, _file_digest(p)) for p in sorted(source.glob("*.txt"))]
-        return _digest(parts)
-    return _file_digest(source)
+def _key_part(view: SimpleNamespace, key: str):
+    """A config value as it enters a cache key; keys naming files by content."""
+    value = getattr(view, key)
+    if key == "input" and view.input_format == "files":
+        return [(p.name, _file_digest(p)) for p in sorted(Path(value).glob("*.txt"))]
+    if key in ("input", "stopword_file", "synonym_file") and value:
+        return _file_digest(Path(value))
+    return value
 
 
-def _stage_keys(config: PipelineConfig) -> dict[str, str]:
-    """Content-hash cache key per stage, from inputs plus config slices."""
-    aux = []
-    for path in (config.stopword_file, config.synonym_file):
-        aux.append(_file_digest(Path(path)) if path else "default")
-    ingest = _digest([
-        "ingest", _input_digest(config), config.input_format, config.lowercase,
-        config.token_pattern, config.min_token_length, aux, config.binary,
-    ])
-    terms = _digest(["terms", ingest, config.criterion, config.yates])
-    selection = (config.top, config.min_score)
-    cooc = _digest(["cooc", terms, selection])
-    factors = _digest([
-        "factors", terms, selection, config.cells, config.mode, config.factors,
-        config.rotate, config.kaiser_normalize, config.suppression,
-    ])
-    map_key = _digest([
-        "map", terms, selection, config.cells, config.map, config.cos_threshold,
-        config.cooc_threshold, config.layout, config.seed, config.fr_iterations,
-        config.kk_tol, config.kk_max_iter,
-    ])
-    render = _digest(["render", map_key, factors])
-    return {
-        "ingest": ingest, "terms": terms, "cooc": cooc,
-        "factors": factors, "map": map_key, "render": render,
-    }
-
-
-def _tokenizer_config(config: PipelineConfig) -> corpus_mod.TokenizerConfig:
+def _tokenizer_config(view: SimpleNamespace) -> corpus_mod.TokenizerConfig:
     stopwords = DEFAULT_STOPWORDS
-    if config.stopword_file:
-        stopwords = corpus_mod.load_stopword_file(config.stopword_file)
+    if view.stopword_file:
+        stopwords = corpus_mod.load_stopword_file(view.stopword_file)
     synonyms = {}
-    if config.synonym_file:
-        synonyms = corpus_mod.load_synonym_file(config.synonym_file)
+    if view.synonym_file:
+        synonyms = corpus_mod.load_synonym_file(view.synonym_file)
     return corpus_mod.TokenizerConfig(
-        lowercase=config.lowercase,
-        token_pattern=config.token_pattern,
-        min_token_length=config.min_token_length,
+        lowercase=view.lowercase,
+        token_pattern=view.token_pattern,
+        min_token_length=view.min_token_length,
         stopwords=stopwords,
         synonyms=synonyms,
     )
 
 
-def _layout_fn(config: PipelineConfig):
-    if config.layout == "fr":
+def _layout_fn(view: SimpleNamespace):
+    if view.layout == "fr":
         return lambda g, seed: layout_mod.fruchterman_reingold(
-            g, iterations=config.fr_iterations, seed=seed, use_weights=True
+            g, iterations=view.fr_iterations, seed=seed, use_weights=True
         )
     return lambda g, seed: layout_mod.kamada_kawai(
-        g, tol=config.kk_tol, max_iter=config.kk_max_iter, seed=seed
+        g, tol=view.kk_tol, max_iter=view.kk_max_iter, seed=seed
     )
 
 
-def _cells_matrix(state: _State, which: str) -> np.ndarray:
-    m = state.selected_matrix
+def _cells_matrix(m: corpus_mod.WordDocMatrix, which: str) -> np.ndarray:
     if which == "counts":
         return m.counts.astype(float)
     if which == "tfidf":
@@ -338,61 +289,42 @@ def _cells_matrix(state: _State, which: str) -> np.ndarray:
 # stage bodies
 
 
-def _compute_ingest(state: _State, out: Path) -> None:
-    config = state.config
-    corpus = corpus_mod.load_corpus(config.input, format=config.input_format)
-    cfg = _tokenizer_config(config)
-    vocab = corpus_mod.build_vocabulary(corpus, cfg, threads=config.threads)
-    state.matrix = corpus_mod.build_word_doc_matrix(
-        corpus, vocab, cfg, binary=config.binary, threads=config.threads
+def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
+    corpus = corpus_mod.load_corpus(view.input, format=view.input_format)
+    cfg = _tokenizer_config(view)
+    vocab = corpus_mod.build_vocabulary(corpus, cfg)
+    products["documents"] = len(corpus)
+    products["matrix"] = corpus_mod.build_word_doc_matrix(
+        corpus, vocab, cfg, binary=view.binary
     )
-    state.documents_total = len(corpus)
-    state.pruned_documents = list(state.matrix.pruned_docs)
-    export.write_csv(
-        state.matrix.counts, out / "matrix.csv",
-        state.matrix.doc_ids, state.matrix.terms,
-    )
-    expected = termstats.expected_matrix(state.matrix)
+
+
+def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
+    matrix = products["matrix"]
+    export.write_csv(matrix.counts, out / "matrix.csv", matrix.doc_ids, matrix.terms)
+    expected = termstats.expected_matrix(matrix)
     export.write_csv(
         expected.values, out / "expected.csv", expected.doc_ids, expected.terms
     )
 
 
-def _load_ingest(state: _State, out: Path) -> None:
-    try:
-        values, doc_ids, terms = export.read_csv_matrix(out / "matrix.csv")
-        state.matrix = corpus_mod.WordDocMatrix(
-            values.astype(np.int64), doc_ids, doc_ids, terms
-        )
-    except Exception as exc:
-        raise DataError(
-            f"cached matrix.csv is unreadable ({exc}); rerun the ingest stage"
-        ) from exc
+def _compute_terms(view: SimpleNamespace, products: dict) -> None:
+    products["scores"] = termstats.term_scores(products["matrix"], yates=view.yates)
 
 
-def _prepare_selection(state: _State) -> None:
-    config = state.config
-    state.scores = termstats.term_scores(state.matrix, yates=config.yates)
-    values = state.scores.by_criterion(config.criterion)
-    state.order = sorted(
-        range(len(state.scores.terms)),
-        key=lambda k: (-values[k], state.scores.terms[k]),
+def _write_terms(view: SimpleNamespace, products: dict, out: Path) -> None:
+    scores = products["scores"]
+    values = scores.by_criterion(view.criterion)
+    order = sorted(
+        range(len(scores.terms)), key=lambda k: (-values[k], scores.terms[k])
     )
-    state.selected = termstats.select_terms(
-        state.scores, config.criterion, top_n=config.top, threshold=config.min_score
-    )
-    state.selected_matrix = state.matrix.select_terms(state.selected)
-
-
-def _compute_terms(state: _State, out: Path) -> None:
-    scores = state.scores
     rows = [
         (
             scores.terms[k], int(scores.freq[k]), int(scores.doc_freq[k]),
             float(scores.tfidf[k]), float(scores.chi2[k]),
             float(scores.obs_exp_sum[k]),
         )
-        for k in state.order
+        for k in order
     ]
     export.write_table_csv(
         out / "terms.csv",
@@ -401,28 +333,42 @@ def _compute_terms(state: _State, out: Path) -> None:
     )
 
 
-def _compute_cooc(state: _State, out: Path) -> None:
-    cooc = vectorspace.cooccurrence(state.selected_matrix, mode="words")
+_SELECTION = ("criterion", "top", "min_score")
+
+
+def _selected_matrix(view: SimpleNamespace, products: dict) -> corpus_mod.WordDocMatrix:
+    """The matrix cut to the selected terms, built by the first stage that reads it."""
+    if "selected" not in products:
+        products["selected"] = termstats.select_terms(
+            products["scores"], view.criterion, top_n=view.top, threshold=view.min_score
+        )
+        products["selected_matrix"] = products["matrix"].select_terms(
+            products["selected"]
+        )
+    return products["selected_matrix"]
+
+
+def _write_cooc(view: SimpleNamespace, products: dict, out: Path) -> None:
+    cooc = vectorspace.cooccurrence(products["selected_matrix"], mode="words")
     export.write_pajek_matrix(cooc, out / "coocc.dat")
 
 
-def _compute_factors(state: _State, out: Path, write: bool = True) -> None:
-    config = state.config
-    factor_cells = config.cells if config.cells in ("counts", "obsexp") else "counts"
+def _compute_factors(view: SimpleNamespace, products: dict) -> None:
+    factor_cells = view.cells if view.cells in ("counts", "obsexp") else "counts"
     solution = factors_mod.factor_analyze(
-        state.selected_matrix,
+        _selected_matrix(view, products),
         input_mode=factor_cells,
-        orientation=config.mode,
-        k=config.factors,
+        orientation=view.mode,
+        k=view.factors,
     )
-    if config.rotate and solution.n_factors >= 2:
-        solution = factors_mod.varimax(
-            solution, kaiser_normalize=config.kaiser_normalize
-        )
-    state.solution = solution
-    state.assignment = factors_mod.assign_factors(solution, config.suppression)
-    if not write:
-        return
+    if view.rotate and solution.n_factors >= 2:
+        solution = factors_mod.varimax(solution, kaiser_normalize=view.kaiser_normalize)
+    products["solution"] = solution
+    products["assignment"] = factors_mod.assign_factors(solution, view.suppression)
+
+
+def _write_factors(view: SimpleNamespace, products: dict, out: Path) -> None:
+    solution = products["solution"]
     header = (
         ["variable"]
         + [f"factor_{f + 1}" for f in range(solution.n_factors)]
@@ -441,21 +387,21 @@ def _compute_factors(state: _State, out: Path, write: bool = True) -> None:
     # No coordinates: factors.net is the bipartite structure itself, and a
     # network program can lay it out; this also keeps the factors stage
     # independent of the layout seed.
-    graph = factors_mod.factor_graph(solution, config.suppression)
+    graph = factors_mod.factor_graph(solution, view.suppression)
     export.write_pajek_net(graph, None, out / "factors.net")
 
 
-def _compute_map(state: _State, out: Path, write: bool = True) -> None:
-    config = state.config
-    if config.map == "cosine":
+def _compute_map(view: SimpleNamespace, products: dict) -> None:
+    selected = _selected_matrix(view, products)
+    if view.map == "cosine":
         sim = vectorspace.cosine_matrix(
-            _cells_matrix(state, config.cells), labels=state.selected_matrix.terms
+            _cells_matrix(selected, view.cells), labels=selected.terms
         )
-        graph = vectorspace.threshold_graph(sim, config.cos_threshold, rule="geq")
+        graph = vectorspace.threshold_graph(sim, view.cos_threshold, rule="geq")
     else:
-        cooc = vectorspace.cooccurrence(state.selected_matrix, mode="words")
-        graph = vectorspace.threshold_graph(cooc, config.cooc_threshold, rule="gt")
-    freq = dict(zip(state.selected_matrix.terms, state.selected_matrix.col_margins))
+        cooc = vectorspace.cooccurrence(selected, mode="words")
+        graph = vectorspace.threshold_graph(cooc, view.cooc_threshold, rule="gt")
+    freq = dict(zip(selected.terms, selected.col_margins))
     graph = vectorspace.Graph(
         nodes=[
             dataclasses.replace(n, size=float(freq.get(n.label, 0)))
@@ -463,115 +409,151 @@ def _compute_map(state: _State, out: Path, write: bool = True) -> None:
         ],
         edges=graph.edges,
     )
-    state.map_graph = graph
-    state.map_layout = layout_mod.split_and_pack(graph, _layout_fn(config), seed=config.seed)
-    if write:
-        export.write_pajek_net(graph, state.map_layout, out / "map.net")
-
-
-def _compute_render(state: _State, out: Path) -> None:
-    # Q-mode assigns documents, not the mapped terms, so maps stay uncolored.
-    assignment = state.assignment if state.config.mode == "R" else None
-    export.render_svg_map(
-        state.map_graph, state.map_layout, assignment, out / "map.svg"
+    products["map_graph"] = graph
+    products["map_layout"] = layout_mod.split_and_pack(
+        graph, _layout_fn(view), seed=view.seed
     )
+
+
+def _write_map(view: SimpleNamespace, products: dict, out: Path) -> None:
+    export.write_pajek_net(products["map_graph"], products["map_layout"], out / "map.net")
+
+
+def _write_render(view: SimpleNamespace, products: dict, out: Path) -> None:
+    # Q-mode assigns documents, not the mapped terms, so maps stay uncolored.
+    assignment = products["assignment"] if view.mode == "R" else None
+    export.render_svg_map(
+        products["map_graph"], products["map_layout"], assignment, out / "map.svg"
+    )
+
+
+def _no_products(view: SimpleNamespace, products: dict) -> None:
+    pass
+
+
+# name, after, reads, artifacts, compute, write; upstream rows come first.
+STAGES = (
+    Stage(
+        "ingest", (),
+        ("input", "input_format", "lowercase", "token_pattern", "min_token_length",
+         "stopword_file", "synonym_file", "binary"),
+        ("matrix.csv", "expected.csv"), _compute_ingest, _write_ingest,
+    ),
+    Stage("terms", ("ingest",), ("criterion", "yates"), ("terms.csv",),
+          _compute_terms, _write_terms),
+    Stage("cooc", ("terms",), _SELECTION, ("coocc.dat",),
+          _selected_matrix, _write_cooc),
+    Stage(
+        "factors", ("terms",),
+        _SELECTION + ("cells", "mode", "factors", "rotate", "kaiser_normalize",
+                      "suppression"),
+        ("loadings.csv", "factors.net"), _compute_factors, _write_factors,
+    ),
+    Stage(
+        "map", ("terms",),
+        _SELECTION + ("cells", "map", "cos_threshold", "cooc_threshold", "layout",
+                      "seed", "fr_iterations", "kk_tol", "kk_max_iter"),
+        ("map.net",), _compute_map, _write_map,
+    ),
+    Stage("render", ("factors", "map"), ("mode",), ("map.svg",),
+          _no_products, _write_render),
+)
+
+STAGE_ORDER = tuple(stage.name for stage in STAGES)
+
+ARTIFACTS = tuple(name for stage in STAGES for name in stage.artifacts) + ("report.json",)
 
 
 # ---------------------------------------------------------------------------
 # execution
 
 
+def _prefix(subcommand: str) -> tuple[Stage, ...]:
+    """The stages ``subcommand`` runs: its stage and everything upstream."""
+    if subcommand == "run":
+        return STAGES
+    if subcommand not in STAGE_ORDER:
+        raise ConfigError(
+            f"unknown subcommand {subcommand!r}; valid values: "
+            + ", ".join(STAGE_ORDER + ("run",))
+        )
+    needed = {subcommand}
+    for stage in reversed(STAGES):
+        if stage.name in needed:
+            needed.update(stage.after)
+    return tuple(stage for stage in STAGES if stage.name in needed)
+
+
 def _load_manifest(out: Path) -> dict:
-    path = out / _MANIFEST
-    if path.exists():
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            return {}
-    return {}
+    try:
+        return json.loads((out / _MANIFEST).read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        return {}
 
 
-def _artifacts_exist(out: Path, stage: str) -> bool:
-    return all((out / name).exists() for name in STAGE_ARTIFACTS[stage])
+def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
+    return {
+        name: _file_digest(out / name) if (out / name).is_file() else None
+        for name in stage.artifacts
+    }
 
 
 def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     """Execute the pipeline prefix ending at ``subcommand``.
 
-    Stages whose cache key matches the manifest (and whose artifact files
-    exist) skip their file writes; in-memory products that later stages
-    need are still rebuilt from the exact cached matrix, so cached and
-    fresh runs produce identical bytes.
+    A stage is a cache hit when its key matches the manifest and every
+    artifact still has the sha256 recorded when it was written; a hit
+    skips the stage's writes. Every stage still computes its in-memory
+    products from the inputs, so cached and fresh runs produce identical
+    bytes whatever ran in the output directory before.
     """
-    if subcommand not in PREFIXES:
-        raise ConfigError(
-            f"unknown subcommand {subcommand!r}; valid values: "
-            + ", ".join(PREFIXES)
-        )
+    stages = _prefix(subcommand)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    keys = _stage_keys(config)
     manifest = _load_manifest(out)
-    stage_info = manifest.get("stages", {})
-    state = _State(config=config)
+    recorded = manifest.get("stages", {})
+    keys: dict[str, str] = {}
+    products: dict = {}
     statuses: dict[str, str] = {}
+    stage_warnings: dict[str, list[str]] = {}
 
-    for stage in PREFIXES[subcommand]:
-        cached = (
-            stage_info.get(stage, {}).get("key") == keys[stage]
-            and _artifacts_exist(out, stage)
-        )
+    for stage in stages:
         started = time.perf_counter()
+        view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if stage == "ingest":
-                if cached:
-                    _load_ingest(state, out)
-                    state.documents_total = stage_info["ingest"].get("documents", state.matrix.n_docs)
-                    state.pruned_documents = stage_info["ingest"].get("pruned", [])
-                else:
-                    _compute_ingest(state, out)
-            elif stage == "terms":
-                _prepare_selection(state)
-                if not cached:
-                    _compute_terms(state, out)
-            elif stage == "cooc":
-                if not cached:
-                    _compute_cooc(state, out)
-            elif stage == "factors":
-                _compute_factors(state, out, write=not cached)
-            elif stage == "map":
-                _compute_map(state, out, write=not cached)
-            elif stage == "render":
-                if not cached:
-                    _compute_render(state, out)
-        if stage == "ingest" and cached:
-            state.warnings[stage] = list(stage_info["ingest"].get("warnings", []))
-        else:
-            state.warnings[stage] = [str(w.message) for w in caught]
-        statuses[stage] = "cached" if cached else "computed"
-        entry = {"key": keys[stage], "warnings": state.warnings[stage]}
-        if stage == "ingest":
-            entry["documents"] = state.documents_total
-            entry["pruned"] = state.pruned_documents
-        stage_info[stage] = entry
+            stage.compute(view, products)
+            key = keys[stage.name] = _digest([
+                stage.name,
+                [(read, _key_part(view, read)) for read in stage.reads],
+                [keys[upstream] for upstream in stage.after],
+            ])
+            entry = recorded.get(stage.name, {})
+            cached = (
+                entry.get("key") == key
+                and entry.get("artifacts") == _artifact_hashes(out, stage)
+            )
+            if not cached:
+                stage.write(view, products, out)
+                entry = {"key": key, "artifacts": _artifact_hashes(out, stage)}
+        recorded[stage.name] = entry
+        stage_warnings[stage.name] = [str(w.message) for w in caught]
+        statuses[stage.name] = "cached" if cached else "computed"
         logger.info(
-            "stage %s: %s (%.3fs)", stage, statuses[stage],
+            "stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
             time.perf_counter() - started,
         )
 
-    manifest["stages"] = stage_info
+    manifest["stages"] = recorded
     (out / _MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    report = _build_report(state, statuses)
+    names = sorted(name for stage in stages for name in stage.artifacts)
+    report = _build_report(config, products, names, stage_warnings)
     (out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    artifacts = {"report.json": out / "report.json"}
-    for stage in PREFIXES[subcommand]:
-        for name in STAGE_ARTIFACTS[stage]:
-            artifacts[name] = out / name
+    artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 
 
@@ -580,40 +562,44 @@ def run(config: PipelineConfig) -> RunResult:
     return run_stage(config, "run")
 
 
-def _build_report(state: _State, statuses: dict[str, str]) -> dict:
-    config = state.config
+def _build_report(
+    config: PipelineConfig,
+    products: dict,
+    artifacts: list[str],
+    stage_warnings: dict[str, list[str]],
+) -> dict:
     report: dict = {
         "config": config.as_dict(),
-        "artifacts": sorted(
-            name for stage in statuses for name in STAGE_ARTIFACTS[stage]
-        ) + ["report.json"],
-        "warnings": [w for stage in STAGE_ORDER for w in state.warnings.get(stage, [])],
+        "artifacts": artifacts + ["report.json"],
+        "warnings": [w for caught in stage_warnings.values() for w in caught],
     }
-    if state.matrix is not None:
+    if "matrix" in products:
+        matrix = products["matrix"]
         report["corpus"] = {
-            "documents": state.documents_total,
-            "documents_after_pruning": state.matrix.n_docs,
-            "pruned_documents": state.pruned_documents,
-            "vocabulary": state.matrix.n_terms,
-            "tokens": state.matrix.total,
+            "documents": products["documents"],
+            "documents_after_pruning": matrix.n_docs,
+            "pruned_documents": list(matrix.pruned_docs),
+            "vocabulary": matrix.n_terms,
+            "tokens": matrix.total,
         }
-    if state.selected:
+    if "selected" in products:
         report["selection"] = {
             "criterion": config.criterion,
-            "selected": len(state.selected),
-            "terms": state.selected,
+            "selected": len(products["selected"]),
+            "terms": products["selected"],
         }
-    if state.solution is not None:
+    if "solution" in products:
+        solution = products["solution"]
         report["factors"] = {
-            "retained": state.solution.n_factors,
-            "rotated": state.solution.rotated,
-            "rotation_sweeps": state.solution.rotation_sweeps,
-            "rotation_converged": state.solution.rotation_converged,
+            "retained": solution.n_factors,
+            "rotated": solution.rotated,
+            "rotation_sweeps": solution.rotation_sweeps,
+            "rotation_converged": solution.rotation_converged,
         }
-    if state.map_graph is not None:
+    if "map_graph" in products:
         report["map"] = {
             "kind": config.map,
-            "nodes": len(state.map_graph.nodes),
-            "edges": len(state.map_graph.edges),
+            "nodes": len(products["map_graph"].nodes),
+            "edges": len(products["map_graph"].edges),
         }
     return report

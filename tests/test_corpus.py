@@ -223,13 +223,6 @@ class TestBuildWordDocMatrix:
         assert np.array_equal(m1.counts, m2.counts)
         assert m1.terms == m2.terms
 
-    def test_threads_do_not_change_result(self):
-        corpus = corpus_of("c a b a", "b c", "a a", "c c c")
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m1 = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS, threads=1)
-        m8 = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS, threads=8)
-        assert np.array_equal(m1.counts, m8.counts)
-
     def test_binary_mode(self):
         corpus = corpus_of("a a a b", "a")
         vocab = build_vocabulary(corpus, NO_STOPWORDS)

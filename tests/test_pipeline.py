@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from cowordmap.cli import main
-from cowordmap.errors import ConfigError
+from cowordmap.data import micro_corpus_dir
+from cowordmap.errors import ConfigError, DataError
 from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run, run_stage
 
 
@@ -235,15 +239,190 @@ class TestSubcommands:
         with pytest.raises(ConfigError, match="unknown subcommand"):
             run_stage(micro_config(micro_dir, tmp_path / "out"), "animate")
 
-    def test_corrupted_cached_matrix_names_stage(self, micro_dir, tmp_path):
+    def test_corrupted_cached_matrix_recomputes_ingest(self, micro_dir, tmp_path):
         out = tmp_path / "out"
         run_stage(micro_config(micro_dir, out), "ingest")
         (out / "matrix.csv").write_text("oops", encoding="utf-8")
-        # cache says valid but the artifact is broken: instructive error
-        from cowordmap.errors import DataError
+        result = run_stage(micro_config(micro_dir, out), "terms")
+        assert result.stages == {"ingest": "computed", "terms": "computed"}
+        fresh = tmp_path / "fresh"
+        run_stage(micro_config(micro_dir, fresh), "terms")
+        assert (out / "matrix.csv").read_bytes() == (fresh / "matrix.csv").read_bytes()
 
-        with pytest.raises(DataError, match="rerun the ingest stage"):
-            run_stage(micro_config(micro_dir, out), "terms")
+
+ALL_STAGES = ("ingest", "terms", "cooc", "factors", "map", "render")
+
+
+def comparable(result):
+    """The artifacts a run wrote, with report.json's echo of ``out`` dropped."""
+    files = {name: path.read_bytes() for name, path in result.artifacts.items()}
+    report = json.loads(files["report.json"])
+    del report["config"]["out"]
+    files["report.json"] = report
+    return files
+
+
+def fresh_run(config, out, subcommand="run"):
+    """Run ``config`` into the new directory ``out``."""
+    return run_stage(dataclasses.replace(config, out=str(out)), subcommand)
+
+
+class TestCache:
+    """A stage is a hit only when its key and its artifacts' hashes match."""
+
+    def test_failed_run_leaves_no_false_hit(self, micro_dir, tmp_path):
+        other = tmp_path / "other"
+        other.mkdir()
+        for name, text in [("a.txt", "impact factor"), ("b.txt", "journal impact")]:
+            (other / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        run(micro_config(micro_dir, out))
+        failing = PipelineConfig.build(
+            {"input": str(other), "out": str(out), "min_score": 1e9}
+        )
+        with pytest.raises(DataError):
+            run(failing)
+        result = run(micro_config(micro_dir, out))
+        assert comparable(result) == comparable(
+            fresh_run(micro_config(micro_dir, out), tmp_path / "fresh")
+        )
+
+    @pytest.mark.parametrize("tampered, owners", [
+        (("expected.csv",), {"ingest"}),
+        (("loadings.csv",), {"factors"}),
+        (("expected.csv", "loadings.csv"), {"ingest", "factors"}),
+    ])
+    def test_tampered_artifact_recomputes_owner(
+        self, micro_dir, tmp_path, tampered, owners
+    ):
+        out = tmp_path / "out"
+        run(micro_config(micro_dir, out))
+        golden = artifact_bytes(out)
+        for name in tampered:
+            (out / name).write_text("broken\n", encoding="utf-8")
+        result = run(micro_config(micro_dir, out))
+        assert {s for s, status in result.stages.items() if status == "computed"} == owners
+        assert artifact_bytes(out) == golden
+
+
+@pytest.fixture(scope="module")
+def cache_workspace(tmp_path_factory):
+    """Inputs for the invalidation table plus one finished base run."""
+    root = tmp_path_factory.mktemp("invalidation")
+    micro = Path(micro_corpus_dir())
+    w = SimpleNamespace(
+        corpus=root / "corpus", moved=root / "moved", edited=root / "edited",
+        lines=root / "lines.txt", stop=root / "stop.txt", syn=root / "syn.txt",
+        base=root / "base",
+    )
+    for target in (w.corpus, w.moved, w.edited):
+        shutil.copytree(micro, target)
+    (w.edited / "d1.txt").write_text("impact factor impact factor", encoding="utf-8")
+    w.lines.write_text(
+        "\n".join(p.read_text(encoding="utf-8").replace("\n", " ")
+                  for p in sorted(micro.glob("*.txt"))) + "\n",
+        encoding="utf-8",
+    )
+    w.stop.write_text("the\nof\na\nimpact\n", encoding="utf-8")
+    w.syn.write_text("journals\tjournal\n", encoding="utf-8")
+    run(micro_config(w.corpus, w.base, fr_iterations=50))
+    return w
+
+
+DOWNSTREAM = ("cooc", "factors", "map", "render")
+
+INVALIDATION = [
+    ("input content", lambda w: {"input": str(w.edited)}, ALL_STAGES),
+    ("input_format", lambda w: {"input": str(w.lines), "input_format": "lines"},
+     ALL_STAGES),
+    ("lowercase", {"lowercase": False}, ALL_STAGES),
+    ("token_pattern", {"token_pattern": r"[a-z]+"}, ALL_STAGES),
+    ("min_token_length", {"min_token_length": 3}, ALL_STAGES),
+    ("stopword_file", lambda w: {"stopword_file": str(w.stop)}, ALL_STAGES),
+    ("synonym_file", lambda w: {"synonym_file": str(w.syn)}, ALL_STAGES),
+    ("binary", {"binary": True}, ALL_STAGES),
+    ("criterion", {"criterion": "chi2"}, ALL_STAGES[1:]),
+    ("yates", {"yates": "off"}, ALL_STAGES[1:]),
+    ("top", {"top": 15}, DOWNSTREAM),
+    ("min_score", {"top": None, "min_score": 9.0}, DOWNSTREAM),
+    ("cells", {"cells": "obsexp"}, ("factors", "map", "render")),
+    ("mode", {"mode": "Q"}, ("factors", "render")),
+    ("factors", {"factors": 4}, ("factors", "render")),
+    ("rotate", {"rotate": False}, ("factors", "render")),
+    ("kaiser_normalize", {"kaiser_normalize": False}, ("factors", "render")),
+    ("suppression", {"suppression": 0.3}, ("factors", "render")),
+    ("map", {"map": "cooc"}, ("map", "render")),
+    ("cos_threshold", {"cos_threshold": 0.2}, ("map", "render")),
+    ("cooc_threshold", {"cooc_threshold": 2.0}, ("map", "render")),
+    ("layout", {"layout": "kk"}, ("map", "render")),
+    ("seed", {"seed": 7}, ("map", "render")),
+    ("fr_iterations", {"fr_iterations": 40}, ("map", "render")),
+    ("kk_tol", {"kk_tol": 1e-4}, ("map", "render")),
+    ("kk_max_iter", {"kk_max_iter": 50}, ("map", "render")),
+    ("out", {}, ()),
+    ("threads", {"threads": 8}, ()),
+    ("moved input", lambda w: {"input": str(w.moved)}, ()),
+]
+
+
+@pytest.mark.parametrize(
+    "change, recomputed", [row[1:] for row in INVALIDATION],
+    ids=[row[0] for row in INVALIDATION],
+)
+def test_invalidation_matrix(cache_workspace, tmp_path, change, recomputed):
+    """Changing one key recomputes exactly the stages that read it, and their descendants."""
+    w = cache_workspace
+    out = tmp_path / "out"
+    shutil.copytree(w.base, out)
+    extra = change(w) if callable(change) else change
+    result = run(micro_config(w.corpus, out, **{"fr_iterations": 50, **extra}))
+    assert {s for s, status in result.stages.items() if status == "computed"} == set(
+        recomputed
+    )
+
+
+def test_random_run_sequences_match_fresh_runs(micro_dir, tmp_path_factory):
+    """Whatever ran in a directory before, a successful run writes fresh-run bytes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    other = tmp_path_factory.mktemp("other")
+    for name, text in [("a.txt", "impact factor journal"), ("b.txt", "journal impact"),
+                       ("c.txt", "citation impact factor")]:
+        (other / name).write_text(text, encoding="utf-8")
+
+    step = st.fixed_dictionaries({
+        "subcommand": st.sampled_from(ALL_STAGES + ("run",)),
+        "input": st.sampled_from([str(micro_dir), str(other)]),
+        "cut": st.sampled_from([{"top": 20}, {"top": 5}, {"top": None, "min_score": 9.0},
+                                {"top": None, "min_score": 1e9}]),
+        "criterion": st.sampled_from(["obsexp", "chi2"]),
+        "cells": st.sampled_from(["counts", "obsexp"]),
+        "factors": st.sampled_from([2, "kaiser"]),
+        "map": st.sampled_from(["cosine", "cooc"]),
+        "seed": st.sampled_from([1, 2]),
+        "binary": st.booleans(),
+    })
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(step, min_size=2, max_size=4))
+    def check(steps):
+        root = tmp_path_factory.mktemp("sequence")
+        out = root / "out"
+        for i, values in enumerate(steps):
+            values = dict(values)
+            subcommand = values.pop("subcommand")
+            config = PipelineConfig.build({
+                **values.pop("cut"), **values, "out": str(out), "fr_iterations": 30,
+            })
+            try:
+                result = run_stage(config, subcommand)
+            except DataError:
+                continue
+            assert comparable(result) == comparable(
+                fresh_run(config, root / f"fresh-{i}", subcommand)
+            )
+
+    check()
 
 
 class TestCli:
