@@ -246,7 +246,7 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
 
     Raises:
         ConfigError: Unknown ``format`` value.
-        DataError: The corpus is empty.
+        DataError: The corpus is empty, or a file is not valid UTF-8.
         OSError: ``source`` does not exist or cannot be read.
     """
     source = Path(source)
@@ -260,14 +260,12 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
         for path in sorted(source.glob("*.txt")):
-            text = path.read_text(encoding="utf-8")
+            text = _read_utf8(path)
             docs.append(Document(id=path.name, label=path.name[:LABEL_MAX_CHARS], text=text))
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")
-        for lineno, line in enumerate(
-            source.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(_read_utf8(source).splitlines(), start=1):
             if not line.strip():
                 continue
             label = line.strip()[:LABEL_MAX_CHARS]
@@ -278,13 +276,23 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     return Corpus(tuple(docs))
 
 
+def _read_utf8(path: Path) -> str:
+    """Read a UTF-8 text file; undecodable bytes are a DataError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def load_stopword_file(path: str | Path) -> frozenset[str]:
     """Read a stopword file, one lowercase term per line.
 
     The returned set replaces the bundled default entirely.
     """
     words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_utf8(Path(path)).splitlines():
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -294,9 +302,7 @@ def load_stopword_file(path: str | Path) -> frozenset[str]:
 def load_synonym_file(path: str | Path) -> dict[str, str]:
     """Read a synonym file with ``variant<TAB>canonical`` per line."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(_read_utf8(Path(path)).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

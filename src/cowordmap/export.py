@@ -183,7 +183,8 @@ def write_pajek_matrix(m: CoocMatrix, path: str | Path) -> None:
     lines = [f"*Vertices {len(m.labels)}"]
     lines += [f"{i + 1} {_quote(label)}" for i, label in enumerate(m.labels)]
     lines.append("*Matrix")
-    lines += [" ".join(str(int(v)) for v in row) for row in values]
+    row_format = " ".join(["%d"] * values.shape[1])
+    lines += [row_format % tuple(row.tolist()) for row in values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -239,15 +240,20 @@ def write_csv(
     """Write a labelled matrix as CSV.
 
     Header row holds the column labels after the ``corner`` cell; each data
-    row starts with its row label. Integer matrices keep plain integers,
-    real matrices use 6 significant digits. LF line endings.
+    row starts with its row label. Bool, integer and unsigned matrices are
+    written with ``%d`` (booleans as 0/1), every other dtype with ``%.6g``
+    (6 significant digits; ``nan``, ``inf``, ``-0``, ``1e+300``). Labels
+    are quoted by :mod:`csv` where needed. LF line endings.
     """
     values = np.asarray(values)
+    cell = "%d" if values.dtype.kind in "biu" else "%.6g"
+    row_format = ",".join([cell] * values.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([corner, *col_labels])
         for label, row in zip(row_labels, values):
-            writer.writerow([label, *(_cell(v) for v in row)])
+            cells = (row_format % tuple(row.tolist())).split(",") if len(row) else []
+            writer.writerow([label, *cells])
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:

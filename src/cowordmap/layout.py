@@ -64,12 +64,30 @@ def _normalize(pos: np.ndarray) -> np.ndarray:
     return np.clip((pos - center) / span + 0.5, 0.0, 1.0)
 
 
+def _pair_offsets(
+    pos: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets ``pos[i] - pos[j]`` as n×n x and y planes, and their lengths.
+
+    The lengths are ``sqrt(dx*dx + dy*dy)`` with ``inf`` on the diagonal.
+    ``work`` is an optional (4, n, n) buffer to write the planes into; a
+    loop that passes one allocates them once.
+    """
+    n = len(pos)
+    dx, dy, dist, dy2 = np.empty((4, n, n)) if work is None else work
+    np.subtract.outer(pos[:, 0], pos[:, 0], out=dx)
+    np.subtract.outer(pos[:, 1], pos[:, 1], out=dy)
+    np.multiply(dx, dx, out=dist)
+    dist += np.multiply(dy, dy, out=dy2)
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    return dx, dy, dist
+
+
 def _separate_coincident(pos: np.ndarray, rng: np.random.Generator) -> None:
     """Nudge exactly coincident nodes apart by a tiny seeded displacement."""
     while True:
-        delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-        dist = np.linalg.norm(delta, axis=2)
-        np.fill_diagonal(dist, np.inf)
+        _, _, dist = _pair_offsets(pos)
         close = np.argwhere(dist < _EPS)
         if not len(close):
             return
@@ -90,8 +108,12 @@ def fruchterman_reingold(
     force d^2/k (scaled by the edge weight when ``use_weights``), where
     k = sqrt(area / n) is the ideal edge length for a unit-square area.
     Displacements are capped by a temperature that cools linearly from
-    0.1 * sqrt(area) towards zero. Node and edge forces accumulate in a
-    fixed order, so results are reproducible.
+    0.1 * sqrt(area) towards zero. Forces accumulate in a fixed order, so
+    results are reproducible: per axis, each node's repulsion is the
+    negated column sum of the antisymmetric n×n offset plane (its pushes
+    from nodes 0..n-1, added in node order), then its edge pulls are
+    subtracted (edges where it is ``a``) and added (where it is ``b``) in
+    edge order.
 
     Raises:
         DataError: The graph has no nodes.
@@ -113,27 +135,32 @@ def fruchterman_reingold(
     edge_weight = np.array(
         [e.weight if use_weights else 1.0 for e in g.edges], dtype=float
     )
+    a, b = edge_index[:, 0], edge_index[:, 1]
+    work = np.empty((4, n, n))
     for step in range(iterations):
         t = t0 * (1.0 - step / iterations)
-        delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-        dist = np.linalg.norm(delta, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        if (dist < _EPS).any():
+        dx, dy, dist = _pair_offsets(pos, work)
+        if dist.min() < _EPS:
             _separate_coincident(pos, rng)
-            delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-            dist = np.linalg.norm(delta, axis=2)
-            np.fill_diagonal(dist, np.inf)
-        dist = np.maximum(dist, _EPS)
-        repulse = k * k / dist**2  # k^2/d, with one more /d to unit-scale delta
-        disp = (delta * repulse[:, :, np.newaxis]).sum(axis=1)
+            dx, dy, dist = _pair_offsets(pos, work)
+        np.maximum(dist, _EPS, out=dist)
+        np.square(dist, out=dist)
+        repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
+        dx *= repulse
+        dy *= repulse
+        # Row i holds the pushes on node i. The planes are antisymmetric, so
+        # the negated column sums are the row sums, added in the same order.
+        fx = -dx.sum(axis=0)
+        fy = -dy.sum(axis=0)
         if len(edge_index):
-            a, b = edge_index[:, 0], edge_index[:, 1]
             evec = pos[a] - pos[b]
             edist = np.maximum(np.linalg.norm(evec, axis=1), _EPS)
             pull = edge_weight * edist / k  # d^2/k, unit-scaled by another /d
-            shift = evec * pull[:, np.newaxis]
-            np.subtract.at(disp, a, shift)
-            np.add.at(disp, b, shift)
+            for force, offset in ((fx, evec[:, 0]), (fy, evec[:, 1])):
+                shift = offset * pull
+                np.subtract.at(force, a, shift)
+                np.add.at(force, b, shift)
+        disp = np.column_stack((fx, fy))
         length = np.maximum(np.linalg.norm(disp, axis=1), _EPS)
         pos += disp / length[:, np.newaxis] * np.minimum(length, t)[:, np.newaxis]
         if not np.isfinite(pos).all():

@@ -31,6 +31,8 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -133,10 +135,14 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
         """Parse a ``key = value`` configuration file (# starts a comment)."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
         values: dict = {}
-        for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -487,7 +493,7 @@ def _prefix(subcommand: str) -> tuple[Stage, ...]:
 def _load_manifest(out: Path) -> dict:
     try:
         return json.loads((out / _MANIFEST).read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
         return {}
 
 
@@ -498,6 +504,31 @@ def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
     }
 
 
+def _write_stage(stage: Stage, view: SimpleNamespace, products: dict, out: Path) -> dict:
+    """Run ``stage``'s write step atomically; return its artifacts' sha256s.
+
+    The step writes into a temporary directory inside ``out``; only when it
+    returns does each artifact replace its namesake in ``out``.
+    """
+    with tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out) as tmp:
+        staged = Path(tmp)
+        stage.write(view, products, staged)
+        hashes = {name: _file_digest(staged / name) for name in stage.artifacts}
+        for name in stage.artifacts:
+            os.replace(staged / name, out / name)
+    return hashes
+
+
+def _write_json(path: Path, data: dict) -> None:
+    """Write ``data`` as sorted, indented JSON through a temporary file."""
+    with tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=path.parent) as tmp:
+        staged = Path(tmp) / path.name
+        staged.write_text(
+            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        os.replace(staged, path)
+
+
 def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     """Execute the pipeline prefix ending at ``subcommand``.
 
@@ -506,6 +537,12 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     skips the stage's writes. Every stage still computes its in-memory
     products from the inputs, so cached and fresh runs produce identical
     bytes whatever ran in the output directory before.
+
+    Writes are atomic: each write step writes into a temporary directory
+    inside the output directory, and its artifacts replace the old ones
+    (``os.replace``) only after the step returns; the manifest and
+    report.json are replaced the same way. A failed run leaves every file
+    either as it was or complete, and no temporary file behind.
     """
     stages = _prefix(subcommand)
     out = Path(config.out)
@@ -534,8 +571,7 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
                 and entry.get("artifacts") == _artifact_hashes(out, stage)
             )
             if not cached:
-                stage.write(view, products, out)
-                entry = {"key": key, "artifacts": _artifact_hashes(out, stage)}
+                entry = {"key": key, "artifacts": _write_stage(stage, view, products, out)}
         recorded[stage.name] = entry
         stage_warnings[stage.name] = [str(w.message) for w in caught]
         statuses[stage.name] = "cached" if cached else "computed"
@@ -545,14 +581,10 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
         )
 
     manifest["stages"] = recorded
-    (out / _MANIFEST).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / _MANIFEST, manifest)
     names = sorted(name for stage in stages for name in stage.artifacts)
     report = _build_report(config, products, names, stage_warnings)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report)
     artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +11,8 @@ import pytest
 
 from cowordmap.errors import DataError
 from cowordmap.export import (
+    _cell,
+    _quote,
     read_csv_matrix,
     read_pajek_matrix,
     read_pajek_net,
@@ -50,6 +54,37 @@ def layout_for(g, rng) -> Layout:
         coords=coords, labels=g.labels, algorithm="fr", seed=0,
         iterations=0, raw=coords,
     )
+
+
+def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
+    """write_csv's bytes built cell by cell: csv.writer over ``_cell`` strings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([corner, *col_labels])
+    for label, row in zip(row_labels, np.asarray(values)):
+        writer.writerow([label, *(_cell(v) for v in row)])
+    return buf.getvalue().encode("utf-8")
+
+
+def pajek_matrix_reference(values, labels) -> bytes:
+    """write_pajek_matrix's bytes built cell by cell with ``str(int(v))``."""
+    lines = [f"*Vertices {len(labels)}"]
+    lines += [f"{i + 1} {_quote(label)}" for i, label in enumerate(labels)]
+    lines.append("*Matrix")
+    lines += [" ".join(str(int(v)) for v in row) for row in np.asarray(values)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Labels csv must quote, or must leave alone, in every awkward way.
+AWKWARD_LABELS = [
+    "plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", " leading space",
+    "trailing space ", "", "naïve", "'single'", "tab\there", '"', ",",
+]
+
+SPECIAL_REALS = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300,
+    5e-324, 123456.5, 1234567.0, 0.1, 2.0 / 3.0, -1.5e-7,
+]
 
 
 class TestPajekNet:
@@ -162,6 +197,19 @@ class TestPajekMatrix:
             assert np.array_equal(back.values, m.values)
             assert back.labels == m.labels
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool, float])
+    def test_matches_cell_by_cell_reference(self, tmp_path, dtype):
+        rng = np.random.default_rng(73)
+        for n in (0, 1, 2, 7, len(AWKWARD_LABELS)):
+            half = rng.integers(-40, 40, size=(n, n))
+            if dtype is np.uint8 or dtype is bool:
+                half = np.abs(half) % 2
+            values = (half + half.T).astype(dtype)
+            labels = (AWKWARD_LABELS * 2)[:n]
+            path = tmp_path / f"m{n}.dat"
+            write_pajek_matrix(CoocMatrix(values=values, labels=labels, mode="words"), path)
+            assert path.read_bytes() == pajek_matrix_reference(values, labels)
+
     def test_asymmetric_rejected(self, tmp_path):
         m = CoocMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"], mode="words")
         with pytest.raises(DataError, match="symmetric"):
@@ -197,6 +245,34 @@ class TestCsv:
         write_csv(np.array([[1]]), path, ["a,b"], ["c"])
         back, rows, _ = read_csv_matrix(path)
         assert rows == ["a,b"]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, bool, np.float64, np.float32])
+    def test_matches_cell_by_cell_reference(self, tmp_path, dtype):
+        rng = np.random.default_rng(74)
+        n = len(AWKWARD_LABELS)
+        if np.dtype(dtype).kind == "f":
+            values = rng.standard_normal((n, len(SPECIAL_REALS))) * 10.0 ** rng.integers(
+                -8, 9, size=(n, len(SPECIAL_REALS))
+            )
+            values[0] = SPECIAL_REALS
+            values[1] = SPECIAL_REALS[::-1]
+        else:
+            values = rng.integers(0, 2 if dtype is bool else 60000, size=(n, 9))
+        with np.errstate(over="ignore"):  # float32 turns +-1e300 into +-inf
+            values = values.astype(dtype)
+        cols = (AWKWARD_LABELS * 2)[: values.shape[1]]
+        path = tmp_path / "m.csv"
+        write_csv(values, path, AWKWARD_LABELS, cols, corner=" corner,")
+        assert path.read_bytes() == csv_reference(values, AWKWARD_LABELS, cols, " corner,")
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0), (1, 1)])
+    def test_degenerate_shapes_match_reference(self, tmp_path, shape):
+        values = np.full(shape, -0.0)
+        rows = ["", "x", "a,b"][: shape[0]]
+        cols = ["", "y", "c"][: shape[1]]
+        path = tmp_path / "m.csv"
+        write_csv(values, path, rows, cols)
+        assert path.read_bytes() == csv_reference(values, rows, cols)
 
     def test_table_writer(self, tmp_path):
         path = tmp_path / "terms.csv"

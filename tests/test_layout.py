@@ -9,6 +9,7 @@ import pytest
 
 from cowordmap.errors import DataError
 from cowordmap.layout import (
+    _EPS,
     fruchterman_reingold,
     graph_distances,
     kamada_kawai,
@@ -29,6 +30,75 @@ def complete(n):
         nodes=[Node(f"n{i}") for i in range(n)],
         edges=[Edge(a, b, 1.0) for a in range(n) for b in range(a + 1, n)],
     )
+
+
+def _separate_coincident_reference(pos, rng):
+    """The n×n×2 coincident-node nudge the plane kernel replaced, verbatim."""
+    while True:
+        delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
+        dist = np.linalg.norm(delta, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        close = np.argwhere(dist < _EPS)
+        if not len(close):
+            return
+        j = int(close[0, 1])
+        angle = rng.random() * 2 * math.pi
+        pos[j] = pos[j] + _EPS * np.array([math.cos(angle), math.sin(angle)])
+
+
+def _fr_reference(g, iterations=500, seed=42, use_weights=False):
+    """The n×n×2 Fruchterman-Reingold kernel the plane kernel replaced.
+
+    Kept verbatim (returning the raw positions) as the oracle: the plane
+    kernel must reproduce it bit for bit.
+    """
+    n = len(g.nodes)
+    rng = np.random.default_rng(seed)
+    pos = rng.random((n, 2))
+    if n == 1:
+        return pos
+    k = math.sqrt(1.0 / n)
+    t0 = 0.1
+    edge_index = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    edge_weight = np.array(
+        [e.weight if use_weights else 1.0 for e in g.edges], dtype=float
+    )
+    for step in range(iterations):
+        t = t0 * (1.0 - step / iterations)
+        delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
+        dist = np.linalg.norm(delta, axis=2)
+        np.fill_diagonal(dist, np.inf)
+        if (dist < _EPS).any():
+            _separate_coincident_reference(pos, rng)
+            delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
+            dist = np.linalg.norm(delta, axis=2)
+            np.fill_diagonal(dist, np.inf)
+        dist = np.maximum(dist, _EPS)
+        repulse = k * k / dist**2  # k^2/d, with one more /d to unit-scale delta
+        disp = (delta * repulse[:, :, np.newaxis]).sum(axis=1)
+        if len(edge_index):
+            a, b = edge_index[:, 0], edge_index[:, 1]
+            evec = pos[a] - pos[b]
+            edist = np.maximum(np.linalg.norm(evec, axis=1), _EPS)
+            pull = edge_weight * edist / k  # d^2/k, unit-scaled by another /d
+            shift = evec * pull[:, np.newaxis]
+            np.subtract.at(disp, a, shift)
+            np.add.at(disp, b, shift)
+        length = np.maximum(np.linalg.norm(disp, axis=1), _EPS)
+        pos += disp / length[:, np.newaxis] * np.minimum(length, t)[:, np.newaxis]
+        if not np.isfinite(pos).all():
+            raise DataError("layout diverged to non-finite coordinates")
+    return pos
+
+
+def random_graph(rng, n, density):
+    """Graph on n nodes with each pair an edge with probability ``density``."""
+    edges = [
+        Edge(a, b, float(rng.uniform(-1.0, 3.0)))
+        for a in range(n) for b in range(a + 1, n)
+        if rng.random() < density
+    ]
+    return Graph(nodes=[Node(f"n{i}") for i in range(n)], edges=edges)
 
 
 def stress_oracle(coords, hops, scale=1.0):
@@ -85,6 +155,38 @@ class TestFruchtermanReingold:
         layout = fruchterman_reingold(complete(4), iterations=60, seed=5)
         spread = np.linalg.norm(layout.raw - layout.raw[0], axis=1)[1:]
         assert (spread > 1e-6).all()
+
+    @pytest.mark.parametrize("n,use_weights", [(30, False), (160, True)])
+    def test_matches_reference_kernel_bitwise(self, n, use_weights):
+        g = random_graph(np.random.default_rng(n), n, density=0.1)
+        layout = fruchterman_reingold(g, iterations=25, seed=3, use_weights=use_weights)
+        reference = _fr_reference(g, iterations=25, seed=3, use_weights=use_weights)
+        assert np.array_equal(layout.raw, reference)
+
+    def test_matches_reference_kernel_on_random_graphs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+        @hypothesis.given(
+            n=st.integers(2, 40),
+            density=st.floats(0.0, 1.0),
+            graph_seed=st.integers(0, 2**32 - 1),
+            use_weights=st.booleans(),
+            iterations=st.integers(1, 60),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, density, graph_seed, use_weights, iterations, seed):
+            g = random_graph(np.random.default_rng(graph_seed), n, density)
+            layout = fruchterman_reingold(
+                g, iterations=iterations, seed=seed, use_weights=use_weights
+            )
+            reference = _fr_reference(
+                g, iterations=iterations, seed=seed, use_weights=use_weights
+            )
+            assert np.array_equal(layout.raw, reference)
+
+        check()
 
     def test_weights_shorten_edges(self):
         nodes = [Node(l) for l in "abcd"]

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from cowordmap import export
 from cowordmap.cli import main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, DataError
@@ -287,6 +288,41 @@ class TestCache:
             fresh_run(micro_config(micro_dir, out), tmp_path / "fresh")
         )
 
+    def test_failed_write_keeps_old_artifacts_and_no_temp_files(
+        self, micro_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        run(micro_config(micro_dir, out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_write_csv = export.write_csv
+
+        def failing_write_csv(values, path, *args, **kwargs):
+            real_write_csv(values, path, *args, **kwargs)  # matrix.csv completes
+            if Path(path).name == "expected.csv":
+                Path(path).write_text("half a row,", encoding="utf-8")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(export, "write_csv", failing_write_csv)
+        with pytest.raises(OSError, match="disk full"):
+            run(micro_config(micro_dir, out, binary=True))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+        monkeypatch.setattr(export, "write_csv", real_write_csv)
+        result = run(micro_config(micro_dir, out, binary=True))
+        assert result.stages["ingest"] == "computed"
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert comparable(result) == comparable(
+            fresh_run(micro_config(micro_dir, out, binary=True), tmp_path / "fresh")
+        )
+
+    def test_undecodable_manifest_counts_as_absent(self, micro_dir, tmp_path):
+        out = tmp_path / "out"
+        golden = artifact_bytes(run(micro_config(micro_dir, out)).out_dir)
+        (out / ".coword-cache.json").write_bytes(b"\xff\xfe{not json")
+        result = run(micro_config(micro_dir, out))
+        assert set(result.stages.values()) == {"computed"}
+        assert artifact_bytes(out) == golden
+
     @pytest.mark.parametrize("tampered, owners", [
         (("expected.csv",), {"ingest"}),
         (("loadings.csv",), {"factors"}),
@@ -453,6 +489,58 @@ class TestCli:
         code = main(["run", "--input", str(empty), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "empty corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, code", [
+        ("corpus_file", 2), ("lines_file", 2), ("stopword_file", 2),
+        ("synonym_file", 2), ("config_file", 1),
+    ])
+    def test_undecodable_input_names_file_without_traceback(
+        self, micro_dir, tmp_path, capsys, bad, code
+    ):
+        latin1 = "café crème\n".encode("latin-1")
+        corpus = tmp_path / "corpus"
+        shutil.copytree(micro_dir, corpus)
+        lines = tmp_path / "docs.lines"
+        lines.write_text("impact factor\njournal impact\n", encoding="utf-8")
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("the\n", encoding="utf-8")
+        synonyms = tmp_path / "syn.txt"
+        synonyms.write_text("journals\tjournal\n", encoding="utf-8")
+        target = {
+            "corpus_file": corpus / "d9.txt", "lines_file": lines,
+            "stopword_file": stopwords, "synonym_file": synonyms,
+            "config_file": tmp_path / "run.cfg",
+        }[bad]
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"stopword_file = {stopwords}\nsynonym_file = {synonyms}\n"
+            + ("input_format = lines\n" if bad == "lines_file" else ""),
+            encoding="utf-8",
+        )
+        target.write_bytes(latin1)
+        source = lines if bad == "lines_file" else corpus
+        exit_code = main([
+            "run", "--config", str(config), "--input", str(source),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert exit_code == code
+        assert str(target) in err and "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_lines_corpus_exits_two_in_a_process(self, tmp_path):
+        lines = tmp_path / "docs.lines"
+        lines.write_bytes("café crème\nthé noir\n".encode("latin-1"))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"input = {lines}\ninput_format = lines\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cowordmap", "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "data error" in proc.stderr and str(lines) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_no_input_exits_one(self, capsys):
         assert main(["run"]) == 1
