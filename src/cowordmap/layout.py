@@ -34,8 +34,9 @@ class Layout:
 
     ``raw`` keeps the pre-normalization coordinates, where geometric
     quantities such as the ideal Fruchterman-Reingold edge length are
-    meaningful. ``stress_history`` is filled by the Kamada-Kawai algorithm
-    with the total stress after each accepted move.
+    meaningful. ``stress_history`` is filled by the Kamada-Kawai algorithm:
+    the stress of the start positions, then the stress after each
+    majorization iteration.
     """
 
     coords: np.ndarray
@@ -172,33 +173,50 @@ def fruchterman_reingold(
 
 
 def graph_distances(g: Graph) -> np.ndarray:
-    """All-pairs shortest path lengths in hops (BFS; inf when unreachable)."""
+    """All-pairs shortest path lengths in hops (inf when unreachable).
+
+    Breadth-first search from every node at once: each round multiplies the
+    boolean frontier rows by the adjacency matrix and keeps the nodes not
+    reached before, which lie exactly one hop further out.
+    """
     n = len(g.nodes)
-    adj = g.adjacency()
+    ends = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = 1.0
     dist = np.full((n, n), np.inf)
-    for start in range(n):
-        dist[start, start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in adj[v]:
-                if not np.isfinite(dist[start, w]):
-                    dist[start, w] = dist[start, v] + 1
-                    queue.append(w)
+    np.fill_diagonal(dist, 0.0)
+    reached = frontier = np.eye(n, dtype=bool)
+    hop = 0
+    while frontier.any():
+        hop += 1
+        frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
+        dist[frontier] = hop
+        reached = reached | frontier
     return dist
+
+
+def _stress_weights(hops: np.ndarray) -> np.ndarray:
+    """Kamada-Kawai spring weights 1/hops^2, 0 on the diagonal."""
+    weight = 1.0 / np.maximum(hops, 1.0) ** 2
+    np.fill_diagonal(weight, 0.0)
+    return weight
+
+
+def _energy(dist: np.ndarray, ideal: np.ndarray, weight: np.ndarray) -> float:
+    """Half the sum of weight * (dist - ideal)^2 over ordered node pairs.
+
+    ``dist`` comes from :func:`_pair_offsets`; its inf diagonal is ignored.
+    """
+    dev = dist - ideal
+    np.fill_diagonal(dev, 0.0)
+    return float((weight * dev * dev).sum()) / 2.0
 
 
 def stress(coords: np.ndarray, hop_distances: np.ndarray, scale: float = 1.0) -> float:
     """Layout energy: sum over pairs of (|p_a - p_b| - scale*d_ab)^2 / d_ab^2."""
-    delta = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
-    geo = np.linalg.norm(delta, axis=2)
-    d = np.array(hop_distances, dtype=float)
-    np.fill_diagonal(d, np.inf)  # self-pairs contribute 0
-    terms = (geo - scale * hop_distances) ** 2 / d**2
-    np.fill_diagonal(terms, 0.0)
-    return float(terms.sum()) / 2.0
+    hops = np.asarray(hop_distances, dtype=float)
+    _, _, dist = _pair_offsets(np.asarray(coords, dtype=float))
+    return _energy(dist, scale * hops, _stress_weights(hops))
 
 
 def kamada_kawai(
@@ -211,15 +229,19 @@ def kamada_kawai(
     """Stress-minimizing layout for a connected graph.
 
     The ideal distance between two nodes is ``scale`` times their
-    unweighted shortest-path length; the energy is the squared deviation
-    from the ideal, weighted by 1/distance^2. The node with the largest
-    energy gradient moves first, by damped Newton steps (with a steepest
-    descent fallback) that are accepted only when they reduce the energy,
-    until the largest gradient falls below ``tol`` or ``max_iter`` node
-    moves have been made.
+    unweighted shortest-path length; the stress is the squared deviation
+    from the ideal, weighted by 1/hops^2 (Kamada & Kawai 1989). It is
+    minimized by stress majorization (SMACOF; Gansner, Koren & North 2004):
+    every iteration moves all nodes at once by one Guttman transform,
+    ``pos <- pinv(V) @ B(pos) @ pos``, where ``V`` is the weighted Laplacian
+    and ``B(pos)`` has off-diagonal entries ``-weight * ideal / distance``.
+    The stress never increases; the loop stops once an iteration lowers it
+    by at most ``tol`` relative to its previous value, or after
+    ``max_iter`` iterations. A candidate whose stress rises through
+    rounding is discarded and ends the loop.
 
-    Like any gradient-based scheme, this converges to a stationary point
-    of the stress; for rare seeds that can be a degenerate (e.g. collinear)
+    Like any descent scheme, this converges to a stationary point of the
+    stress; for rare seeds that can be a degenerate (e.g. collinear)
     arrangement rather than the global minimum. Rerun with another seed if
     the drawing looks folded.
 
@@ -242,88 +264,32 @@ def kamada_kawai(
         raise DataError("kamada_kawai requires a connected graph; split components first")
     _separate_coincident(pos, rng)
     ideal = scale * hops
-    spring = 1.0 / np.maximum(hops, 1.0) ** 2
-    np.fill_diagonal(spring, 0.0)
-
-    def all_gradients() -> np.ndarray:
-        delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-        dist = np.linalg.norm(delta, axis=2)
-        np.fill_diagonal(dist, 1.0)
-        factor = spring * (1.0 - ideal / np.maximum(dist, _EPS))
-        np.fill_diagonal(factor, 0.0)
-        grad = (factor[:, :, np.newaxis] * delta).sum(axis=1)
-        return np.linalg.norm(grad, axis=1)
-
-    def node_gradient(m: int) -> tuple[float, float]:
-        delta = pos[m] - pos
-        dist = np.maximum(np.linalg.norm(delta, axis=1), _EPS)
-        dist[m] = 1.0
-        factor = spring[m] * (1.0 - ideal[m] / dist)
-        factor[m] = 0.0
-        return float((factor * delta[:, 0]).sum()), float((factor * delta[:, 1]).sum())
-
-    def node_energy(m: int) -> float:
-        dist = np.linalg.norm(pos[m] - pos, axis=1)
-        terms = spring[m] * (dist - ideal[m]) ** 2
-        terms[m] = 0.0
-        return float(terms.sum())
-
-    total = stress(pos, hops, scale)
-    history = [total]
-    moves = 0
-    for _ in range(max_iter):
-        grads = all_gradients()
-        m = int(np.argmax(grads))
-        if grads[m] < tol:
+    weight = _stress_weights(hops)
+    laplacian = -weight
+    np.fill_diagonal(laplacian, weight.sum(axis=1))
+    laplacian_pinv = np.linalg.pinv(laplacian)
+    pull = weight * ideal
+    dist = _pair_offsets(pos)[2]
+    energy = _energy(dist, ideal, weight)
+    history = [energy]
+    iterations = 0
+    while iterations < max_iter:
+        b = np.divide(-pull, dist, out=np.zeros((n, n)), where=dist >= _EPS)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        candidate = laplacian_pinv @ (b @ pos)
+        candidate_dist = _pair_offsets(candidate)[2]
+        candidate_energy = _energy(candidate_dist, ideal, weight)
+        if candidate_energy > energy:
             break
-        moved = False
-        for _inner in range(50):
-            gx, gy = node_gradient(m)
-            gnorm = math.hypot(gx, gy)
-            if gnorm < tol:
-                break
-            delta = pos[m] - pos
-            dist = np.maximum(np.linalg.norm(delta, axis=1), _EPS)
-            dist[m] = 1.0
-            cube = dist**3
-            others = np.arange(n) != m
-            hxx = float((spring[m] * (1 - ideal[m] * delta[:, 1] ** 2 / cube))[others].sum())
-            hyy = float((spring[m] * (1 - ideal[m] * delta[:, 0] ** 2 / cube))[others].sum())
-            hxy = float((spring[m] * ideal[m] * delta[:, 0] * delta[:, 1] / cube)[others].sum())
-            det = hxx * hyy - hxy * hxy
-            candidates = []
-            if abs(det) >= 1e-12:
-                candidates.append(np.array(
-                    [(-gx * hyy + gy * hxy) / det, (gx * hxy - gy * hxx) / det]
-                ))
-            # Steepest descent recovers progress when the Newton direction
-            # points uphill (indefinite Hessian away from the minimum).
-            candidates.append(np.array([-gx, -gy]) / gnorm * min(gnorm, 1.0))
-            before = node_energy(m)
-            origin = pos[m].copy()
-            accepted = False
-            for step in candidates:
-                for _halving in range(40):
-                    pos[m] = origin + step
-                    after = node_energy(m)
-                    if after < before:
-                        accepted = True
-                        break
-                    step = step / 2.0
-                if accepted:
-                    break
-            if not accepted:
-                pos[m] = origin
-                break
-            total += after - before
-            history.append(total)
-            moved = True
-        moves += 1
-        if not moved:
+        converged = energy - candidate_energy <= tol * energy
+        pos, dist, energy = candidate, candidate_dist, candidate_energy
+        history.append(energy)
+        iterations += 1
+        if converged:
             break
     return Layout(
         coords=_normalize(pos), labels=g.labels, algorithm="kk",
-        seed=seed, iterations=moves, raw=pos, stress_history=tuple(history),
+        seed=seed, iterations=iterations, raw=pos, stress_history=tuple(history),
     )
 
 

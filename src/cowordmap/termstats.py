@@ -147,7 +147,7 @@ def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareRepor
     if yates not in ("off", "observed_lt_5"):
         raise ConfigError(f"unknown yates mode {yates!r}; use off or observed_lt_5")
     observed = m.counts.astype(float)
-    expected = np.outer(m.row_margins, m.col_margins) / m.total
+    expected = expected_matrix(m).values
     deviation = np.abs(observed - expected)
     applied = np.zeros(observed.shape, dtype=bool)
     if yates == "observed_lt_5":
@@ -175,8 +175,7 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     On a uniform matrix every cell is 1 and every column sums to the number
     of documents.
     """
-    expected = np.outer(m.row_margins, m.col_margins) / m.total
-    values = m.counts / expected
+    values = m.counts / expected_matrix(m).values
     return ObsExpMatrix(
         values=values,
         doc_ids=list(m.doc_ids),

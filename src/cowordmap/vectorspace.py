@@ -276,13 +276,14 @@ def threshold_graph(
     ):
         raise DataError("threshold_graph requires a symmetric matrix")
     nodes = [Node(label=l) for l in matrix.labels]
-    edges = []
     n = len(nodes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = float(values[a, b])
-            if v >= threshold if rule == "geq" else v > threshold:
-                edges.append(Edge(a=a, b=b, weight=v))
+    weights = np.asarray(values, dtype=float)
+    keep = weights >= threshold if rule == "geq" else weights > threshold
+    rows, cols = np.nonzero(np.triu(keep, 1))  # row-major: (a, b) order
+    edges = [
+        Edge(a=a, b=b, weight=v)
+        for a, b, v in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist())
+    ]
     if not edges:
         warnings.warn(
             f"no edges at threshold {threshold} ({rule}); the map is {n} isolated nodes",

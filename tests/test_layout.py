@@ -14,6 +14,7 @@ from cowordmap.layout import (
     graph_distances,
     kamada_kawai,
     split_and_pack,
+    stress,
 )
 from cowordmap.vectorspace import Edge, Graph, Node
 
@@ -99,6 +100,16 @@ def random_graph(rng, n, density):
         if rng.random() < density
     ]
     return Graph(nodes=[Node(f"n{i}") for i in range(n)], edges=edges)
+
+
+def random_connected_graph(rng, n, density):
+    """A random spanning tree plus each other pair with probability ``density``."""
+    pairs = {(int(rng.integers(b)), b) for b in range(1, n)}
+    pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density}
+    return Graph(
+        nodes=[Node(f"n{i}") for i in range(n)],
+        edges=[Edge(a, b, 1.0) for a, b in sorted(pairs)],
+    )
 
 
 def stress_oracle(coords, hops, scale=1.0):
@@ -225,6 +236,25 @@ class TestGraphDistances:
         g = Graph(nodes=[Node("a"), Node("b")])
         assert not np.isfinite(graph_distances(g)[0, 1])
 
+    def test_matches_networkx_shortest_paths(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(5)
+        disconnected = 0
+        for n in (0, 1, 2, 5, 12, 30, 60):
+            for density in (0.0, 0.03, 0.1, 0.4):
+                g = random_graph(rng, n, density)
+                reference = nx.Graph()
+                reference.add_nodes_from(range(n))
+                reference.add_edges_from((e.a, e.b) for e in g.edges)
+                want = np.full((n, n), np.inf)
+                for a, lengths in nx.all_pairs_shortest_path_length(reference):
+                    for b, hops in lengths.items():
+                        want[a, b] = hops
+                got = graph_distances(g)
+                assert np.array_equal(got, want)
+                disconnected += not np.isfinite(got).all()
+        assert disconnected > 0
+
 
 class TestKamadaKawai:
     def test_triangle_is_equilateral(self):
@@ -272,6 +302,37 @@ class TestKamadaKawai:
         a = kamada_kawai(g, seed=12)
         b = kamada_kawai(g, seed=12)
         assert np.array_equal(a.coords, b.coords)
+
+    def test_stops_on_tolerance_before_iteration_cap(self):
+        g = random_connected_graph(np.random.default_rng(20), 20, density=0.15)
+        layout = kamada_kawai(g, tol=1e-6, max_iter=1000, seed=3)
+        assert layout.iterations < 1000
+        before, after = layout.stress_history[-2:]
+        assert before - after <= 1e-6 * before
+
+    def test_majorization_properties_on_random_graphs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+        @hypothesis.given(
+            n=st.integers(2, 30),
+            density=st.floats(0.0, 1.0),
+            graph_seed=st.integers(0, 2**32 - 1),
+            max_iter=st.integers(1, 300),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, density, graph_seed, max_iter, seed):
+            g = random_connected_graph(np.random.default_rng(graph_seed), n, density)
+            layout = kamada_kawai(g, max_iter=max_iter, seed=seed)
+            history = layout.stress_history
+            assert all(b <= a for a, b in zip(history, history[1:]))
+            assert history[-1] == stress(layout.raw, graph_distances(g))
+            assert layout.iterations <= max_iter
+            again = kamada_kawai(g, max_iter=max_iter, seed=seed)
+            assert np.array_equal(layout.raw, again.raw)
+
+        check()
 
 
 class TestSplitAndPack:

@@ -178,6 +178,26 @@ class TestCooccurrence:
             cooccurrence(make_matrix([[1]]), mode="phrases")
 
 
+def threshold_graph_reference(matrix, threshold, rule="geq"):
+    """The pair-by-pair threshold_graph the vectorized one replaced, verbatim."""
+    if rule not in ("geq", "gt"):
+        raise ConfigError(f"unknown rule {rule!r}; use geq or gt")
+    values = matrix.values
+    if values.shape[0] != values.shape[1] or not np.allclose(
+        values, values.T, atol=1e-12
+    ):
+        raise DataError("threshold_graph requires a symmetric matrix")
+    nodes = [Node(label=l) for l in matrix.labels]
+    edges = []
+    n = len(nodes)
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = float(values[a, b])
+            if v >= threshold if rule == "geq" else v > threshold:
+                edges.append(Edge(a=a, b=b, weight=v))
+    return Graph(nodes=nodes, edges=edges)
+
+
 class TestThresholdGraph:
     def sim(self, values, labels):
         return CoocMatrix(values=np.array(values), labels=labels, mode="words")
@@ -223,6 +243,40 @@ class TestThresholdGraph:
         with pytest.warns(CowordMapWarning):
             g = threshold_graph(matrix, 1.0, rule="geq")
         assert not g.edges  # no self-loops from the diagonal
+
+
+    @pytest.mark.parametrize("rule", ["geq", "gt"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairwise_reference(self, seed, dtype, rule):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 30))
+        if np.issubdtype(dtype, np.integer):
+            values = rng.integers(-3, 6, size=(n, n))
+        else:
+            values = rng.normal(size=(n, n))
+        values = np.triu(values) + np.triu(values, 1).T
+        matrix = self.sim(values.astype(dtype), [f"n{i}" for i in range(n)])
+        # values that sit exactly on the threshold, one between them, NaN
+        thresholds = [float(v) for v in values.flat[:3]] + [0.25, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CowordMapWarning)
+            for threshold in thresholds:
+                got = threshold_graph(matrix, threshold, rule=rule)
+                want = threshold_graph_reference(matrix, threshold, rule=rule)
+                assert got.edges == want.edges
+                assert got.nodes == want.nodes
+                for e in got.edges:
+                    assert type(e.a) is int and type(e.b) is int
+                    assert type(e.weight) is float
+
+    @pytest.mark.parametrize("rule", ["geq", "gt"])
+    def test_nan_cell_rejected_like_reference(self, rule):
+        values = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, math.nan], [0.2, math.nan, 1.0]])
+        matrix = self.sim(values, ["a", "b", "c"])
+        for fn in (threshold_graph, threshold_graph_reference):
+            with pytest.raises(DataError, match="symmetric"):
+                fn(matrix, 0.3, rule=rule)
 
 
 class TestGraph:
