@@ -7,13 +7,7 @@ matrix every later step works on. This walk-through uses the bundled
 eight-document micro corpus.
 """
 
-from cowordmap.corpus import (
-    TokenizerConfig,
-    build_vocabulary,
-    build_word_doc_matrix,
-    load_corpus,
-    tokenize,
-)
+from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus, tokenize
 from cowordmap.data import micro_corpus_dir
 
 # Load one document per .txt file (lines of a single file work too).
@@ -24,14 +18,14 @@ print(f"documents: {len(corpus)}")
 cfg = TokenizerConfig()
 print("first document tokens:", tokenize(corpus.documents[0], cfg)[:8], "...")
 
-# The vocabulary is ordered by descending total frequency (ties: alphabetical).
-vocab = build_vocabulary(corpus, cfg)
-print(f"vocabulary: {len(vocab)} terms")
-for term, tf, df in list(zip(vocab.terms, vocab.total_freq, vocab.doc_freq))[:5]:
-    print(f"  {term:<12} total={tf}  in {df} documents")
-
-# The count matrix prunes all-zero rows and columns, so margin-based
-# statistics are always well defined.
-m = build_word_doc_matrix(corpus, vocab, cfg)
+# One tokenizing pass fills the count matrix. It prunes all-zero rows and
+# columns, so margin-based statistics are always well defined.
+m = build_word_doc_matrix(corpus, cfg)
 print(f"matrix: {m.n_docs} x {m.n_terms}, total tokens {m.total}")
 print("row margins:", m.row_margins.tolist())
+
+# The columns are the vocabulary, ordered by descending total frequency
+# (ties: alphabetical).
+doc_freq = (m.counts > 0).sum(axis=0)
+for term, tf, df in list(zip(m.terms, m.col_margins, doc_freq))[:5]:
+    print(f"  {term:<12} total={tf}  in {df} documents")

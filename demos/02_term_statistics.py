@@ -9,7 +9,7 @@ The four rankings agree on little, which is exactly why all four exist.
 
 import numpy as np
 
-from cowordmap.corpus import TokenizerConfig, build_vocabulary, build_word_doc_matrix, load_corpus
+from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus
 from cowordmap.data import micro_corpus_dir
 from cowordmap.termstats import (
     chi_square,
@@ -21,7 +21,7 @@ from cowordmap.termstats import (
 
 cfg = TokenizerConfig()
 corpus = load_corpus(micro_corpus_dir())
-m = build_word_doc_matrix(corpus, build_vocabulary(corpus, cfg), cfg)
+m = build_word_doc_matrix(corpus, cfg)
 
 # Expected values come from the margins: E = row_total * col_total / grand.
 e = expected_matrix(m)

@@ -10,14 +10,14 @@ graph behind a map.
 
 import numpy as np
 
-from cowordmap.corpus import TokenizerConfig, build_vocabulary, build_word_doc_matrix, load_corpus
+from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus
 from cowordmap.data import micro_corpus_dir
 from cowordmap.termstats import obs_exp, select_terms, term_scores
 from cowordmap.vectorspace import cooccurrence, cosine_matrix, pearson_matrix, threshold_graph
 
 cfg = TokenizerConfig()
 corpus = load_corpus(micro_corpus_dir())
-m = build_word_doc_matrix(corpus, build_vocabulary(corpus, cfg), cfg)
+m = build_word_doc_matrix(corpus, cfg)
 
 # Map the 20 terms that occur most above expectation.
 selected = select_terms(term_scores(m), "obsexp", top_n=20)

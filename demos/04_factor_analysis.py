@@ -10,14 +10,14 @@ word unassigned (drawn white on maps).
 
 import numpy as np
 
-from cowordmap.corpus import TokenizerConfig, build_vocabulary, build_word_doc_matrix, load_corpus
+from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus
 from cowordmap.data import micro_corpus_dir
-from cowordmap.factors import UNASSIGNED, assign_factors, factor_analyze, factor_graph, truncated_svd, varimax
+from cowordmap.factors import UNASSIGNED, assign_factors, factor_analyze, factor_graph, varimax
 from cowordmap.termstats import select_terms, term_scores
 
 cfg = TokenizerConfig()
 corpus = load_corpus(micro_corpus_dir())
-m = build_word_doc_matrix(corpus, build_vocabulary(corpus, cfg), cfg)
+m = build_word_doc_matrix(corpus, cfg)
 sub = m.select_terms(select_terms(term_scores(m), "obsexp", top_n=20))
 
 # Five factors over the counts; "obsexp" cells or Q-mode (documents as
@@ -43,7 +43,3 @@ print("unassigned (white):", ", ".join(white) if white else "-")
 graph = factor_graph(rotated, suppression=0.1)
 dotted = sum(1 for e in graph.edges if e.dotted)
 print(f"factor graph: {len(graph.edges)} edges, {dotted} dotted (negative)")
-
-# Singular value decomposition combines both orientations in one step.
-svd = truncated_svd(sub, k=3)
-print("top singular values:", np.round(svd.singular_values, 2))

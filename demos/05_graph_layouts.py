@@ -9,7 +9,7 @@ component by component and packed, isolated words in a trailing row.
 
 import numpy as np
 
-from cowordmap.corpus import TokenizerConfig, build_vocabulary, build_word_doc_matrix, load_corpus
+from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus
 from cowordmap.data import micro_corpus_dir
 from cowordmap.layout import fruchterman_reingold, kamada_kawai, split_and_pack
 from cowordmap.termstats import select_terms, term_scores
@@ -17,7 +17,7 @@ from cowordmap.vectorspace import cosine_matrix, threshold_graph
 
 cfg = TokenizerConfig()
 corpus = load_corpus(micro_corpus_dir())
-m = build_word_doc_matrix(corpus, build_vocabulary(corpus, cfg), cfg)
+m = build_word_doc_matrix(corpus, cfg)
 sub = m.select_terms(select_terms(term_scores(m), "obsexp", top_n=20))
 graph = threshold_graph(cosine_matrix(sub), 0.1, rule="geq")
 print(f"map graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges,"
@@ -28,8 +28,7 @@ fr = split_and_pack(graph, lambda g, s: fruchterman_reingold(g, seed=s), seed=42
 fr_again = split_and_pack(graph, lambda g, s: fruchterman_reingold(g, seed=s), seed=42)
 print("fruchterman-reingold deterministic:", np.array_equal(fr.coords, fr_again.coords))
 print("three node positions:")
-for label in graph.labels[:3]:
-    x, y = fr.position(label)
+for label, (x, y) in list(zip(fr.labels, fr.coords))[:3]:
     print(f"  {label:<12} ({x:.3f}, {y:.3f})")
 
 # Kamada-Kawai needs connected input, which split_and_pack guarantees.

@@ -12,8 +12,7 @@ Typical library use::
 
     docs = corpus.load_corpus("texts/")
     cfg = corpus.TokenizerConfig()
-    vocab = corpus.build_vocabulary(docs, cfg)
-    m = corpus.build_word_doc_matrix(docs, vocab, cfg)
+    m = corpus.build_word_doc_matrix(docs, cfg)
     scores = termstats.term_scores(m)
     best = termstats.select_terms(scores, "obsexp", top_n=75)
     sub = m.select_terms(best)

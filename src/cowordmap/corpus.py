@@ -1,16 +1,15 @@
 """Load documents, tokenize, and build the word-document count matrix.
 
 The pipeline starts here: a directory of ``.txt`` files (or a file with one
-document per line) becomes a :class:`Corpus`, then a :class:`Vocabulary`,
-then a :class:`WordDocMatrix` of occurrence counts with documents as rows
-and terms as columns. Everything downstream (term statistics, similarity,
-factors) consumes the matrix.
+document per line) becomes a :class:`Corpus`, and one tokenizing pass turns
+that into a :class:`WordDocMatrix` of occurrence counts with documents as
+rows and terms as columns. Everything downstream (term statistics,
+similarity, factors) consumes the matrix.
 
 Example:
     >>> corpus = load_corpus("texts/", format="files")
     >>> cfg = TokenizerConfig()
-    >>> vocab = build_vocabulary(corpus, cfg)
-    >>> m = build_word_doc_matrix(corpus, vocab, cfg)
+    >>> m = build_word_doc_matrix(corpus, cfg)
     >>> m.counts.shape
     (120, 3481)
 """
@@ -139,10 +138,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def index(self) -> dict[str, int]:
-        """Return a term -> position lookup table."""
-        return {t: i for i, t in enumerate(self.terms)}
-
 
 class WordDocMatrix:
     """Occurrence counts with documents as rows and terms as columns.
@@ -188,7 +183,7 @@ class WordDocMatrix:
                 CowordMapWarning,
                 stacklevel=2,
             )
-        counts = counts[keep_rows][:, keep_cols]
+        counts = counts[np.ix_(keep_rows, keep_cols)]
         if counts.size == 0:
             raise DataError("matrix is empty after pruning zero margins")
 
@@ -340,66 +335,75 @@ def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
     return out
 
 
+def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], np.ndarray]:
+    """Tokenize each document once into the documents x terms count matrix.
+
+    Each term gets an id when it first appears; the columns are then put in
+    vocabulary order (descending total count, ties broken lexicographically)
+    and every count is filled by one ``np.bincount`` over the token cells.
+    """
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
+    ids: dict[str, int] = {}
+    cols: list[int] = []
+    lengths: list[int] = []
+    for doc in corpus:
+        tokens = tokenize(doc, cfg)
+        cols.extend([ids.setdefault(tok, len(ids)) for tok in tokens])
+        lengths.append(len(tokens))
+    if not ids:
+        raise DataError("vocabulary is empty after stopword/length filtering")
+    terms = list(ids)
+    col = np.array(cols, dtype=np.int64)
+    totals = np.bincount(col).tolist()
+    order = sorted(range(len(terms)), key=lambda k: (-totals[k], terms[k]))
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[order] = np.arange(len(terms))
+    row = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    shape = (len(corpus), len(terms))
+    counts = np.bincount(row * shape[1] + rank[col], minlength=shape[0] * shape[1])
+    return [terms[k] for k in order], counts.reshape(shape)
+
+
 def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
     """Count every surviving term across the corpus.
 
     Returns:
         Vocabulary ordered by descending total frequency, ties broken
-        lexicographically.
+        lexicographically: the columns of :func:`build_word_doc_matrix`.
 
     Raises:
         DataError: No token survives filtering.
     """
-    if len(corpus) == 0:
-        raise DataError("empty corpus")
-    totals: dict[str, int] = {}
-    docfreq: dict[str, int] = {}
-    for doc in corpus:
-        tokens = tokenize(doc, cfg)
-        for tok in tokens:
-            totals[tok] = totals.get(tok, 0) + 1
-        for tok in set(tokens):
-            docfreq[tok] = docfreq.get(tok, 0) + 1
-    if not totals:
-        raise DataError("vocabulary is empty after stopword/length filtering")
-    ordered = sorted(totals, key=lambda t: (-totals[t], t))
+    terms, counts = _count_terms(corpus, cfg)
     return Vocabulary(
-        terms=tuple(ordered),
-        total_freq=np.array([totals[t] for t in ordered], dtype=np.int64),
-        doc_freq=np.array([docfreq[t] for t in ordered], dtype=np.int64),
+        terms=tuple(terms),
+        total_freq=counts.sum(axis=0),
+        doc_freq=np.count_nonzero(counts, axis=0).astype(np.int64),
     )
 
 
 def build_word_doc_matrix(
-    corpus: Corpus,
-    vocab: Vocabulary,
-    cfg: TokenizerConfig,
-    binary: bool = False,
+    corpus: Corpus, cfg: TokenizerConfig, binary: bool = False
 ) -> WordDocMatrix:
-    """Fill the documents x terms count matrix.
+    """Tokenize the corpus once and fill the documents x terms count matrix.
 
     Args:
-        corpus: The corpus the vocabulary was built from.
-        vocab: Vocabulary built with the same tokenizer settings.
-        cfg: The same tokenizer settings.
+        corpus: The documents; each becomes a row.
+        cfg: Tokenizer settings.
         binary: Record presence (0/1) instead of occurrence counts.
 
     Returns:
-        The pruned count matrix. ``counts[i][k]`` is the number of
-        occurrences of term ``k`` in document ``i`` (or 1 under ``binary``).
+        The pruned count matrix, its columns in :func:`build_vocabulary`
+        order. ``counts[i][k]`` is the number of occurrences of term ``k``
+        in document ``i`` (or 1 under ``binary``).
+
+    Raises:
+        DataError: The corpus is empty, or no token survives filtering.
     """
-    index = vocab.index()
-    counts = np.zeros((len(corpus), len(vocab)), dtype=np.int64)
-    for i, doc in enumerate(corpus):
-        for tok in tokenize(doc, cfg):
-            k = index.get(tok)
-            if k is not None:
-                counts[i, k] += 1
+    terms, counts = _count_terms(corpus, cfg)
     if binary:
-        counts = (counts > 0).astype(np.int64)
+        np.minimum(counts, 1, out=counts)
     return WordDocMatrix(
-        counts,
-        [d.id for d in corpus],
-        [d.label for d in corpus],
-        list(vocab.terms),
+        counts, [d.id for d in corpus], [d.label for d in corpus], terms
     )

@@ -1,4 +1,4 @@
-"""Latent structure: principal-components factors, varimax rotation, SVD.
+"""Latent structure: principal-components factors and varimax rotation.
 
 Factor extraction works on the correlation matrix of the two-mode matrix
 itself (not of a one-mode co-occurrence matrix): variables are the columns
@@ -25,11 +25,9 @@ __all__ = [
     "UNASSIGNED",
     "FactorAssignment",
     "FactorSolution",
-    "SvdResult",
     "assign_factors",
     "factor_analyze",
     "factor_graph",
-    "truncated_svd",
     "varimax",
 ]
 
@@ -95,16 +93,6 @@ class FactorAssignment:
     factor: np.ndarray
     sign: np.ndarray
     suppression: float
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Best rank-k factorization U * diag(s) * V'."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-    rank: int
 
 
 def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
@@ -359,25 +347,3 @@ def factor_graph(sol: FactorSolution, suppression: float = 0.1) -> Graph:
                     Edge(a=j, b=p + f, weight=abs(float(value)), dotted=value < 0)
                 )
     return Graph(nodes=nodes, edges=edges)
-
-
-def truncated_svd(m, k: int) -> SvdResult:
-    """Best rank-k approximation via singular value decomposition.
-
-    Signs are fixed so each left vector's largest-magnitude entry is
-    non-negative, making results deterministic.
-    """
-    data = m.counts.astype(float) if isinstance(m, WordDocMatrix) else np.asarray(m, float)
-    if data.ndim != 2:
-        raise DataError("expected a 2-D matrix")
-    max_rank = min(data.shape)
-    if not 1 <= k <= max_rank:
-        raise ConfigError(f"k must be between 1 and {max_rank}, got {k}")
-    u, s, vh = np.linalg.svd(data, full_matrices=False)
-    u, s, vh = u[:, :k], s[:k], vh[:k, :]
-    for i in range(k):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] *= -1
-            vh[i, :] *= -1
-    return SvdResult(left=u, singular_values=s, right=vh.T, rank=k)

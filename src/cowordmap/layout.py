@@ -47,10 +47,6 @@ class Layout:
     raw: np.ndarray
     stress_history: tuple[float, ...] = ()
 
-    def position(self, label: str) -> tuple[float, float]:
-        i = self.labels.index(label)
-        return float(self.coords[i, 0]), float(self.coords[i, 1])
-
 
 def _normalize(pos: np.ndarray) -> np.ndarray:
     """Fit positions into the unit square, centered, preserving aspect ratio."""

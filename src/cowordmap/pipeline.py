@@ -179,6 +179,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"min_token_length must be >= 1, got {self.min_token_length}"
             )
+        for key in ("seed", "fr_iterations", "kk_max_iter"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not (np.isfinite(self.kk_tol) and self.kk_tol >= 0):
+            raise ConfigError(f"kk_tol must be finite and >= 0, got {self.kk_tol}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -297,11 +302,9 @@ def _cells_matrix(m: corpus_mod.WordDocMatrix, which: str) -> np.ndarray:
 
 def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
     corpus = corpus_mod.load_corpus(view.input, format=view.input_format)
-    cfg = _tokenizer_config(view)
-    vocab = corpus_mod.build_vocabulary(corpus, cfg)
     products["documents"] = len(corpus)
     products["matrix"] = corpus_mod.build_word_doc_matrix(
-        corpus, vocab, cfg, binary=view.binary
+        corpus, _tokenizer_config(view), binary=view.binary
     )
 
 

@@ -102,17 +102,12 @@ class Graph:
     def labels(self) -> list[str]:
         return [n.label for n in self.nodes]
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbour lists in node order."""
+    def connected_components(self) -> list[list[int]]:
+        """Node-index components, each sorted, ordered by first node."""
         adj: list[list[int]] = [[] for _ in self.nodes]
         for e in self.edges:
             adj[e.a].append(e.b)
             adj[e.b].append(e.a)
-        return adj
-
-    def connected_components(self) -> list[list[int]]:
-        """Node-index components, each sorted, ordered by first node."""
-        adj = self.adjacency()
         seen = [False] * len(self.nodes)
         components: list[list[int]] = []
         for start in range(len(self.nodes)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,8 @@ from cowordmap.corpus import (
     Corpus,
     Document,
     TokenizerConfig,
+    Vocabulary,
+    WordDocMatrix,
     build_vocabulary,
     build_word_doc_matrix,
     load_corpus,
@@ -168,11 +171,116 @@ class TestBuildVocabulary:
         assert list(vocab.terms) == ordered
 
 
+def two_pass_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
+    """The former first ingest pass, kept verbatim as the oracle."""
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
+    totals: dict[str, int] = {}
+    docfreq: dict[str, int] = {}
+    for doc in corpus:
+        tokens = tokenize(doc, cfg)
+        for tok in tokens:
+            totals[tok] = totals.get(tok, 0) + 1
+        for tok in set(tokens):
+            docfreq[tok] = docfreq.get(tok, 0) + 1
+    if not totals:
+        raise DataError("vocabulary is empty after stopword/length filtering")
+    ordered = sorted(totals, key=lambda t: (-totals[t], t))
+    return Vocabulary(
+        terms=tuple(ordered),
+        total_freq=np.array([totals[t] for t in ordered], dtype=np.int64),
+        doc_freq=np.array([docfreq[t] for t in ordered], dtype=np.int64),
+    )
+
+
+def two_pass_matrix(
+    corpus: Corpus, vocab: Vocabulary, cfg: TokenizerConfig, binary: bool = False
+) -> WordDocMatrix:
+    """The former second ingest pass, kept verbatim as the oracle."""
+    index = {t: i for i, t in enumerate(vocab.terms)}
+    counts = np.zeros((len(corpus), len(vocab)), dtype=np.int64)
+    for i, doc in enumerate(corpus):
+        for tok in tokenize(doc, cfg):
+            k = index.get(tok)
+            if k is not None:
+                counts[i, k] += 1
+    if binary:
+        counts = (counts > 0).astype(np.int64)
+    return WordDocMatrix(
+        counts,
+        [d.id for d in corpus],
+        [d.label for d in corpus],
+        list(vocab.terms),
+    )
+
+
+def outcome(build):
+    """What ``build()`` returns or the DataError it raises, with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build()
+        except DataError as exc:
+            result = f"DataError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def test_one_pass_ingest_matches_two_pass_oracle():
+    """Random corpora give the two-pass builder's vocabulary and matrix."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pool = ["a", "b", "ab", "Ab", "the", "The", "of", "map", "Maps", "maps", "xyz", "x1"]
+    word = st.sampled_from(pool)
+    text = st.lists(word, max_size=8).map(" ".join) | st.lists(word, max_size=8).map(", ".join)
+    lower = st.sampled_from([w.lower() for w in pool])
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(
+        texts=st.lists(text, max_size=6),
+        lowercase=st.booleans(),
+        min_token_length=st.integers(1, 3),
+        stopwords=st.frozensets(lower, max_size=4),
+        synonyms=st.dictionaries(word, word, max_size=3),
+        binary=st.booleans(),
+    )
+    def check(texts, lowercase, min_token_length, stopwords, synonyms, binary):
+        corpus = corpus_of(*texts)
+        cfg = TokenizerConfig(
+            lowercase=lowercase, min_token_length=min_token_length,
+            stopwords=stopwords, synonyms=synonyms,
+        )
+        vocab, vocab_warnings = outcome(lambda: build_vocabulary(corpus, cfg))
+        old_vocab, old_vocab_warnings = outcome(lambda: two_pass_vocabulary(corpus, cfg))
+        assert vocab_warnings == old_vocab_warnings == []
+        if isinstance(old_vocab, str):
+            assert vocab == old_vocab
+        else:
+            assert vocab.terms == old_vocab.terms
+            assert np.array_equal(vocab.total_freq, old_vocab.total_freq)
+            assert np.array_equal(vocab.doc_freq, old_vocab.doc_freq)
+            assert vocab.total_freq.dtype == vocab.doc_freq.dtype == np.int64
+
+        new, new_warnings = outcome(lambda: build_word_doc_matrix(corpus, cfg, binary=binary))
+        old, old_warnings = outcome(
+            lambda: two_pass_matrix(corpus, two_pass_vocabulary(corpus, cfg), cfg, binary)
+        )
+        assert new_warnings == old_warnings
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert new.terms == old.terms
+        assert new.counts.dtype == old.counts.dtype == np.int64
+        assert np.array_equal(new.counts, old.counts)
+        assert new.doc_ids == old.doc_ids
+        assert new.pruned_docs == old.pruned_docs
+
+    check()
+
+
 class TestBuildWordDocMatrix:
     def test_small_example(self):
         corpus = corpus_of("a a b", "b")
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS)
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
         by_term = {t: m.counts[:, k].tolist() for k, t in enumerate(m.terms)}
         assert by_term == {"a": [2, 0], "b": [1, 1]}
         assert m.row_margins.tolist() == [3, 1]
@@ -181,8 +289,7 @@ class TestBuildWordDocMatrix:
 
     def test_single_document(self):
         corpus = corpus_of("x y x")
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS)
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
         assert m.counts.shape[0] == 1
         assert m.row_margins[0] == m.total == 3
 
@@ -194,8 +301,7 @@ class TestBuildWordDocMatrix:
             for _ in range(9)
         ]
         corpus = corpus_of(*texts)
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS)
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
         for i, doc in enumerate(corpus):
             tokens = doc.text.split()
             for k, term in enumerate(m.terms):
@@ -208,25 +314,24 @@ class TestBuildWordDocMatrix:
         texts = [" ".join(rng.choice(words, size=20)) for _ in range(6)]
         corpus = corpus_of(*texts)
         vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS)
-        index = {t: k for k, t in enumerate(vocab.terms)}
-        for term, df in zip(vocab.terms, vocab.doc_freq):
-            assert df == (m.counts[:, index[term]] > 0).sum()
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
+        assert list(vocab.terms) == m.terms
+        for k, df in enumerate(vocab.doc_freq):
+            assert df == (m.counts[:, k] > 0).sum()
 
     def test_deterministic(self):
         corpus = corpus_of("c a b a", "b c", "a a")
         vocab1 = build_vocabulary(corpus, NO_STOPWORDS)
         vocab2 = build_vocabulary(corpus, NO_STOPWORDS)
         assert vocab1.terms == vocab2.terms
-        m1 = build_word_doc_matrix(corpus, vocab1, NO_STOPWORDS)
-        m2 = build_word_doc_matrix(corpus, vocab2, NO_STOPWORDS)
+        m1 = build_word_doc_matrix(corpus, NO_STOPWORDS)
+        m2 = build_word_doc_matrix(corpus, NO_STOPWORDS)
         assert np.array_equal(m1.counts, m2.counts)
         assert m1.terms == m2.terms
 
     def test_binary_mode(self):
         corpus = corpus_of("a a a b", "a")
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, vocab, NO_STOPWORDS, binary=True)
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS, binary=True)
         assert set(m.counts.ravel().tolist()) <= {0, 1}
         by_term = {t: m.counts[:, k].tolist() for k, t in enumerate(m.terms)}
         assert by_term["a"] == [1, 1]
@@ -234,9 +339,8 @@ class TestBuildWordDocMatrix:
     def test_prunes_empty_documents_with_warning(self):
         cfg = TokenizerConfig(stopwords=frozenset({"the"}))
         corpus = corpus_of("the the", "impact factor")
-        vocab = build_vocabulary(corpus, cfg)
         with pytest.warns(CowordMapWarning, match="pruned documents.*d1"):
-            m = build_word_doc_matrix(corpus, vocab, cfg)
+            m = build_word_doc_matrix(corpus, cfg)
         assert m.pruned_docs == ["d1"]
         assert m.doc_ids == ["d2"]
 

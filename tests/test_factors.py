@@ -1,4 +1,4 @@
-"""Factor extraction, varimax rotation, assignment, factor graphs, SVD."""
+"""Factor extraction, varimax rotation, assignment, factor graphs."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from cowordmap.factors import (
     assign_factors,
     factor_analyze,
     factor_graph,
-    truncated_svd,
     varimax,
     varimax_criterion,
 )
@@ -303,54 +302,3 @@ class TestFactorGraph:
         weights = {(e.a, e.b): e.weight for e in g.edges}
         assert weights[(0, 2)] == pytest.approx(0.9)
         assert weights[(1, 3)] == pytest.approx(0.4)
-
-
-class TestTruncatedSvd:
-    def test_diagonal_matrix(self):
-        result = truncated_svd(np.diag([3.0, 1.0]), k=2)
-        np.testing.assert_allclose(result.singular_values, [3.0, 1.0], atol=1e-12)
-
-    def test_full_rank_reconstruction(self):
-        rng = np.random.default_rng(60)
-        data = rng.normal(size=(7, 5))
-        result = truncated_svd(data, k=5)
-        approx = result.left @ np.diag(result.singular_values) @ result.right.T
-        assert np.linalg.norm(data - approx) <= 1e-8 * np.linalg.norm(data)
-
-    def test_matches_gram_matrix_oracle(self):
-        rng = np.random.default_rng(61)
-        data = rng.normal(size=(10, 6))
-        result = truncated_svd(data, k=2)
-        gram_eigenvalues = np.sort(np.linalg.eigvalsh(data.T @ data))[::-1]
-        np.testing.assert_allclose(
-            result.singular_values, np.sqrt(gram_eigenvalues[:2]), atol=1e-8
-        )
-
-    def test_orthonormal_columns_and_order(self):
-        rng = np.random.default_rng(62)
-        result = truncated_svd(rng.normal(size=(9, 6)), k=4)
-        np.testing.assert_allclose(
-            result.left.T @ result.left, np.eye(4), atol=1e-8
-        )
-        np.testing.assert_allclose(
-            result.right.T @ result.right, np.eye(4), atol=1e-8
-        )
-        assert (np.diff(result.singular_values) <= 1e-12).all()
-        assert (result.singular_values >= 0).all()
-
-    def test_k_bounds(self):
-        data = np.ones((3, 4))
-        with pytest.raises(ConfigError):
-            truncated_svd(data, k=0)
-        with pytest.raises(ConfigError):
-            truncated_svd(data, k=4)
-
-    def test_deterministic_signs(self):
-        rng = np.random.default_rng(63)
-        data = rng.normal(size=(8, 5))
-        a = truncated_svd(data, k=3)
-        b = truncated_svd(data, k=3)
-        assert np.array_equal(a.left, b.left)
-        for i in range(3):
-            column = a.left[:, i]
-            assert column[np.argmax(np.abs(column))] >= 0

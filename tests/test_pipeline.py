@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cowordmap import export
+from cowordmap import corpus, export
 from cowordmap.cli import main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, DataError
@@ -205,6 +205,16 @@ class TestRun:
         assert "\nimpact," not in terms
         assert "journals," not in terms  # merged into the canonical form
         assert result.stages["terms"] == "computed"
+
+    def test_ingest_tokenizes_each_document_once(self, micro_dir, tmp_path, monkeypatch):
+        calls = []
+        tokenize = corpus.tokenize
+        monkeypatch.setattr(
+            corpus, "tokenize", lambda doc, cfg: calls.append(doc.id) or tokenize(doc, cfg)
+        )
+        run_stage(micro_config(micro_dir, tmp_path / "out"), "ingest")
+        assert len(calls) == 8
+        assert sorted(calls) == sorted(path.name for path in micro_dir.glob("*.txt"))
 
 
 class TestSubcommands:
@@ -541,6 +551,41 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "data error" in proc.stderr and str(lines) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_exits_one_in_a_process(self, micro_dir, tmp_path):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cowordmap", "run", "--input", str(micro_dir),
+             "--out", str(out), "--seed", "-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "configuration error" in proc.stderr and "seed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("seed = -1", "seed"),
+        ("fr_iterations = -1", "fr_iterations"),
+        ("kk_max_iter = -5", "kk_max_iter"),
+        ("kk_tol = -1e-6", "kk_tol"),
+        ("kk_tol = nan", "kk_tol"),
+        ("kk_tol = inf", "kk_tol"),
+    ])
+    def test_negative_or_non_finite_setting_exits_one_before_writing(
+        self, micro_dir, tmp_path, capsys, line, key
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"layout = kk\n{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config), "--input", str(micro_dir), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "configuration error" in err and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_no_input_exits_one(self, capsys):
         assert main(["run"]) == 1

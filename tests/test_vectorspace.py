@@ -301,3 +301,26 @@ class TestGraph:
         sub = g.subgraph([2, 3])
         assert sub.labels == ["c", "d"]
         assert sub.edges == [Edge(0, 1, 1.0)]
+
+    def test_components_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(11)
+        isolated = 0
+        for n in (0, 1, 2, 7, 20, 50):
+            for density in (0.0, 0.02, 0.08, 0.3):
+                pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                         if rng.random() < density]
+                order = rng.permutation(len(pairs))  # edge order must not matter
+                g = Graph(
+                    nodes=[Node(f"n{i}") for i in range(n)],
+                    edges=[Edge(*pairs[k], 1.0) for k in order],
+                )
+                reference = nx.Graph()
+                reference.add_nodes_from(range(n))
+                reference.add_edges_from(pairs)
+                want = sorted(sorted(c) for c in nx.connected_components(reference))
+                got = g.connected_components()
+                assert got == want
+                assert [c[0] for c in got] == sorted(c[0] for c in got)
+                isolated += sum(len(c) == 1 for c in got)
+        assert isolated > 0
