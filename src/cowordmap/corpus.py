@@ -183,7 +183,8 @@ class WordDocMatrix:
                 CowordMapWarning,
                 stacklevel=2,
             )
-        counts = counts[np.ix_(keep_rows, keep_cols)]
+        if pruned_docs or pruned_terms:
+            counts = counts[np.ix_(keep_rows, keep_cols)]
         if counts.size == 0:
             raise DataError("matrix is empty after pruning zero margins")
 

@@ -15,10 +15,11 @@ both are omitted when unset, keeping the default output minimal.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+from collections.abc import Iterable
 from pathlib import Path
-from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
@@ -68,6 +69,10 @@ def _fmt4(x: float) -> str:
 
 def _fmt_real(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _xml_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
@@ -230,8 +235,27 @@ def _cell(value) -> str:
     return _fmt_real(float(value))
 
 
+_MEMO_ROWS = 256  # bounds write_csv's memo when every real row differs
+
+
+def _row_body(row: np.ndarray, memo: dict) -> str:
+    """``,cell`` for each cell of ``row``: ``%d`` for integers, else ``%.6g``."""
+    if row.dtype.kind in "biu":
+        nz = np.flatnonzero(row)
+        zeros = np.diff(nz, prepend=-1, append=len(row)) - 1  # before each nonzero, then after
+        cells = [",%d" % v for v in row[nz].tolist()] + [""]
+        return "".join(",0" * z + cell for z, cell in zip(zeros.tolist(), cells))
+    key = (row.dtype.str, row.tobytes())
+    body = memo.get(key)
+    if body is None:
+        body = ",%.6g" * len(row) % tuple(row.tolist())
+        if len(memo) < _MEMO_ROWS:
+            memo[key] = body
+    return body
+
+
 def write_csv(
-    values: np.ndarray,
+    values: np.ndarray | Iterable[np.ndarray],
     path: str | Path,
     row_labels: list[str],
     col_labels: list[str],
@@ -239,21 +263,30 @@ def write_csv(
 ) -> None:
     """Write a labelled matrix as CSV.
 
-    Header row holds the column labels after the ``corner`` cell; each data
-    row starts with its row label. Bool, integer and unsigned matrices are
-    written with ``%d`` (booleans as 0/1), every other dtype with ``%.6g``
-    (6 significant digits; ``nan``, ``inf``, ``-0``, ``1e+300``). Labels
-    are quoted by :mod:`csv` where needed. LF line endings.
+    ``values`` is a 2-D array or an iterable of 1-D array rows, such as the
+    stream of :func:`~cowordmap.termstats.expected_rows`. Header row holds
+    the column labels after the ``corner`` cell; each data row starts with
+    its row label. Bool, integer and unsigned rows are written with ``%d``
+    (booleans as 0/1), every other dtype with ``%.6g`` (6 significant
+    digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line endings.
+
+    Only labels go through :mod:`csv` quoting: a formatted number never
+    needs it. Integer rows are built from their nonzeros and runs of
+    ``,0``. Real row bodies are memoized on ``row.tobytes()`` (up to
+    ``_MEMO_ROWS`` of them): the expected rows of documents with equal
+    margins have equal bits and are formatted once.
     """
-    values = np.asarray(values)
-    cell = "%d" if values.dtype.kind in "biu" else "%.6g"
-    row_format = ",".join([cell] * values.shape[1])
+    memo: dict = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([corner, *col_labels])
-        for label, row in zip(row_labels, values):
-            cells = (row_format % tuple(row.tolist())).split(",") if len(row) else []
-            writer.writerow([label, *cells])
+        for row_label, row in zip(row_labels, values):
+            if not len(row):
+                writer.writerow([row_label])
+                continue
+            quoted = io.StringIO()  # receives the csv-quoted label, then ",\n"
+            csv.writer(quoted, lineterminator="\n").writerow([row_label, ""])
+            fh.write(quoted.getvalue()[:-2] + _row_body(row, memo) + "\n")
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
@@ -362,7 +395,7 @@ def render_svg_map(
         )
         parts.append(
             f'<text x="{x + radii[i] + 3:.2f}" y="{y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="13">{xml_escape(node.label)}</text>'
+            f'font-family="sans-serif" font-size="13">{_xml_escape(node.label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -136,7 +136,7 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
         """Parse a ``key = value`` configuration file (# starts a comment)."""
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
@@ -249,7 +249,11 @@ def _digest(parts: list) -> str:
 
 
 def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _key_part(view: SimpleNamespace, key: str):
@@ -311,9 +315,8 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
     export.write_csv(matrix.counts, out / "matrix.csv", matrix.doc_ids, matrix.terms)
-    expected = termstats.expected_matrix(matrix)
     export.write_csv(
-        expected.values, out / "expected.csv", expected.doc_ids, expected.terms
+        termstats.expected_rows(matrix), out / "expected.csv", matrix.doc_ids, matrix.terms
     )
 
 

@@ -15,6 +15,7 @@ top terms selected for mapping.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "chi_square",
     "chi_square_per_term",
     "expected_matrix",
+    "expected_rows",
     "obs_exp",
     "select_terms",
     "term_scores",
@@ -108,14 +110,32 @@ class TermScores:
         }[criterion]
 
 
+_BLOCK_CELLS = 1 << 20  # cells per row block: bounds each float temporary
+
+
+def _expected(m: WordDocMatrix, rows: slice = slice(None)) -> np.ndarray:
+    """Rows of ``outer(R, C) / T``; each cell is computed on its own."""
+    return np.outer(m.row_margins[rows], m.col_margins) / m.total
+
+
+def _row_blocks(m: WordDocMatrix) -> list[slice]:
+    step = max(1, _BLOCK_CELLS // m.n_terms)
+    return [slice(i, i + step) for i in range(0, m.n_docs, step)]
+
+
 def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
     """Compute expected cell values from the margin totals.
 
     Row and column sums of the result equal those of the observed matrix;
     all entries are positive because the input is pruned.
     """
-    values = np.outer(m.row_margins, m.col_margins) / m.total
-    return ExpectedMatrix(values=values, doc_ids=list(m.doc_ids), terms=list(m.terms))
+    return ExpectedMatrix(values=_expected(m), doc_ids=list(m.doc_ids), terms=list(m.terms))
+
+
+def expected_rows(m: WordDocMatrix) -> Iterator[np.ndarray]:
+    """Yield the rows of :func:`expected_matrix`, bit for bit, one block at a time."""
+    for rows in _row_blocks(m):
+        yield from _expected(m, rows)
 
 
 def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
@@ -133,6 +153,18 @@ def tfidf_per_term(m: WordDocMatrix) -> np.ndarray:
     return tfidf_matrix(m).sum(axis=0)
 
 
+def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str):
+    """Per-cell chi-square contributions and the Yates flags of ``counts``."""
+    if yates not in ("off", "observed_lt_5"):
+        raise ConfigError(f"unknown yates mode {yates!r}; use off or observed_lt_5")
+    deviation = np.abs(counts - expected)
+    applied = np.zeros(counts.shape, dtype=bool)
+    if yates == "observed_lt_5":
+        applied = counts < 5
+        deviation = np.where(applied, np.maximum(deviation - 0.5, 0.0), deviation)
+    return deviation**2 / expected, applied
+
+
 def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareReport:
     """Decompose the matrix chi-square into per-cell contributions.
 
@@ -144,16 +176,7 @@ def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareRepor
             correction. The corrected contribution is never larger than the
             uncorrected one.
     """
-    if yates not in ("off", "observed_lt_5"):
-        raise ConfigError(f"unknown yates mode {yates!r}; use off or observed_lt_5")
-    observed = m.counts.astype(float)
-    expected = expected_matrix(m).values
-    deviation = np.abs(observed - expected)
-    applied = np.zeros(observed.shape, dtype=bool)
-    if yates == "observed_lt_5":
-        applied = m.counts < 5
-        deviation = np.where(applied, np.maximum(deviation - 0.5, 0.0), deviation)
-    per_cell = deviation**2 / expected
+    per_cell, applied = _chi_cells(m.counts, _expected(m), yates)
     dof = (m.n_docs - 1) * (m.n_terms - 1)
     return ChiSquareReport(
         total=float(per_cell.sum()),
@@ -175,7 +198,7 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     On a uniform matrix every cell is 1 and every column sums to the number
     of documents.
     """
-    values = m.counts / expected_matrix(m).values
+    values = m.counts / _expected(m)
     return ObsExpMatrix(
         values=values,
         doc_ids=list(m.doc_ids),
@@ -184,16 +207,35 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     )
 
 
+def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows of ``block`` one by one, as ``sum(axis=0)`` adds."""
+    return block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+
+
 def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
-    """Compute all four selection scores for every term of the matrix."""
-    report = chi_square(m, yates=yates)
+    """Compute all four selection scores for every term of the matrix.
+
+    Row blocks of about ``_BLOCK_CELLS`` cells compute their expected rows
+    once and take the chi-square, obs/exp and tf-idf cells from them; no
+    n×m float temporary is held. Column sums are running sums added in row
+    order, as ``sum(axis=0)`` adds a C-ordered matrix, so every score has
+    the bits of the whole-matrix functions (summed block totals would not).
+    """
+    doc_freq = (m.counts > 0).sum(axis=0)
+    idf = np.log2(m.n_docs / doc_freq)
+    chi2 = ratio = tfidf = None
+    for rows in _row_blocks(m):
+        counts, expected = m.counts[rows], _expected(m, rows)
+        chi2 = _add_rows(chi2, _chi_cells(counts, expected, yates)[0])
+        ratio = _add_rows(ratio, counts / expected)
+        tfidf = _add_rows(tfidf, counts * idf)
     return TermScores(
         terms=list(m.terms),
         freq=m.col_margins.astype(np.int64),
-        doc_freq=(m.counts > 0).sum(axis=0).astype(np.int64),
-        tfidf=tfidf_per_term(m),
-        chi2=chi_square_per_term(report),
-        obs_exp_sum=obs_exp(m).term_sums,
+        doc_freq=doc_freq.astype(np.int64),
+        tfidf=tfidf,
+        chi2=chi2,
+        obs_exp_sum=ratio,
     )
 
 

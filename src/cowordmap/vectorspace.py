@@ -170,6 +170,24 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
     return np.triu(values, 1) + np.triu(values, 1).T + np.diag(np.diag(values))
 
 
+def _drop_null(data: np.ndarray, norms: np.ndarray, labels: list[str], kind: str,
+               result: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Drop the columns of norm 0 with a warning naming them; refuse an empty result."""
+    null = np.flatnonzero(norms == 0)
+    if null.size:
+        warnings.warn(
+            f"dropped {kind} vectors before {result}: "
+            + ", ".join(labels[int(k)] for k in null),
+            CowordMapWarning,
+            stacklevel=3,
+        )
+        keep = np.flatnonzero(norms > 0)
+        data, norms, labels = data[:, keep], norms[keep], [labels[int(k)] for k in keep]
+    if data.shape[1] == 0:
+        raise DataError(f"all vectors are {kind}; {result} matrix is empty")
+    return data, norms, labels
+
+
 def cosine_matrix(
     m, orientation: str = "columns", labels: list[str] | None = None
 ) -> SimilarityMatrix:
@@ -179,17 +197,17 @@ def cosine_matrix(
     :class:`~cowordmap.termstats.ObsExpMatrix`, or any real matrix. The
     result is exactly symmetric with a unit diagonal.
 
+    All-zero vectors (the tf-idf column of a term in every document) have
+    no defined cosine and are dropped with a warning naming them, as
+    :func:`pearson_matrix` drops constant ones.
+
     Raises:
-        DataError: A vector is all zeros (the pipeline should have pruned it).
+        DataError: Every vector is all zeros.
     """
     data, out_labels = _vectors(m, orientation, labels)
-    norms = np.linalg.norm(data, axis=0)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise DataError(
-            "cosine undefined for all-zero vectors: "
-            + ", ".join(out_labels[int(k)] for k in zero[:5])
-        )
+    data, norms, out_labels = _drop_null(
+        data, np.linalg.norm(data, axis=0), out_labels, "all-zero", "cosine"
+    )
     values = (data.T @ data) / np.outer(norms, norms)
     values = _mirror_upper(values)
     np.fill_diagonal(values, 1.0)
@@ -207,21 +225,9 @@ def pearson_matrix(
     """
     data, out_labels = _vectors(m, orientation, labels)
     centered = data - data.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=0)
-    constant = np.flatnonzero(norms == 0)
-    if constant.size:
-        warnings.warn(
-            "dropped constant vectors before correlation: "
-            + ", ".join(out_labels[int(k)] for k in constant),
-            CowordMapWarning,
-            stacklevel=2,
-        )
-        keep = np.flatnonzero(norms > 0)
-        centered = centered[:, keep]
-        norms = norms[keep]
-        out_labels = [out_labels[int(k)] for k in keep]
-    if centered.shape[1] == 0:
-        raise DataError("all vectors are constant; correlation matrix is empty")
+    centered, norms, out_labels = _drop_null(
+        centered, np.linalg.norm(centered, axis=0), out_labels, "constant", "correlation"
+    )
     values = (centered.T @ centered) / np.outer(norms, norms)
     values = np.clip(_mirror_upper(values), -1.0, 1.0)
     np.fill_diagonal(values, 1.0)

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import csv
 import io
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cowordmap import export
 from cowordmap.errors import DataError
 from cowordmap.export import (
     _cell,
     _quote,
+    _xml_escape,
     read_csv_matrix,
     read_pajek_matrix,
     read_pajek_net,
@@ -24,7 +29,7 @@ from cowordmap.export import (
 )
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.layout import Layout
-from cowordmap.termstats import expected_matrix
+from cowordmap.termstats import expected_matrix, expected_rows
 from cowordmap.vectorspace import CoocMatrix, Edge, Graph, Node
 from conftest import make_matrix
 
@@ -64,6 +69,19 @@ def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
     for label, row in zip(row_labels, np.asarray(values)):
         writer.writerow([label, *(_cell(v) for v in row)])
     return buf.getvalue().encode("utf-8")
+
+
+def write_csv_oracle(values, path, row_labels, col_labels, corner="doc") -> None:
+    """The printf writer that formatted every row and re-split it for csv.writer."""
+    values = np.asarray(values)
+    cell = "%d" if values.dtype.kind in "biu" else "%.6g"
+    row_format = ",".join([cell] * values.shape[1])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([corner, *col_labels])
+        for label, row in zip(row_labels, values):
+            cells = (row_format % tuple(row.tolist())).split(",") if len(row) else []
+            writer.writerow([label, *cells])
 
 
 def pajek_matrix_reference(values, labels) -> bytes:
@@ -274,6 +292,63 @@ class TestCsv:
         write_csv(values, path, rows, cols)
         assert path.read_bytes() == csv_reference(values, rows, cols)
 
+    def test_random_matrices_match_printf_oracle(self, tmp_path):
+        """Count, bool and real matrices, repeated rows, empty shapes: oracle bytes."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def matrices(draw):
+            n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+            dtype = draw(st.sampled_from([np.int64, np.uint8, bool, np.float64, np.float32]))
+            if np.dtype(dtype).kind == "f":
+                with np.errstate(over="ignore"):  # float32 turns +-1e300 into +-inf
+                    specials = np.array(SPECIAL_REALS, dtype=dtype).tolist()
+                elements = st.one_of(
+                    st.sampled_from(specials), st.floats(width=np.dtype(dtype).itemsize * 8)
+                )
+            elif dtype is bool:
+                elements = st.booleans()
+            else:
+                elements = st.integers(0, 255 if dtype is np.uint8 else 10**12)
+            values = draw(hnp.arrays(dtype, (n, m), elements=elements))
+            if n:  # repeated rows share a memo entry
+                values = values[draw(st.lists(st.integers(0, n - 1), max_size=12))]
+            labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS), min_size=len(values),
+                                   max_size=len(values)))
+            return values, labels, draw(st.lists(st.sampled_from(AWKWARD_LABELS),
+                                                 min_size=m, max_size=m))
+
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+        @hypothesis.given(matrices(), st.sampled_from([0, 1, 256]), st.booleans())
+        def check(matrix, memo_rows, streamed):
+            values, rows, cols = matrix
+            write_csv_oracle(values, tmp_path / "oracle.csv", rows, cols, corner="")
+            source = (row for row in values) if streamed else values
+            with mock.patch.object(export, "_MEMO_ROWS", memo_rows):
+                write_csv(source, tmp_path / "m.csv", rows, cols, corner="")
+            assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+        check()
+
+    def test_memo_keys_on_every_bit_and_the_dtype(self, tmp_path):
+        rows = [[0.5, 1.0, 2.0], [0.5, 1.0, 3.0], [0.5, 1.0, 2.0], [0.0, -0.0, 0.0],
+                [0.0, 0.0, 0.0]]
+        stream = [np.array(r) for r in rows] + [np.zeros(2, np.float32), np.zeros(1)]
+        path = tmp_path / "m.csv"
+        write_csv(iter(stream), path, list("abcdefg"), ["x", "y", "z"])
+        assert path.read_text() == (
+            "doc,x,y,z\na,0.5,1,2\nb,0.5,1,3\nc,0.5,1,2\nd,0,-0,0\ne,0,0,0\nf,0,0\ng,0\n"
+        )
+
+    def test_streamed_expected_rows_match_expected_matrix(self, tmp_path):
+        m = make_matrix([[3, 0, 1], [1, 1, 2], [3, 0, 1], [0, 5, 0]])
+        write_csv(expected_rows(m), tmp_path / "streamed.csv", m.doc_ids, m.terms)
+        e = expected_matrix(m)
+        write_csv_oracle(e.values, tmp_path / "oracle.csv", e.doc_ids, e.terms)
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
     def test_table_writer(self, tmp_path):
         path = tmp_path / "terms.csv"
         write_table_csv(path, ["term", "freq", "tfidf"], [("alpha", 3, 1.5)])
@@ -327,6 +402,20 @@ class TestSvg:
         render_svg_map(Graph(), None, None, path)
         root = ET.fromstring(path.read_text())
         assert root.tag.endswith("svg")
+
+    def test_xml_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        for label in AWKWARD_LABELS + ["a<b&c>d", "&amp;", "<<>>&&", "&lt;"]:
+            assert _xml_escape(label) == escape(label)
+
+    def test_cli_import_skips_network_modules(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cowordmap.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_well_formed_xml_with_special_labels(self, tmp_path):
         g = Graph(nodes=[Node("a<b&c", size=2.0)])

@@ -90,6 +90,24 @@ class TestFactorAnalyze:
             )
             assert np.linalg.norm(residual) < 1e-8
 
+    @pytest.mark.parametrize("n, p, k", [(30, 6, 6), (50, 12, 4), (25, 9, "kaiser")])
+    def test_eigenpairs_match_scipy_eigh(self, n, p, k):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(n * p)
+        for _ in range(5):
+            data = rng.normal(size=(n, p)) @ rng.normal(size=(p, p))
+            sol = factor_analyze(data, k=k)
+            corr = np.corrcoef(data, rowvar=False)
+            np.testing.assert_allclose(sol.correlation, corr, atol=1e-12)
+            values, vectors = linalg.eigh(corr)
+            values, vectors = values[::-1], vectors[:, ::-1]
+            retained = sol.n_factors
+            np.testing.assert_allclose(sol.eigenvalues, values[:retained], atol=1e-10)
+            for f in range(retained):  # the package's sign rule: largest |entry| >= 0
+                v = vectors[:, f]
+                v = v if v[np.argmax(np.abs(v))] >= 0 else -v
+                np.testing.assert_allclose(sol.eigenvectors[:, f], v, atol=1e-8)
+
     def test_eigenvalues_non_increasing_and_communality_bounded(self):
         rng = np.random.default_rng(44)
         counts = rng.integers(1, 9, size=(9, 12))  # dense: no zero margins

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -61,6 +64,12 @@ class TestPipelineConfig:
         assert config.input == "corpus/"
         assert config.top == 10
         assert config.rotate is False
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffinput = corpus/\ntop = 10\n", encoding="utf-8")
+        config = PipelineConfig.from_file(path)
+        assert (config.input, config.top) == ("corpus/", 10)
 
     def test_file_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -619,6 +628,81 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["cells"] == "obsexp"
         assert report["factors"]["retained"] == 5
+
+    def test_tfidf_cells_drop_term_in_every_document(self, tmp_path, capsys):
+        lines = tmp_path / "docs.lines"
+        lines.write_text(
+            "common alpha beta\ncommon beta gamma\ncommon gamma delta\ncommon alpha delta\n",
+            encoding="utf-8",
+        )
+        config = tmp_path / "run.cfg"
+        config.write_text("input_format = lines\n", encoding="utf-8")
+        code = main([
+            "run", "--config", str(config), "--input", str(lines),
+            "--out", str(tmp_path / "out"), "--cells", "tfidf", "--top", "5", "--factors", "1",
+        ])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "dropped all-zero vectors before cosine: common" in report["warnings"]
+        assert report["map"]["nodes"] == 4
+
+    def test_fuzzed_configs_and_inputs_exit_with_a_documented_code(self, micro_dir):
+        """Bad values, unknown keys, empty lines, a BOM, odd inputs and outputs.
+
+        Every case exits 0-3 without a traceback; a success reruns to the same bytes.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        good = st.sampled_from([
+            "", "   ", "# comment", "top = 5", "factors = 2", "criterion = chi2",
+            "cells = tfidf", "cells = obsexp", "map = cooc", "layout = kk",
+            "binary = true", "fr_iterations = 20", "min_score = 1e9", "min_score = 2",
+            "input_format = lines", "mode = Q", "yates = off", "suppression = 2",
+        ])
+        bad = st.sampled_from([
+            "top = abc", "top = -3", "top = 0", "factors = 0", "factors = many",
+            "criterion = idf", "map = x", "layout = zz", "binary = maybe",
+            "fr_iterations = -1", "kk_tol = nan", "seed = 1.5", "cos_threshold = x",
+            "colour = red", "no equals sign", "= 3", "threads = 0",
+            "min_token_length = 0", "top = 5 = 6",
+        ])
+        config_text = st.builds(
+            lambda bom, lines: ("\ufeff" if bom else "") + "\n".join(lines) + "\n",
+            st.booleans(), st.lists(st.one_of(good, good, bad), max_size=5),
+        )
+        source = st.sampled_from(["micro", "missing", "empty_file", "empty_dir", "file"])
+
+        @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+        @hypothesis.given(config_text, source, st.booleans())
+        def check(text, source, out_is_file):
+            with tempfile.TemporaryDirectory() as tmp:
+                tmp = Path(tmp)
+                inputs = {
+                    "micro": micro_dir, "missing": tmp / "absent",
+                    "empty_file": tmp / "empty.txt", "empty_dir": tmp / "none",
+                    "file": micro_dir / "d1.txt",
+                }
+                inputs["empty_file"].write_text("", encoding="utf-8")
+                inputs["empty_dir"].mkdir()
+                config = tmp / "run.cfg"
+                config.write_text(text, encoding="utf-8")
+                out = tmp / "out"
+                if out_is_file:  # an --out that cannot be a directory
+                    out.write_text("", encoding="utf-8")
+                argv = ["run", "--config", str(config), "--input", str(inputs[source]),
+                        "--out", str(out)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if code == 0:  # a cached rerun gives the same bytes
+                    first = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        assert main(argv) == 0
+                    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
+
+        check()
 
     def test_module_entry_point(self, micro_dir, tmp_path):
         proc = subprocess.run(

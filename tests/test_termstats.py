@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix, random_pruned_counts
+from cowordmap import termstats
 from cowordmap.errors import ConfigError, DataError
 from cowordmap.termstats import (
     chi_square,
     chi_square_per_term,
     expected_matrix,
+    expected_rows,
     obs_exp,
     select_terms,
     term_scores,
@@ -38,6 +41,84 @@ def chi2_oracle(counts, yates: bool):
             per_cell[i][k] = deviation * deviation / expected
     total = sum(sum(row) for row in per_cell)
     return total, per_cell
+
+
+def term_scores_oracle(m, yates):
+    """The whole-matrix term_scores: the former chi_square, obs_exp and
+    tfidf_per_term bodies inlined, with numpy's own column sums."""
+    observed = m.counts.astype(float)
+    expected = np.outer(m.row_margins, m.col_margins) / m.total
+    deviation = np.abs(observed - expected)
+    if yates == "observed_lt_5":
+        applied = m.counts < 5
+        deviation = np.where(applied, np.maximum(deviation - 0.5, 0.0), deviation)
+    per_cell = deviation**2 / expected
+    doc_freq = (m.counts > 0).sum(axis=0)
+    idf = np.log2(m.n_docs / doc_freq)
+    return {
+        "freq": m.col_margins.astype(np.int64),
+        "doc_freq": doc_freq.astype(np.int64),
+        "tfidf": (m.counts * idf[np.newaxis, :]).sum(axis=0),
+        "chi2": per_cell.sum(axis=0),
+        "obs_exp_sum": (m.counts / expected).sum(axis=0),
+    }
+
+
+def random_count_matrix(seed, rows, cols, repeat_rows=True):
+    """A ``rows`` x ``cols`` count matrix without zero margins; with
+    ``repeat_rows``, as many rows again copy random earlier ones."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 13, size=(rows, cols))
+    counts[rng.random((rows, cols)) > rng.uniform(0.1, 1.0)] = 0
+    counts[np.arange(rows), rng.integers(0, cols, size=rows)] += 1
+    counts[rng.integers(0, rows, size=cols), np.arange(cols)] += 1
+    if repeat_rows:
+        counts = np.vstack([counts, counts[rng.integers(0, len(counts), size=len(counts))]])
+    return make_matrix(counts)
+
+
+class TestBlockedScores:
+    """term_scores in row blocks keeps the bits of the whole-matrix computation."""
+
+    def test_random_matrices_match_oracle_bitwise(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            shape=st.sampled_from([(40, 12), (40, 1), (2, 12), (60, 3)]),
+            repeat_rows=st.booleans(),
+            yates=st.sampled_from(["observed_lt_5", "off"]),
+            block_cells=st.sampled_from([1, 5, 24, 1 << 20]),
+        )
+        def check(seed, shape, repeat_rows, yates, block_cells):
+            m = random_count_matrix(seed, *shape, repeat_rows=repeat_rows)
+            oracle = term_scores_oracle(m, yates)
+            with mock.patch.object(termstats, "_BLOCK_CELLS", block_cells):
+                scores = term_scores(m, yates=yates)
+                rows = np.array(list(expected_rows(m)))
+            for field, values in oracle.items():
+                assert np.array_equal(getattr(scores, field), values), field
+            assert rows.tobytes() == (np.outer(m.row_margins, m.col_margins) / m.total).tobytes()
+            assert np.array_equal(chi_square(m, yates).per_cell.sum(axis=0), oracle["chi2"])
+            assert np.array_equal(obs_exp(m).term_sums, oracle["obs_exp_sum"])
+
+        check()
+
+    def test_expected_rows_equal_outer_product_bitwise(self):
+        m = random_count_matrix(5, 300, 30)
+        outer = np.outer(m.row_margins, m.col_margins) / m.total
+        for block_cells in (1, 30, 31, 1000):
+            with mock.patch.object(termstats, "_BLOCK_CELLS", block_cells):
+                rows = list(expected_rows(m))
+            assert len(rows) == m.n_docs
+            assert np.array(rows).tobytes() == outer.tobytes()
+        assert expected_matrix(m).values.tobytes() == outer.tobytes()
+
+    def test_bad_yates_rejected(self):
+        with pytest.raises(ConfigError, match="yates"):
+            term_scores(make_matrix([[1, 2], [3, 4]]), yates="sometimes")
 
 
 class TestExpectedMatrix:

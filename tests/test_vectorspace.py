@@ -57,10 +57,17 @@ class TestCosine:
         assert np.array_equal(sim.values, sim.values.T)
         assert (np.diag(sim.values) == 1.0).all()
 
-    def test_zero_vector_is_fatal_and_names_label(self):
-        data = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DataError, match="bad_term"):
-            cosine_matrix(data, labels=["good", "bad_term"])
+    def test_zero_vector_is_dropped_with_warning_naming_it(self):
+        data = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
+        with pytest.warns(CowordMapWarning, match="all-zero vectors before cosine: bad_term"):
+            sim = cosine_matrix(data, labels=["good", "bad_term", "other"])
+        assert sim.labels == ["good", "other"]
+        np.testing.assert_allclose(sim.values, cosine_oracle(data[:, [0, 2]]), atol=1e-12)
+
+    def test_all_zero_is_fatal(self):
+        with pytest.warns(CowordMapWarning):
+            with pytest.raises(DataError, match="all vectors are all-zero"):
+                cosine_matrix(np.zeros((3, 2)))
 
     def test_row_orientation(self):
         data = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
