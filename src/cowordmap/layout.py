@@ -1,9 +1,9 @@
 """Deterministic 2-D graph layouts: Fruchterman-Reingold and Kamada-Kawai.
 
-Both algorithms start from seeded pseudo-random positions in the unit
-square, run single-threaded in a fixed node order, and finally rescale the
-drawing into the unit square with a uniform (aspect-preserving) transform,
-so a given seed and graph always produce identical coordinates.
+Fruchterman-Reingold starts from seeded random positions, Kamada-Kawai
+from the classical scaling of the graph distances. Both run in a fixed
+node order, then fit the drawing into the unit square with a uniform
+(aspect-preserving) transform, so a seed and graph fix the coordinates.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .factors import _apply_sign_convention
 from .vectorspace import Graph
 
 __all__ = [
@@ -83,14 +84,14 @@ def _pair_offsets(
 
 def _separate_coincident(pos: np.ndarray, rng: np.random.Generator) -> None:
     """Nudge exactly coincident nodes apart by a tiny seeded displacement."""
-    while True:
-        _, _, dist = _pair_offsets(pos)
-        close = np.argwhere(dist < _EPS)
-        if not len(close):
-            return
+    _, _, dist = _pair_offsets(pos)
+    while len(close := np.argwhere(dist < _EPS)):
         j = int(close[0, 1])
         angle = rng.random() * 2 * math.pi
         pos[j] = pos[j] + _EPS * np.array([math.cos(angle), math.sin(angle)])
+        dx, dy = (pos[j] - pos).T  # only node j moved: refresh its distances
+        dist[j] = dist[:, j] = np.sqrt(dx * dx + dy * dy)
+        dist[j, j] = np.inf
 
 
 def fruchterman_reingold(
@@ -128,11 +129,9 @@ def fruchterman_reingold(
 
     k = math.sqrt(1.0 / n)
     t0 = 0.1
-    edge_index = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    edge_weight = np.array(
-        [e.weight if use_weights else 1.0 for e in g.edges], dtype=float
-    )
-    a, b = edge_index[:, 0], edge_index[:, 1]
+    a, b = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2).T
+    edge_weight = np.array([e.weight if use_weights else 1.0 for e in g.edges], dtype=float)
+    slots = np.add.outer([0, n], np.concatenate([np.arange(n), a, b])).ravel()  # x, then y
     work = np.empty((4, n, n))
     for step in range(iterations):
         t = t0 * (1.0 - step / iterations)
@@ -145,20 +144,17 @@ def fruchterman_reingold(
         repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
         dx *= repulse
         dy *= repulse
-        # Row i holds the pushes on node i. The planes are antisymmetric, so
-        # the negated column sums are the row sums, added in the same order.
-        fx = -dx.sum(axis=0)
-        fy = -dy.sum(axis=0)
-        if len(edge_index):
-            evec = pos[a] - pos[b]
-            edist = np.maximum(np.linalg.norm(evec, axis=1), _EPS)
-            pull = edge_weight * edist / k  # d^2/k, unit-scaled by another /d
-            for force, offset in ((fx, evec[:, 0]), (fy, evec[:, 1])):
-                shift = offset * pull
-                np.subtract.at(force, a, shift)
-                np.add.at(force, b, shift)
-        disp = np.column_stack((fx, fy))
-        length = np.maximum(np.linalg.norm(disp, axis=1), _EPS)
+        ex = np.take(pos[:, 0], a) - np.take(pos[:, 0], b)
+        ey = np.take(pos[:, 1], a) - np.take(pos[:, 1], b)
+        edist = np.maximum(np.sqrt(ex * ex + ey * ey), _EPS)
+        pull = edge_weight * edist / k  # d^2/k, unit-scaled by another /d
+        sx, sy = ex * pull, ey * pull
+        # The planes are antisymmetric, so the negated column sums are the
+        # row sums (the pushes on each node); bincount then adds the pulls.
+        force = np.bincount(slots, np.concatenate(
+            [-dx.sum(axis=0), -sx, sx, -dy.sum(axis=0), -sy, sy]), minlength=2 * n)
+        length = np.maximum(np.sqrt(force[:n] ** 2 + force[n:] ** 2), _EPS)
+        disp = force.reshape(2, n).T
         pos += disp / length[:, np.newaxis] * np.minimum(length, t)[:, np.newaxis]
         if not np.isfinite(pos).all():
             raise DataError("layout diverged to non-finite coordinates")
@@ -198,14 +194,15 @@ def _stress_weights(hops: np.ndarray) -> np.ndarray:
     return weight
 
 
-def _energy(dist: np.ndarray, ideal: np.ndarray, weight: np.ndarray) -> float:
+def _energy(dist: np.ndarray, ideal: np.ndarray, weight: np.ndarray, out=None) -> float:
     """Half the sum of weight * (dist - ideal)^2 over ordered node pairs.
 
-    ``dist`` comes from :func:`_pair_offsets`; its inf diagonal is ignored.
+    ``dist`` comes from :func:`_pair_offsets` (inf diagonal ignored); ``out``
+    is an optional n×n scratch buffer.
     """
-    dev = dist - ideal
+    dev = np.subtract(dist, ideal, out=out)
     np.fill_diagonal(dev, 0.0)
-    return float((weight * dev * dev).sum()) / 2.0
+    return float(np.multiply(np.square(dev, out=dev), weight, out=dev).sum()) / 2.0
 
 
 def stress(coords: np.ndarray, hop_distances: np.ndarray, scale: float = 1.0) -> float:
@@ -215,9 +212,33 @@ def stress(coords: np.ndarray, hop_distances: np.ndarray, scale: float = 1.0) ->
     return _energy(dist, scale * hops, _stress_weights(hops))
 
 
+def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
+    """Torgerson's classical scaling into the plane, rounded to 6 decimals.
+
+    The top two eigenvectors of the double-centred ``-ideal^2 / 2``, signed
+    like factor loadings, times the roots of their eigenvalues. None when
+    n < 3 or the axes are not unique: lambda_2 <= 0, or a tie within
+    1e-6 lambda_1 (cycles, complete graphs). A path gets a zero y axis.
+    """
+    if len(ideal) < 3:
+        return None
+    sq = ideal * ideal
+    centred = sq - sq.mean(axis=0) - sq.mean(axis=1)[:, np.newaxis] + sq.mean()
+    values, vectors = np.linalg.eigh(-0.5 * centred)
+    top = values[::-1][:3].copy()
+    tie = 1e-6 * top[0]
+    if np.abs(values[:-1]).max() <= tie:
+        top[1] = 0.0
+    elif top[1] <= tie or min(top[0] - top[1], top[1] - top[2]) <= tie:
+        return None
+    axes = vectors[:, ::-1][:, :2]
+    start = axes * (_apply_sign_convention(axes) * np.sqrt(top[:2]))
+    return np.round(start, 6) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def kamada_kawai(
     g: Graph,
-    tol: float = 1e-6,
+    tol: float = 1e-4,
     max_iter: int = 1000,
     scale: float = 1.0,
     seed: int = 42,
@@ -230,16 +251,19 @@ def kamada_kawai(
     minimized by stress majorization (SMACOF; Gansner, Koren & North 2004):
     every iteration moves all nodes at once by one Guttman transform,
     ``pos <- pinv(V) @ B(pos) @ pos``, where ``V`` is the weighted Laplacian
-    and ``B(pos)`` has off-diagonal entries ``-weight * ideal / distance``.
-    The stress never increases; the loop stops once an iteration lowers it
-    by at most ``tol`` relative to its previous value, or after
-    ``max_iter`` iterations. A candidate whose stress rises through
-    rounding is discarded and ends the loop.
+    and ``B(pos)`` has off-diagonal entries ``-weight * ideal / distance``
+    (distances below 1e-9 count as 1e-9, which keeps it a majorizer). The
+    stress never increases; the loop stops once an iteration lowers it by
+    at most ``tol`` relative to its previous value (their epsilon, 1e-4, by
+    default) or after ``max_iter`` iterations. A candidate whose stress
+    rises through rounding is discarded and ends the loop.
 
-    Like any descent scheme, this converges to a stationary point of the
-    stress; for rare seeds that can be a degenerate (e.g. collinear)
-    arrangement rather than the global minimum. Rerun with another seed if
-    the drawing looks folded.
+    It starts from the classical scaling of the ideal distances (Brandes &
+    Pich 2008), or from seeded random positions where that has no unique
+    axes; ``seed`` also sets how coincident start nodes are nudged apart.
+    The start is rounded, but ``pinv`` and the products vary in their last
+    bits with the BLAS thread count; that shows in 4 decimals only near a
+    rounding boundary, or where a relative decrease is within them of ``tol``.
 
     Raises:
         DataError: The graph is empty or disconnected (split components
@@ -258,27 +282,29 @@ def kamada_kawai(
     hops = graph_distances(g)
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
-    _separate_coincident(pos, rng)
     ideal = scale * hops
+    start = _classical_mds(ideal)
+    pos = pos if start is None else start
+    _separate_coincident(pos, rng)
     weight = _stress_weights(hops)
-    laplacian = -weight
-    np.fill_diagonal(laplacian, weight.sum(axis=1))
-    laplacian_pinv = np.linalg.pinv(laplacian)
-    pull = weight * ideal
-    dist = _pair_offsets(pos)[2]
-    energy = _energy(dist, ideal, weight)
+    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
+    neg_pull = -(weight * ideal)
+    # Planes 0, 1 and 3 are scratch; plane 2 holds the current distances.
+    work = np.empty((4, n, n))
+    dist = _pair_offsets(pos, work)[2]
+    energy = _energy(dist, ideal, weight, work[0])
     history = [energy]
     iterations = 0
     while iterations < max_iter:
-        b = np.divide(-pull, dist, out=np.zeros((n, n)), where=dist >= _EPS)
+        b = np.divide(neg_pull, np.maximum(dist, _EPS, out=work[0]), out=work[0])
         np.fill_diagonal(b, -b.sum(axis=1))
         candidate = laplacian_pinv @ (b @ pos)
-        candidate_dist = _pair_offsets(candidate)[2]
-        candidate_energy = _energy(candidate_dist, ideal, weight)
+        dist = _pair_offsets(candidate, work)[2]
+        candidate_energy = _energy(dist, ideal, weight, work[0])
         if candidate_energy > energy:
             break
         converged = energy - candidate_energy <= tol * energy
-        pos, dist, energy = candidate, candidate_dist, candidate_energy
+        pos, energy = candidate, candidate_energy
         history.append(energy)
         iterations += 1
         if converged:

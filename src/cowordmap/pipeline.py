@@ -97,7 +97,7 @@ class PipelineConfig:
     suppression: float = 0.1
     layout: str = "fr"
     fr_iterations: int = 500
-    kk_tol: float = 1e-6
+    kk_tol: float = 1e-4
     kk_max_iter: int = 1000
     seed: int = 42
     out: str = "coword-out"

@@ -123,6 +123,11 @@ def _row_blocks(m: WordDocMatrix) -> list[slice]:
     return [slice(i, i + step) for i in range(0, m.n_docs, step)]
 
 
+def _doc_freq(m: WordDocMatrix) -> np.ndarray:
+    """Documents per term, counted in row blocks (no n×m bool temporary)."""
+    return sum(np.count_nonzero(m.counts[rows], axis=0) for rows in _row_blocks(m))
+
+
 def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
     """Compute expected cell values from the margin totals.
 
@@ -143,8 +148,7 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
 
     A term present in every document gets an all-zero column.
     """
-    doc_freq = (m.counts > 0).sum(axis=0)
-    idf = np.log2(m.n_docs / doc_freq)
+    idf = np.log2(m.n_docs / _doc_freq(m))
     return m.counts * idf[np.newaxis, :]
 
 
@@ -221,7 +225,7 @@ def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     order, as ``sum(axis=0)`` adds a C-ordered matrix, so every score has
     the bits of the whole-matrix functions (summed block totals would not).
     """
-    doc_freq = (m.counts > 0).sum(axis=0)
+    doc_freq = _doc_freq(m)
     idf = np.log2(m.n_docs / doc_freq)
     chi2 = ratio = tfidf = None
     for rows in _row_blocks(m):

@@ -239,16 +239,17 @@ def cooccurrence(m: WordDocMatrix, mode: str = "words") -> CoocMatrix:
 
     ``"words"`` gives ``A'A`` (terms x terms, diagonal = sum of squared
     counts per term, which is the document frequency for binary counts);
-    ``"documents"`` gives ``AA'``.
+    ``"documents"`` gives ``AA'``. Float64 BLAS computes it exactly, in any
+    order, while each term's (``"words"``) or document's sum of squared
+    counts, which bounds every partial sum, is below 2^53; else DataError.
     """
-    if mode == "words":
-        values = m.counts.T @ m.counts
-        labels = list(m.terms)
-    elif mode == "documents":
-        values = m.counts @ m.counts.T
-        labels = list(m.doc_ids)
-    else:
+    if mode not in ("words", "documents"):
         raise ConfigError(f"unknown mode {mode!r}; use words or documents")
+    a = (m.counts if mode == "words" else m.counts.T).astype(float)
+    if np.einsum("ij,ij->j", a, a).max() >= 2.0**53:
+        raise DataError("co-occurrence counts reach 2^53, past exact float64 integers")
+    values = (a.T @ a).astype(np.int64)
+    labels = list(m.terms) if mode == "words" else list(m.doc_ids)
     return CoocMatrix(values=values, labels=labels, mode=mode)
 
 

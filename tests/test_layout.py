@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ import pytest
 from cowordmap.errors import DataError
 from cowordmap.layout import (
     _EPS,
+    _classical_mds,
+    _separate_coincident,
     fruchterman_reingold,
     graph_distances,
     kamada_kawai,
@@ -30,6 +36,13 @@ def complete(n):
     return Graph(
         nodes=[Node(f"n{i}") for i in range(n)],
         edges=[Edge(a, b, 1.0) for a in range(n) for b in range(a + 1, n)],
+    )
+
+
+def cycle(n):
+    return Graph(
+        nodes=[Node(f"n{i}") for i in range(n)],
+        edges=[Edge(i, i + 1, 1.0) for i in range(n - 1)] + [Edge(0, n - 1, 1.0)],
     )
 
 
@@ -110,6 +123,35 @@ def random_connected_graph(rng, n, density):
         nodes=[Node(f"n{i}") for i in range(n)],
         edges=[Edge(a, b, 1.0) for a, b in sorted(pairs)],
     )
+
+
+def random_start_smacof(g, tol=1e-6, max_iter=1000, seed=42):
+    """SMACOF from seeded random positions: the start before classical scaling.
+
+    Returns the iteration count and the final stress.
+    """
+    n = len(g.nodes)
+    pos = np.random.default_rng(seed).random((n, 2))
+    hops = graph_distances(g)
+    weight = 1.0 / np.maximum(hops, 1.0) ** 2
+    np.fill_diagonal(weight, 0.0)
+    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
+    energy = stress(pos, hops)
+    iterations = 0
+    while iterations < max_iter:
+        dist = np.linalg.norm(pos[:, np.newaxis, :] - pos[np.newaxis, :, :], axis=2)
+        b = np.divide(-weight * hops, dist, out=np.zeros((n, n)), where=dist > 0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        candidate = laplacian_pinv @ (b @ pos)
+        candidate_energy = stress(candidate, hops)
+        if candidate_energy > energy:
+            break
+        converged = energy - candidate_energy <= tol * energy
+        pos, energy = candidate, candidate_energy
+        iterations += 1
+        if converged:
+            break
+    return iterations, energy
 
 
 def stress_oracle(coords, hops, scale=1.0):
@@ -333,6 +375,90 @@ class TestKamadaKawai:
             assert np.array_equal(layout.raw, again.raw)
 
         check()
+
+
+class TestClassicalStart:
+    @pytest.mark.parametrize("n", [3, 4, 10, 60])
+    def test_path_recovers_collinear_points(self, n):
+        """Hop distances on a path are Euclidean in one dimension."""
+        hops = graph_distances(chain(n))
+        start = _classical_mds(hops)
+        assert np.array_equal(start[:, 1], np.zeros(n))
+        assert np.array_equal(np.abs(np.subtract.outer(start[:, 0], start[:, 0])), hops)
+
+    def test_planar_points_recovered_up_to_rotation(self):
+        points = np.random.default_rng(30).random((25, 2)) * 10
+        distances = np.linalg.norm(points[:, np.newaxis] - points[np.newaxis], axis=2)
+        start = _classical_mds(distances)
+        got = np.linalg.norm(start[:, np.newaxis] - start[np.newaxis], axis=2)
+        np.testing.assert_allclose(got, distances, atol=1e-5)
+
+    def test_sign_rule_and_rounding(self):
+        g = random_connected_graph(np.random.default_rng(31), 40, 0.1)
+        start = _classical_mds(graph_distances(g))
+        for axis in start.T:
+            assert axis[np.argmax(np.abs(axis))] >= 0
+        assert np.array_equal(start, np.round(start, 6))
+
+    @pytest.mark.parametrize("g", [complete(3), cycle(6), complete(4), chain(2)],
+                             ids=["triangle", "C6", "K4", "edge"])
+    def test_symmetric_graphs_take_the_seeded_start(self, g):
+        hops = graph_distances(g)
+        assert _classical_mds(hops) is None
+        layout = kamada_kawai(g, seed=5)
+        seeded = np.random.default_rng(5).random((len(g.nodes), 2))
+        assert layout.stress_history[0] == stress(seeded, hops)
+        assert np.array_equal(layout.raw, kamada_kawai(g, seed=5).raw)
+        assert not np.array_equal(layout.raw, kamada_kawai(g, seed=6).raw)
+
+    @pytest.mark.parametrize("graph_seed", [0, 3, 7])
+    def test_default_tol_beats_random_start_at_strict_tol(self, graph_seed):
+        g = random_connected_graph(np.random.default_rng(graph_seed), 120, 0.05)
+        layout = kamada_kawai(g, seed=graph_seed)
+        iterations, reference = random_start_smacof(g, tol=1e-6, seed=graph_seed)
+        assert layout.iterations < iterations
+        assert layout.stress_history[-1] <= 1.01 * reference
+
+    def test_separate_coincident_matches_full_recomputation(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(
+            n=st.integers(2, 30),
+            grid=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(n, grid, seed):
+            pos = np.floor(np.random.default_rng(seed).random((n, 2)) * grid)
+            got, want = pos.copy(), pos.copy()
+            _separate_coincident(got, np.random.default_rng(seed))
+            _separate_coincident_reference(want, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+        check()
+
+    def test_map_coordinates_do_not_depend_on_blas_threads(self, tmp_path):
+        """At about 400 nodes OpenBLAS threads eigh, pinv and the products."""
+        script = (
+            "import sys; import numpy as np\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_layout import random_connected_graph\n"
+            "from cowordmap.export import write_pajek_net\n"
+            "from cowordmap.layout import kamada_kawai\n"
+            "g = random_connected_graph(np.random.default_rng(2), 400, 0.001)\n"
+            "write_pajek_net(g, kamada_kawai(g, seed=1), sys.argv[2])\n"
+        )
+        nets = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"map{threads}.net"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-c", script, str(Path(__file__).parent), str(path)],
+                env=env, check=True,
+            )
+            nets.append(path.read_bytes())
+        assert nets[0] == nets[1]
 
 
 class TestSplitAndPack:

@@ -412,7 +412,7 @@ INVALIDATION = [
     ("layout", {"layout": "kk"}, ("map", "render")),
     ("seed", {"seed": 7}, ("map", "render")),
     ("fr_iterations", {"fr_iterations": 40}, ("map", "render")),
-    ("kk_tol", {"kk_tol": 1e-4}, ("map", "render")),
+    ("kk_tol", {"kk_tol": 1e-6}, ("map", "render")),
     ("kk_max_iter", {"kk_max_iter": 50}, ("map", "render")),
     ("out", {}, ()),
     ("threads", {"threads": 8}, ()),

@@ -184,6 +184,24 @@ class TestCooccurrence:
         with pytest.raises(ConfigError):
             cooccurrence(make_matrix([[1]]), mode="phrases")
 
+    @pytest.mark.parametrize("mode", ["words", "documents"])
+    def test_exact_up_to_the_float64_integer_bound(self, mode):
+        """A sum of squares of 2^53 - 1 multiplies exactly; 2^53 + 100 is refused."""
+        column = [94906265, 10885, 71, 50]  # squares sum to 2**53 - 1
+        assert sum(c * c for c in column) == 2**53 - 1
+        counts = np.array([column, [1, 1, 1, 1]], dtype=np.int64).T
+        if mode == "documents":
+            counts = counts.T
+        got = cooccurrence(make_matrix(counts), mode=mode).values
+        oracle = counts.T @ counts if mode == "words" else counts @ counts.T
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle)
+        assert got.max() == 2**53 - 1
+        over = counts.copy()
+        over[(3, 0) if mode == "words" else (0, 3)] += 1  # 2**53 + 100
+        with pytest.raises(DataError, match=r"2\^53"):
+            cooccurrence(make_matrix(over), mode=mode)
+
 
 def threshold_graph_reference(matrix, threshold, rule="geq"):
     """The pair-by-pair threshold_graph the vectorized one replaced, verbatim."""
