@@ -21,7 +21,7 @@ import logging
 import sys
 
 from .errors import ConfigError, DataError
-from .pipeline import PipelineConfig, run_stage
+from .pipeline import _CHOICES, PipelineConfig, _parse_value, run_stage
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -33,6 +33,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# One row per flag: config key, metavar, help. Types come from the
+# PipelineConfig fields, choices from pipeline._CHOICES and the "(default ...)"
+# text from PipelineConfig(); a bool key is a switch that flips its default.
+_FLAGS = (
+    ("input", "PATH", "corpus directory or lines file"),
+    ("criterion", None, "term-selection score"),
+    ("top", "N", "keep the N best terms"),
+    ("min_score", "X", "keep terms scoring at least X"),
+    ("cells", None, "cell values fed to the similarity/factor analysis"),
+    ("map", None, "map edges from cosine similarity or raw co-occurrence"),
+    ("cos_threshold", "X", "keep cosine edges >= X"),
+    ("factors", "N|kaiser", "number of factors, or 'kaiser' for eigenvalue > 1"),
+    ("rotate", None, "skip the varimax rotation"),
+    ("mode", None, "factor words over documents (R) or documents over words (Q)"),
+    ("layout", None, "layout algorithm"),
+    ("seed", "N", "layout seed"),
+    ("out", "DIR", "output directory"),
+    ("threads", "N", "accepted and validated; has no effect"),
+    ("binary", None, "count term presence per document instead of occurrences"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coword-map",
@@ -40,50 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared = _Parser(add_help=False)
     shared.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    shared.add_argument("--input", metavar="PATH", help="corpus directory or lines file")
-    shared.add_argument(
-        "--criterion", choices=["freq", "tfidf", "chi2", "obsexp"],
-        help="term-selection score (default obsexp)",
-    )
     cut = shared.add_mutually_exclusive_group()
-    cut.add_argument("--top", type=int, metavar="N", help="keep the N best terms")
-    cut.add_argument(
-        "--min-score", type=float, metavar="X", dest="min_score",
-        help="keep terms scoring at least X",
-    )
-    shared.add_argument(
-        "--cells", choices=["counts", "tfidf", "obsexp"],
-        help="cell values fed to the similarity/factor analysis (default counts)",
-    )
-    shared.add_argument(
-        "--map", choices=["cosine", "cooc"],
-        help="map edges from cosine similarity or raw co-occurrence (default cosine)",
-    )
-    shared.add_argument(
-        "--cos-threshold", type=float, metavar="X", dest="cos_threshold",
-        help="keep cosine edges >= X (default 0.1)",
-    )
-    shared.add_argument(
-        "--factors", metavar="N|kaiser",
-        help="number of factors, or 'kaiser' for eigenvalue > 1 (default kaiser)",
-    )
-    shared.add_argument(
-        "--no-rotate", action="store_true", help="skip the varimax rotation"
-    )
-    shared.add_argument(
-        "--mode", choices=["R", "Q"],
-        help="factor words over documents (R) or documents over words (Q)",
-    )
-    shared.add_argument("--layout", choices=["fr", "kk"], help="layout algorithm")
-    shared.add_argument("--seed", type=int, metavar="N", help="layout seed (default 42)")
-    shared.add_argument("--out", metavar="DIR", help="output directory")
-    shared.add_argument(
-        "--threads", type=int, metavar="N", help="accepted and validated; has no effect"
-    )
-    shared.add_argument(
-        "--binary", action="store_true",
-        help="count term presence per document instead of occurrences",
-    )
+    defaults = PipelineConfig()
+    for key, metavar, help_text in _FLAGS:
+        default = getattr(defaults, key)
+        group = cut if key in ("top", "min_score") else shared
+        if isinstance(default, bool):
+            flag = ("--no-" if default else "--") + key
+            group.add_argument(flag, dest=key, action="store_const",
+                               const=str(not default).lower(), help=help_text)
+            continue
+        if default not in (None, ""):
+            help_text += f" (default {default})"
+        group.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
+                           choices=_CHOICES.get(key), help=help_text)
 
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
@@ -100,30 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    values: dict = {}
-    for key in ("input", "criterion", "top", "min_score", "cells", "map",
-                "cos_threshold", "mode", "layout", "seed", "out", "threads"):
-        value = getattr(args, key)
-        if value is not None:
-            values[key] = value
-    if args.factors is not None:
-        values["factors"] = (
-            args.factors if args.factors == "kaiser" else _parse_factors(args.factors)
-        )
-    if args.no_rotate:
-        values["rotate"] = False
-    if args.binary:
-        values["binary"] = True
-    return values
-
-
-def _parse_factors(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            f"--factors must be an integer or 'kaiser', got {text!r}"
-        ) from None
+    """The config values given as flags, parsed like config-file values."""
+    return {
+        key: _parse_value(key, value, "--" + key.replace("_", "-"))
+        for key in PipelineConfig.field_names()
+        if (value := getattr(args, key, None)) is not None
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -148,7 +148,6 @@ class WordDocMatrix:
     Attributes:
         counts: Nonnegative integer matrix, shape (documents, terms).
         doc_ids: Row identifiers.
-        doc_labels: Row display labels.
         terms: Column terms.
     """
 
@@ -156,7 +155,6 @@ class WordDocMatrix:
         self,
         counts: np.ndarray,
         doc_ids: list[str],
-        doc_labels: list[str],
         terms: list[str],
     ) -> None:
         counts = np.asarray(counts, dtype=np.int64)
@@ -190,9 +188,6 @@ class WordDocMatrix:
 
         self.counts = counts
         self.doc_ids = [i for i, keep in zip(doc_ids, keep_rows) if keep]
-        self.doc_labels = [
-            lbl for lbl, keep in zip(doc_labels, keep_rows) if keep
-        ]
         self.terms = [t for t, keep in zip(terms, keep_cols) if keep]
         self.row_margins = counts.sum(axis=1)
         self.col_margins = counts.sum(axis=0)
@@ -219,12 +214,7 @@ class WordDocMatrix:
         if missing:
             raise DataError(f"unknown terms: {', '.join(missing[:5])}")
         cols = [index[t] for t in selected]
-        return WordDocMatrix(
-            self.counts[:, cols],
-            list(self.doc_ids),
-            list(self.doc_labels),
-            list(selected),
-        )
+        return WordDocMatrix(self.counts[:, cols], list(self.doc_ids), list(selected))
 
 
 def load_corpus(source: str | Path, format: str = "files") -> Corpus:
@@ -405,6 +395,4 @@ def build_word_doc_matrix(
     terms, counts = _count_terms(corpus, cfg)
     if binary:
         np.minimum(counts, 1, out=counts)
-    return WordDocMatrix(
-        counts, [d.id for d in corpus], [d.label for d in corpus], terms
-    )
+    return WordDocMatrix(counts, [d.id for d in corpus], terms)

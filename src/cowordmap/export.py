@@ -80,8 +80,7 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
 
     Vertex lines are ``i "label" x y 0.5000`` with 4-decimal coordinates
     (0.5 everywhere when no layout is given), followed by ``*Edges`` and
-    one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix
-    and colored nodes an ``ic <name>`` suffix.
+    one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix.
     """
     lines = [f"*Vertices {len(g.nodes)}"]
     for i, node in enumerate(g.nodes):
@@ -89,10 +88,7 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
             x, y = layout.coords[i]
         else:
             x, y = 0.5, 0.5
-        line = f"{i + 1} {_quote(node.label)} {_fmt4(x)} {_fmt4(y)} {_fmt4(0.5)}"
-        if node.color:
-            line += f" ic {node.color}"
-        lines.append(line)
+        lines.append(f"{i + 1} {_quote(node.label)} {_fmt4(x)} {_fmt4(y)} {_fmt4(0.5)}")
     lines.append("*Edges")
     for e in g.edges:
         line = f"{e.a + 1} {e.b + 1} {_fmt4(e.weight)}"
@@ -104,8 +100,7 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
 
 _VERTEX_RE = re.compile(
     r'^(\d+)\s+"((?:[^"]|"")*)"'
-    r"(?:\s+(-?[\d.]+)\s+(-?[\d.]+)\s+(-?[\d.]+))?"
-    r"(?:\s+ic\s+(\S+))?\s*$"
+    r"(?:\s+(-?[\d.]+)\s+(-?[\d.]+)\s+(-?[\d.]+))?\s*$"
 )
 
 
@@ -148,7 +143,7 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
         if match.group(3) is not None:
             coords[i] = (float(match.group(3)), float(match.group(4)))
             have_coords = True
-        nodes.append(Node(label=label, color=match.group(6)))
+        nodes.append(Node(label=label))
 
     lineno += 1
     if lineno > len(lines) or lines[lineno - 1].lower() != "*edges":

@@ -106,26 +106,16 @@ def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
 
 
 def _cells(m, input_mode: str) -> tuple[np.ndarray, list[str], list[str]]:
+    if input_mode not in ("counts", "obsexp"):
+        raise ConfigError(f"unknown input_mode {input_mode!r}; use counts or obsexp")
     if isinstance(m, WordDocMatrix):
-        if input_mode == "counts":
-            data = m.counts.astype(float)
-        elif input_mode == "obsexp":
-            data = obs_exp(m).values
-        else:
-            raise ConfigError(
-                f"unknown input_mode {input_mode!r}; use counts or obsexp"
-            )
+        data = m.counts.astype(float) if input_mode == "counts" else obs_exp(m).values
         return data, list(m.doc_ids), list(m.terms)
+    if input_mode == "obsexp":
+        raise ConfigError("obsexp cells need a WordDocMatrix")
     data = np.asarray(m, dtype=float)
     if data.ndim != 2:
         raise DataError("expected a 2-D matrix")
-    if input_mode == "obsexp":
-        if (data < 0).any():
-            raise DataError("obs/exp cells need a nonnegative matrix")
-        rows, cols = data.sum(axis=1), data.sum(axis=0)
-        if (rows == 0).any() or (cols == 0).any():
-            raise DataError("obs/exp cells need nonzero margins; prune first")
-        data = data / (np.outer(rows, cols) / data.sum())
     row_labels = [f"r{i}" for i in range(data.shape[0])]
     col_labels = [f"c{k}" for k in range(data.shape[1])]
     return data, row_labels, col_labels
@@ -142,7 +132,8 @@ def factor_analyze(
     Args:
         m: Two-mode matrix (:class:`~cowordmap.corpus.WordDocMatrix` or
             array), cases x variables in R orientation.
-        input_mode: Correlate raw ``"counts"`` or ``"obsexp"`` ratios.
+        input_mode: Correlate raw ``"counts"`` or ``"obsexp"`` ratios (the
+            ratios need a WordDocMatrix).
         orientation: ``"R"`` treats columns as variables; ``"Q"`` transposes
             the matrix and runs the identical path over the rows.
         k: Number of factors to retain, or ``"kaiser"`` for all factors with
@@ -155,7 +146,8 @@ def factor_analyze(
     Raises:
         DataError: Fewer than 2 non-constant variables, or Kaiser retains
             nothing.
-        ConfigError: ``k`` is not "kaiser" or a positive integer.
+        ConfigError: ``k`` is not "kaiser" or a positive integer, or
+            ``"obsexp"`` is asked of an array.
     """
     data, row_labels, col_labels = _cells(m, input_mode)
     if orientation == "R":
@@ -337,7 +329,7 @@ def factor_graph(sol: FactorSolution, suppression: float = 0.1) -> Graph:
     """
     p, k = sol.loadings.shape
     nodes = [Node(label=l) for l in sol.variable_labels]
-    nodes += [Node(label=f"Factor {f + 1}", group=f) for f in range(k)]
+    nodes += [Node(label=f"Factor {f + 1}") for f in range(k)]
     edges = []
     for j in range(p):
         for f in range(k):

@@ -324,7 +324,8 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
     side grows with the square root of its node share. Isolated nodes go
     into a trailing row underneath. The combined drawing is normalized to
     the unit square. A connected graph is returned exactly as ``layout_fn``
-    laid it out.
+    laid it out; otherwise the result keeps the largest component's
+    ``stress_history`` and the largest iteration count.
     """
     n = len(g.nodes)
     if n == 0:
@@ -356,9 +357,10 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
         spacing = main_width / max(len(isolates) - 1, 1) if main_width > 0 else gutter
         for i, node in enumerate(isolates):
             coords[node] = (i * spacing, row_y)
-    algorithm = sublayouts[0].algorithm if sublayouts else "pack"
-    iterations = max((s.iterations for s in sublayouts), default=0)
+    largest = sublayouts[0] if sublayouts else None  # components come largest first
     return Layout(
-        coords=_normalize(coords), labels=g.labels, algorithm=algorithm,
-        seed=seed, iterations=iterations, raw=coords,
+        coords=_normalize(coords), labels=g.labels,
+        algorithm=largest.algorithm if largest else "pack", seed=seed,
+        iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,
+        stress_history=largest.stress_history if largest else (),
     )

@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -54,7 +55,6 @@ logger = logging.getLogger("cowordmap")
 
 _MANIFEST = ".coword-cache.json"
 
-_BOOL_KEYS = ("lowercase", "binary", "rotate", "kaiser_normalize")
 _CHOICES = {
     "input_format": ("files", "lines"),
     "criterion": termstats.CRITERIA,
@@ -113,21 +113,23 @@ class PipelineConfig:
         file_values: dict | None = None,
         overrides: dict | None = None,
     ) -> "PipelineConfig":
-        """Merge defaults, config-file values, and flag overrides.
+        """Merge defaults, config-file values, and flag overrides (later wins).
 
-        Setting ``min_score`` without also setting ``top`` switches the
-        selection from the default top-30 cut to the score threshold.
+        The selection cut is one choice: a source that sets ``top`` or
+        ``min_score`` replaces the cut of every earlier source, the default
+        top-30 included. Setting both in one source is an error.
         """
         merged: dict = {}
         for source in (file_values or {}, overrides or {}):
-            for key, value in source.items():
+            for key in source:
                 if key not in cls.field_names():
                     raise ConfigError(f"unknown configuration key {key!r}")
-                merged[key] = value
-        if "min_score" in merged and merged["min_score"] is not None:
-            if merged.get("top") is not None:
+            cuts = [key for key in ("top", "min_score") if source.get(key) is not None]
+            if len(cuts) == 2:
                 raise ConfigError("give either top or min_score, not both")
-            merged["top"] = None
+            if cuts:
+                merged.update(top=None, min_score=None)
+            merged.update(source)
         config = cls(**merged)
         config.validate()
         return config
@@ -175,38 +177,42 @@ class PipelineConfig:
             raise ConfigError(
                 f"factors must be a positive integer or 'kaiser', got {self.factors!r}"
             )
-        if self.min_token_length < 1:
-            raise ConfigError(
-                f"min_token_length must be >= 1, got {self.min_token_length}"
-            )
-        for key in ("seed", "fr_iterations", "kk_max_iter"):
+        # The tokenizer checks min_token_length and compiles token_pattern.
+        corpus_mod.TokenizerConfig(
+            token_pattern=self.token_pattern, min_token_length=self.min_token_length
+        )
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for key in ("seed", "fr_iterations", "kk_max_iter", "kk_tol"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if not (np.isfinite(self.kk_tol) and self.kk_tol >= 0):
-            raise ConfigError(f"kk_tol must be finite and >= 0, got {self.kk_tol}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
 def _parse_value(key: str, value: str, where: str):
-    """Parse one config-file value into the type the key expects."""
+    """Parse one config-file or flag value into the type its field declares.
+
+    The field annotation (a string under ``from __future__ import
+    annotations``) names the kind: ``bool``, ``int...``, ``float...``, else
+    text. ``factors`` also takes the word ``kaiser``.
+    """
+    kind = next(f.type for f in dataclasses.fields(PipelineConfig) if f.name == key)
     try:
-        if key in _BOOL_KEYS:
+        if kind == "bool":
             low = value.lower()
             if low in ("true", "yes", "on", "1"):
                 return True
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"expected a boolean, got {value!r}")
-        if key in ("min_token_length", "top", "fr_iterations", "kk_max_iter",
-                   "seed", "threads"):
+        if kind.startswith("int") and not (key == "factors" and value == "kaiser"):
             return int(value)
-        if key in ("min_score", "cos_threshold", "cooc_threshold",
-                   "suppression", "kk_tol"):
+        if kind.startswith("float"):
             return float(value)
-        if key == "factors":
-            return value if value == "kaiser" else int(value)
         return value
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

@@ -30,14 +30,12 @@ __all__ = [
     "ObsExpMatrix",
     "TermScores",
     "chi_square",
-    "chi_square_per_term",
     "expected_matrix",
     "expected_rows",
     "obs_exp",
     "select_terms",
     "term_scores",
     "tfidf_matrix",
-    "tfidf_per_term",
 ]
 
 CRITERIA = ("freq", "tfidf", "chi2", "obsexp")
@@ -152,11 +150,6 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
     return m.counts * idf[np.newaxis, :]
 
 
-def tfidf_per_term(m: WordDocMatrix) -> np.ndarray:
-    """Aggregate tf-idf per term as the column sum of :func:`tfidf_matrix`."""
-    return tfidf_matrix(m).sum(axis=0)
-
-
 def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str):
     """Per-cell chi-square contributions and the Yates flags of ``counts``."""
     if yates not in ("off", "observed_lt_5"):
@@ -189,11 +182,6 @@ def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareRepor
         yates_applied=applied,
         terms=list(m.terms),
     )
-
-
-def chi_square_per_term(report: ChiSquareReport) -> np.ndarray:
-    """Sum the chi-square contributions of each column; sums to the total."""
-    return report.per_cell.sum(axis=0)
 
 
 def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:

@@ -53,13 +53,10 @@ class CoocMatrix:
 class Node:
     """Graph node: a term, document, or factor.
 
-    ``size`` feeds node radii in rendered maps; ``color``/``group`` carry a
-    factor assignment when one exists.
+    ``size`` feeds node radii in rendered maps.
     """
 
     label: str
-    color: str | None = None
-    group: int | None = None
     size: float | None = None
 
 

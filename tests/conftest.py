@@ -25,7 +25,7 @@ def make_matrix(counts, doc_ids=None, terms=None) -> WordDocMatrix:
     n, k = counts.shape
     doc_ids = doc_ids or [f"d{i + 1}" for i in range(n)]
     terms = terms or [f"t{j + 1}" for j in range(k)]
-    return WordDocMatrix(counts, doc_ids, list(doc_ids), terms)
+    return WordDocMatrix(counts, doc_ids, terms)
 
 
 def random_pruned_counts(

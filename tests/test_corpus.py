@@ -206,12 +206,7 @@ def two_pass_matrix(
                 counts[i, k] += 1
     if binary:
         counts = (counts > 0).astype(np.int64)
-    return WordDocMatrix(
-        counts,
-        [d.id for d in corpus],
-        [d.label for d in corpus],
-        list(vocab.terms),
-    )
+    return WordDocMatrix(counts, [d.id for d in corpus], list(vocab.terms))
 
 
 def outcome(build):

@@ -34,12 +34,9 @@ from cowordmap.vectorspace import CoocMatrix, Edge, Graph, Node
 from conftest import make_matrix
 
 
-def random_graph(rng, max_nodes=12, quantize=True, dotted=False, colors=False):
+def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
     n = int(rng.integers(2, max_nodes + 1))
-    nodes = []
-    for i in range(n):
-        color = "Red" if colors and rng.random() < 0.3 else None
-        nodes.append(Node(label=f"node {i}", color=color))
+    nodes = [Node(label=f"node {i}") for i in range(n)]
     edges = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -128,7 +125,7 @@ class TestPajekNet:
     def test_round_trip_random_graphs(self, tmp_path):
         rng = np.random.default_rng(70)
         for i in range(40):
-            g = random_graph(rng, dotted=(i % 2 == 0), colors=(i % 3 == 0))
+            g = random_graph(rng, dotted=(i % 2 == 0))
             layout = layout_for(g, rng)
             path = tmp_path / f"g{i}.net"
             write_pajek_net(g, layout, path)

@@ -508,6 +508,17 @@ class TestSplitAndPack:
         assert np.isfinite(layout.coords).all()
         assert len(np.unique(layout.coords[:, 0])) == 3
 
+    def test_keeps_the_largest_components_stress_history(self):
+        g = Graph(
+            nodes=[Node(l) for l in "abcdefg"],
+            edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0), Edge(4, 5, 1.0),
+                   Edge(2, 4, 1.0)],
+        )
+        packed = split_and_pack(g, lambda sub, s: kamada_kawai(sub, seed=s), seed=42)
+        largest = kamada_kawai(g.subgraph([2, 3, 4, 5]), seed=42)
+        assert len(largest.stress_history) > 1
+        assert packed.stress_history == largest.stress_history
+
     def test_deterministic(self):
         g = Graph(
             nodes=[Node(l) for l in "abcdef"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,10 +17,12 @@ from types import SimpleNamespace
 import pytest
 
 from cowordmap import corpus, export
-from cowordmap.cli import main
+from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, DataError
-from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run, run_stage
+from cowordmap.pipeline import (
+    _CHOICES, ARTIFACTS, PipelineConfig, _parse_value, run, run_stage,
+)
 
 
 def micro_config(micro_dir, out, **extra) -> PipelineConfig:
@@ -91,6 +94,27 @@ class TestPipelineConfig:
     def test_top_and_min_score_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             PipelineConfig.build({"input": "x", "top": 5, "min_score": 2.0})
+
+    def test_defaults_parse_back_to_themselves(self):
+        for field in dataclasses.fields(PipelineConfig):
+            if field.default is None:
+                continue
+            text = str(field.default)
+            if isinstance(field.default, bool):
+                text = text.lower()
+            parsed = _parse_value(field.name, text, "default")
+            assert parsed == field.default and type(parsed) is type(field.default)
+
+    def test_flags_are_fields_offering_the_declared_choices(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = [a for a in commands.choices["run"]._actions if a.dest != "help"]
+        assert len(flags) == 16
+        for action in flags:
+            assert action.dest == "config" or action.dest in PipelineConfig.field_names()
+            if action.dest in _CHOICES:
+                assert tuple(action.choices) == _CHOICES[action.dest]
 
     def test_invalid_choice_lists_valid_values(self):
         with pytest.raises(ConfigError, match="freq, tfidf, chi2, obsexp"):
@@ -580,6 +604,11 @@ class TestCli:
         ("kk_tol = -1e-6", "kk_tol"),
         ("kk_tol = nan", "kk_tol"),
         ("kk_tol = inf", "kk_tol"),
+        ("min_score = nan", "min_score"),
+        ("cos_threshold = nan", "cos_threshold"),
+        ("suppression = nan", "suppression"),
+        ("cooc_threshold = -inf", "cooc_threshold"),
+        ("token_pattern = (", "token_pattern"),
     ])
     def test_negative_or_non_finite_setting_exits_one_before_writing(
         self, micro_dir, tmp_path, capsys, line, key
@@ -617,6 +646,22 @@ class TestCli:
     def test_top_and_min_score_mutually_exclusive(self, capsys):
         code = main(["run", "--input", "x", "--top", "5", "--min-score", "1.0"])
         assert code == 1
+
+    @pytest.mark.parametrize("file_line, flag, selection", [
+        ("top = 20", ["--min-score", "2"], (None, 2.0)),
+        ("min_score = 2", ["--top", "5"], (5, None)),
+    ])
+    def test_flag_cut_wins_over_config_file_cut(
+        self, micro_dir, tmp_path, capsys, file_line, flag, selection
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{file_line}\nfactors = 5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--input", str(micro_dir),
+                     "--out", str(out), *flag])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert (report["config"]["top"], report["config"]["min_score"]) == selection
 
     def test_ratio_cells_flag_combination(self, micro_dir, tmp_path):
         code = main([

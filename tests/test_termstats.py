@@ -13,14 +13,12 @@ from cowordmap import termstats
 from cowordmap.errors import ConfigError, DataError
 from cowordmap.termstats import (
     chi_square,
-    chi_square_per_term,
     expected_matrix,
     expected_rows,
     obs_exp,
     select_terms,
     term_scores,
     tfidf_matrix,
-    tfidf_per_term,
 )
 
 
@@ -45,7 +43,7 @@ def chi2_oracle(counts, yates: bool):
 
 def term_scores_oracle(m, yates):
     """The whole-matrix term_scores: the former chi_square, obs_exp and
-    tfidf_per_term bodies inlined, with numpy's own column sums."""
+    tf-idf column-sum bodies inlined, with numpy's own column sums."""
     observed = m.counts.astype(float)
     expected = np.outer(m.row_margins, m.col_margins) / m.total
     deviation = np.abs(observed - expected)
@@ -154,18 +152,18 @@ class TestTfidf:
         m = make_matrix([[1, 2], [3, 1], [2, 5]])
         cells = tfidf_matrix(m)
         assert (cells[:, 1] == 0).all()  # docfreq == n
-        assert tfidf_per_term(m)[1] == 0
+        assert term_scores(m).tfidf[1] == 0
 
     def test_single_document_corpus_all_zero(self):
         m = make_matrix([[3, 1, 2]])
-        assert (tfidf_per_term(m) == 0).all()
+        assert (term_scores(m).tfidf == 0).all()
 
     def test_concentrated_term(self):
         counts = np.ones((8, 2), dtype=int)
         counts[:, 0] = 0
         counts[0, 0] = 3  # docfreq 1
         m = make_matrix(counts)
-        assert tfidf_per_term(m)[0] == pytest.approx(3 * math.log2(8), abs=1e-12)
+        assert term_scores(m).tfidf[0] == pytest.approx(3 * math.log2(8), abs=1e-12)
 
     def test_matches_per_cell_formula_oracle(self):
         rng = np.random.default_rng(5)
@@ -178,7 +176,7 @@ class TestTfidf:
                 for i in range(n):
                     manual = m.counts[i, k] * math.log2(n / docfreq)
                     assert abs(cells[i, k] - manual) < 1e-12
-            np.testing.assert_allclose(tfidf_per_term(m), cells.sum(axis=0))
+            np.testing.assert_allclose(term_scores(m).tfidf, cells.sum(axis=0))
 
 
 class TestChiSquare:
@@ -198,7 +196,7 @@ class TestChiSquare:
     def test_per_term_column_sums(self):
         m = make_matrix([[10, 20], [30, 40]])
         report = chi_square(m, yates="off")
-        per_term = chi_square_per_term(report)
+        per_term = term_scores(m, yates="off").chi2
         _, per_cell = chi2_oracle([[10, 20], [30, 40]], yates=False)
         expected_cols = [sum(row[k] for row in per_cell) for k in range(2)]
         np.testing.assert_allclose(per_term, expected_cols, atol=1e-9)
