@@ -29,14 +29,14 @@ print("co-occurrence sample:\n", cooc.values[:4, :4])
 
 # Cosine works on the raw counts; Pearson centers them first, which is why
 # the two orderings of pairs differ.
-cos = cosine_matrix(sub)
-pea = pearson_matrix(sub)
+cos = cosine_matrix(sub.counts, sub.terms)
+pea = pearson_matrix(sub.counts, sub.terms)
 pair = np.unravel_index(np.argmax(cos.values - np.eye(len(cos.labels))), cos.values.shape)
 print(f"closest pair by cosine: {cos.labels[pair[0]]} / {cos.labels[pair[1]]}"
       f" = {cos.values[pair]:.3f} (pearson {pea.values[pair]:.3f})")
 
 # The same similarity can also be computed on obs/exp cells.
-cos_ratio = cosine_matrix(obs_exp(sub))
+cos_ratio = cosine_matrix(obs_exp(sub).values, sub.terms)
 print("cosine on counts vs on obs/exp cells differ:",
       not np.allclose(cos.values, cos_ratio.values))
 

@@ -20,9 +20,9 @@ corpus = load_corpus(micro_corpus_dir())
 m = build_word_doc_matrix(corpus, cfg)
 sub = m.select_terms(select_terms(term_scores(m), "obsexp", top_n=20))
 
-# Five factors over the counts; "obsexp" cells or Q-mode (documents as
-# variables) are one argument away.
-solution = factor_analyze(sub, input_mode="counts", orientation="R", k=5)
+# Five factors over the counts, terms as variables; obs_exp(sub).values gives
+# ratio cells, and sub.counts.T with sub.doc_ids makes documents the variables.
+solution = factor_analyze(sub.counts, sub.terms, k=5)
 print("eigenvalues:", np.round(solution.eigenvalues, 3))
 print("explained variance %:", np.round(solution.explained_variance_pct, 1))
 

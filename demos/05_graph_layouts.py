@@ -19,7 +19,7 @@ cfg = TokenizerConfig()
 corpus = load_corpus(micro_corpus_dir())
 m = build_word_doc_matrix(corpus, cfg)
 sub = m.select_terms(select_terms(term_scores(m), "obsexp", top_n=20))
-graph = threshold_graph(cosine_matrix(sub), 0.1, rule="geq")
+graph = threshold_graph(cosine_matrix(sub.counts, sub.terms), 0.1, rule="geq")
 print(f"map graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges,"
       f" {len(graph.connected_components())} components")
 

@@ -16,7 +16,7 @@ Typical library use::
     scores = termstats.term_scores(m)
     best = termstats.select_terms(scores, "obsexp", top_n=75)
     sub = m.select_terms(best)
-    sim = vectorspace.cosine_matrix(sub)
+    sim = vectorspace.cosine_matrix(sub.counts, sub.terms)
     graph = vectorspace.threshold_graph(sim, 0.1)
 
 or run the whole pipeline via :func:`cowordmap.pipeline.run` / the

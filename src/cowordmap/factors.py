@@ -1,8 +1,9 @@
 """Latent structure: principal-components factors and varimax rotation.
 
 Factor extraction works on the correlation matrix of the two-mode matrix
-itself (not of a one-mode co-occurrence matrix): variables are the columns
-in R-mode or the rows in Q-mode, cells are raw counts or obs/exp ratios.
+itself (not of a one-mode co-occurrence matrix). The caller picks the cells
+(raw counts or obs/exp ratios) and the variables, which are the columns:
+terms in R-mode, or documents in Q-mode with the matrix transposed.
 Loadings are eigenvectors scaled by the square root of their eigenvalues,
 optionally varimax-rotated; variables can then be assigned to (and colored
 by) the factor they load highest on, with small loadings suppressed.
@@ -16,9 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import WordDocMatrix
 from .errors import ConfigError, CowordMapWarning, DataError
-from .termstats import obs_exp
 from .vectorspace import Edge, Graph, Node, pearson_matrix
 
 __all__ = [
@@ -45,8 +44,6 @@ class FactorSolution:
             before rotation.
         rotated: Whether a rotation has been applied.
         variable_labels: One label per loading row.
-        input_mode: "counts" or "obsexp".
-        orientation: "R" (columns as variables) or "Q" (rows as variables).
         correlation: The correlation matrix that was decomposed.
         eigenvectors: Unit eigenvectors of the retained factors (columns).
         rotation_matrix: Orthogonal matrix T with rotated = unrotated @ T,
@@ -61,8 +58,6 @@ class FactorSolution:
     explained_variance_pct: np.ndarray
     rotated: bool
     variable_labels: list[str]
-    input_mode: str
-    orientation: str
     correlation: np.ndarray
     eigenvectors: np.ndarray
     rotation_matrix: np.ndarray | None = None
@@ -105,37 +100,14 @@ def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
     return flips
 
 
-def _cells(m, input_mode: str) -> tuple[np.ndarray, list[str], list[str]]:
-    if input_mode not in ("counts", "obsexp"):
-        raise ConfigError(f"unknown input_mode {input_mode!r}; use counts or obsexp")
-    if isinstance(m, WordDocMatrix):
-        data = m.counts.astype(float) if input_mode == "counts" else obs_exp(m).values
-        return data, list(m.doc_ids), list(m.terms)
-    if input_mode == "obsexp":
-        raise ConfigError("obsexp cells need a WordDocMatrix")
-    data = np.asarray(m, dtype=float)
-    if data.ndim != 2:
-        raise DataError("expected a 2-D matrix")
-    row_labels = [f"r{i}" for i in range(data.shape[0])]
-    col_labels = [f"c{k}" for k in range(data.shape[1])]
-    return data, row_labels, col_labels
-
-
 def factor_analyze(
-    m,
-    input_mode: str = "counts",
-    orientation: str = "R",
-    k: int | str = "kaiser",
+    values, labels: list[str] | None = None, k: int | str = "kaiser"
 ) -> FactorSolution:
     """Extract principal-components factors from the correlation matrix.
 
     Args:
-        m: Two-mode matrix (:class:`~cowordmap.corpus.WordDocMatrix` or
-            array), cases x variables in R orientation.
-        input_mode: Correlate raw ``"counts"`` or ``"obsexp"`` ratios (the
-            ratios need a WordDocMatrix).
-        orientation: ``"R"`` treats columns as variables; ``"Q"`` transposes
-            the matrix and runs the identical path over the rows.
+        values: Real 2-D array, cases x variables.
+        labels: One label per variable (default ``c0, c1, ...``).
         k: Number of factors to retain, or ``"kaiser"`` for all factors with
             eigenvalue > 1.
 
@@ -146,19 +118,9 @@ def factor_analyze(
     Raises:
         DataError: Fewer than 2 non-constant variables, or Kaiser retains
             nothing.
-        ConfigError: ``k`` is not "kaiser" or a positive integer, or
-            ``"obsexp"`` is asked of an array.
+        ConfigError: ``k`` is not "kaiser" or a positive integer.
     """
-    data, row_labels, col_labels = _cells(m, input_mode)
-    if orientation == "R":
-        variable_labels = col_labels
-    elif orientation == "Q":
-        data = data.T
-        variable_labels = row_labels
-    else:
-        raise ConfigError(f"unknown orientation {orientation!r}; use R or Q")
-
-    corr = pearson_matrix(data, orientation="columns", labels=variable_labels)
+    corr = pearson_matrix(values, labels)
     p = len(corr.labels)
     if p < 2:
         raise DataError(
@@ -201,8 +163,6 @@ def factor_analyze(
         explained_variance_pct=100.0 * eigenvalues[:retained] / p,
         rotated=False,
         variable_labels=list(corr.labels),
-        input_mode=input_mode,
-        orientation=orientation,
         correlation=corr.values,
         eigenvectors=vectors * flips,
     )

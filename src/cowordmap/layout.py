@@ -205,11 +205,11 @@ def _energy(dist: np.ndarray, ideal: np.ndarray, weight: np.ndarray, out=None) -
     return float(np.multiply(np.square(dev, out=dev), weight, out=dev).sum()) / 2.0
 
 
-def stress(coords: np.ndarray, hop_distances: np.ndarray, scale: float = 1.0) -> float:
-    """Layout energy: sum over pairs of (|p_a - p_b| - scale*d_ab)^2 / d_ab^2."""
+def stress(coords: np.ndarray, hop_distances: np.ndarray) -> float:
+    """Layout energy: sum over pairs of (|p_a - p_b| - d_ab)^2 / d_ab^2."""
     hops = np.asarray(hop_distances, dtype=float)
     _, _, dist = _pair_offsets(np.asarray(coords, dtype=float))
-    return _energy(dist, scale * hops, _stress_weights(hops))
+    return _energy(dist, hops, _stress_weights(hops))
 
 
 def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
@@ -240,14 +240,13 @@ def kamada_kawai(
     g: Graph,
     tol: float = 1e-4,
     max_iter: int = 1000,
-    scale: float = 1.0,
     seed: int = 42,
 ) -> Layout:
     """Stress-minimizing layout for a connected graph.
 
-    The ideal distance between two nodes is ``scale`` times their
-    unweighted shortest-path length; the stress is the squared deviation
-    from the ideal, weighted by 1/hops^2 (Kamada & Kawai 1989). It is
+    The ideal distance between two nodes is their unweighted shortest-path
+    length; the stress is the squared deviation from the ideal, weighted by
+    1/hops^2 (Kamada & Kawai 1989). It is
     minimized by stress majorization (SMACOF; Gansner, Koren & North 2004):
     every iteration moves all nodes at once by one Guttman transform,
     ``pos <- pinv(V) @ B(pos) @ pos``, where ``V`` is the weighted Laplacian
@@ -282,17 +281,16 @@ def kamada_kawai(
     hops = graph_distances(g)
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
-    ideal = scale * hops
-    start = _classical_mds(ideal)
+    start = _classical_mds(hops)
     pos = pos if start is None else start
     _separate_coincident(pos, rng)
     weight = _stress_weights(hops)
     laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
-    neg_pull = -(weight * ideal)
+    neg_pull = -(weight * hops)
     # Planes 0, 1 and 3 are scratch; plane 2 holds the current distances.
     work = np.empty((4, n, n))
     dist = _pair_offsets(pos, work)[2]
-    energy = _energy(dist, ideal, weight, work[0])
+    energy = _energy(dist, hops, weight, work[0])
     history = [energy]
     iterations = 0
     while iterations < max_iter:
@@ -300,7 +298,7 @@ def kamada_kawai(
         np.fill_diagonal(b, -b.sum(axis=1))
         candidate = laplacian_pinv @ (b @ pos)
         dist = _pair_offsets(candidate, work)[2]
-        candidate_energy = _energy(dist, ideal, weight, work[0])
+        candidate_energy = _energy(dist, hops, weight, work[0])
         if candidate_energy > energy:
             break
         converged = energy - candidate_energy <= tol * energy

@@ -33,6 +33,7 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -136,7 +137,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
-        """Parse a ``key = value`` configuration file (# starts a comment)."""
+        """Parse a ``key = value`` file; ``#`` at line start or after a space comments."""
         try:
             text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
         except UnicodeDecodeError as exc:
@@ -145,7 +146,7 @@ class PipelineConfig:
             ) from None
         values: dict = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -158,6 +159,13 @@ class PipelineConfig:
         return cls.build(values, overrides)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value, kinds = getattr(self, f.name), f.type.split(" | ")
+            types = tuple(_KINDS[kind] for kind in kinds)
+            if isinstance(value, bool) != ("bool" in kinds) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.input:
             raise ConfigError("input is required (config key 'input' or --input)")
         for key, choices in _CHOICES.items():
@@ -172,8 +180,7 @@ class PipelineConfig:
             raise ConfigError(f"top must be >= 1, got {self.top}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if not (isinstance(self.factors, int) and not isinstance(self.factors, bool)
-                and self.factors >= 1) and self.factors != "kaiser":
+        if self.factors != "kaiser" and (isinstance(self.factors, str) or self.factors < 1):
             raise ConfigError(
                 f"factors must be a positive integer or 'kaiser', got {self.factors!r}"
             )
@@ -181,16 +188,16 @@ class PipelineConfig:
         corpus_mod.TokenizerConfig(
             token_pattern=self.token_pattern, min_token_length=self.min_token_length
         )
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
         for key in ("seed", "fr_iterations", "kk_max_iter", "kk_tol"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# What each annotation kind accepts; validate also keeps bools and numbers apart.
+_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": type(None)}
 
 
 def _parse_value(key: str, value: str, where: str):
@@ -372,13 +379,13 @@ def _write_cooc(view: SimpleNamespace, products: dict, out: Path) -> None:
 
 
 def _compute_factors(view: SimpleNamespace, products: dict) -> None:
-    factor_cells = view.cells if view.cells in ("counts", "obsexp") else "counts"
-    solution = factors_mod.factor_analyze(
-        _selected_matrix(view, products),
-        input_mode=factor_cells,
-        orientation=view.mode,
-        k=view.factors,
-    )
+    selected = _selected_matrix(view, products)
+    # tf-idf cells feed the cosine map only; factors then correlate counts.
+    cells = _cells_matrix(selected, "counts" if view.cells == "tfidf" else view.cells)
+    labels = selected.terms
+    if view.mode == "Q":
+        cells, labels = cells.T, selected.doc_ids
+    solution = factors_mod.factor_analyze(cells, labels, k=view.factors)
     if view.rotate and solution.n_factors >= 2:
         solution = factors_mod.varimax(solution, kaiser_normalize=view.kaiser_normalize)
     products["solution"] = solution

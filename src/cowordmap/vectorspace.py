@@ -1,7 +1,8 @@
 """One-mode structure from the two-mode matrix: similarity, co-occurrence, graphs.
 
-The occurrence matrix ``A`` (documents x terms) can be compared column-wise
-(or row-wise) with the cosine or the Pearson correlation, or multiplied with
+The columns of a real matrix (terms or documents, as the caller arranges
+it) can be compared with the cosine or the Pearson correlation; the
+occurrence matrix ``A`` (documents x terms) can also be multiplied with
 its own transpose: ``A'A`` counts word co-occurrences and ``AA'`` counts
 shared vocabulary between documents. Thresholding any of these symmetric
 matrices yields the undirected graph behind a map.
@@ -16,7 +17,6 @@ import numpy as np
 
 from .corpus import WordDocMatrix
 from .errors import ConfigError, CowordMapWarning, DataError
-from .termstats import ObsExpMatrix
 
 __all__ = [
     "CoocMatrix",
@@ -137,29 +137,15 @@ class Graph:
         )
 
 
-def _vectors(m, orientation: str, labels: list[str] | None):
-    """Pull (variables-as-columns matrix, labels) out of the accepted inputs."""
-    if isinstance(m, WordDocMatrix):
-        values, row_labels, col_labels = m.counts.astype(float), m.doc_ids, m.terms
-    elif isinstance(m, ObsExpMatrix):
-        values, row_labels, col_labels = m.values, m.doc_ids, m.terms
-    else:
-        values = np.asarray(m, dtype=float)
-        if values.ndim != 2:
-            raise DataError("expected a 2-D matrix")
-        row_labels = [f"r{i}" for i in range(values.shape[0])]
-        col_labels = [f"c{k}" for k in range(values.shape[1])]
-    if orientation == "columns":
-        out_labels = list(labels) if labels is not None else list(col_labels)
-        data = values
-    elif orientation == "rows":
-        out_labels = list(labels) if labels is not None else list(row_labels)
-        data = values.T
-    else:
-        raise ConfigError(f"unknown orientation {orientation!r}; use columns or rows")
-    if len(out_labels) != data.shape[1]:
+def _vectors(values, labels: list[str] | None):
+    """The variables-as-columns matrix as floats, and one label per column."""
+    data = np.asarray(values, dtype=float)
+    if data.ndim != 2:
+        raise DataError("expected a 2-D matrix")
+    labels = [f"c{k}" for k in range(data.shape[1])] if labels is None else list(labels)
+    if len(labels) != data.shape[1]:
         raise DataError("label count does not match the number of vectors")
-    return data, out_labels
+    return data, labels
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
@@ -185,14 +171,11 @@ def _drop_null(data: np.ndarray, norms: np.ndarray, labels: list[str], kind: str
     return data, norms, labels
 
 
-def cosine_matrix(
-    m, orientation: str = "columns", labels: list[str] | None = None
-) -> SimilarityMatrix:
-    """Pairwise cosine similarity of the chosen vectors.
+def cosine_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
+    """Pairwise cosine similarity of the columns of a real 2-D array.
 
-    Accepts raw counts, a :class:`~cowordmap.corpus.WordDocMatrix`, an
-    :class:`~cowordmap.termstats.ObsExpMatrix`, or any real matrix. The
-    result is exactly symmetric with a unit diagonal.
+    ``labels`` name the columns (default ``c0, c1, ...``). The result is
+    exactly symmetric with a unit diagonal.
 
     All-zero vectors (the tf-idf column of a term in every document) have
     no defined cosine and are dropped with a warning naming them, as
@@ -201,7 +184,7 @@ def cosine_matrix(
     Raises:
         DataError: Every vector is all zeros.
     """
-    data, out_labels = _vectors(m, orientation, labels)
+    data, out_labels = _vectors(values, labels)
     data, norms, out_labels = _drop_null(
         data, np.linalg.norm(data, axis=0), out_labels, "all-zero", "cosine"
     )
@@ -211,16 +194,14 @@ def cosine_matrix(
     return SimilarityMatrix(values=values, labels=out_labels, kind="cosine")
 
 
-def pearson_matrix(
-    m, orientation: str = "columns", labels: list[str] | None = None
-) -> SimilarityMatrix:
-    """Pairwise Pearson correlation of the chosen vectors.
+def pearson_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
+    """Pairwise Pearson correlation of the columns of a real 2-D array.
 
     Constant vectors have no defined correlation and are dropped from the
     result with a warning naming them (count data often yields constants
     after heavy pruning).
     """
-    data, out_labels = _vectors(m, orientation, labels)
+    data, out_labels = _vectors(values, labels)
     centered = data - data.mean(axis=0)
     centered, norms, out_labels = _drop_null(
         centered, np.linalg.norm(centered, axis=0), out_labels, "constant", "correlation"

@@ -200,8 +200,8 @@ def _hand_solution(loadings) -> FactorSolution:
     return FactorSolution(
         loadings=loadings, eigenvalues=np.zeros(k),
         explained_variance_pct=np.zeros(k), rotated=False,
-        variable_labels=[f"v{j}" for j in range(p)], input_mode="counts",
-        orientation="R", correlation=np.eye(p), eigenvectors=np.zeros((p, k)),
+        variable_labels=[f"v{j}" for j in range(p)],
+        correlation=np.eye(p), eigenvectors=np.zeros((p, k)),
     )
 
 

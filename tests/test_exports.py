@@ -1,9 +1,14 @@
-"""Every name in a ``cowordmap`` module's ``__all__`` resolves."""
+"""Every name in a ``cowordmap`` module's ``__all__`` resolves, and every name
+the benchmark's traced mode wraps."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +31,19 @@ def test_star_import_resolves_every_export(module):
     namespace: dict = {}
     exec(f"from {module} import *", namespace)  # AttributeError on a stale name
     assert set(exported) <= set(namespace)
+
+
+def test_traced_benchmark_wraps_only_names_that_exist():
+    # perfbench/traced.py replaces cowordmap functions by name; a deleted or
+    # renamed one makes instrument() raise AttributeError.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(root / 'perfbench')!r}); "
+        "import traced; traced.instrument(traced.Tracer())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_matrix, random_pruned_counts
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.factors import (
     UNASSIGNED,
@@ -30,8 +29,6 @@ def solution_from_loadings(loadings, rotated=False) -> FactorSolution:
         explained_variance_pct=np.zeros(k),
         rotated=rotated,
         variable_labels=[f"v{j + 1}" for j in range(p)],
-        input_mode="counts",
-        orientation="R",
         correlation=np.eye(p),
         eigenvectors=np.zeros((p, k)),
     )
@@ -111,7 +108,7 @@ class TestFactorAnalyze:
     def test_eigenvalues_non_increasing_and_communality_bounded(self):
         rng = np.random.default_rng(44)
         counts = rng.integers(1, 9, size=(9, 12))  # dense: no zero margins
-        sol = factor_analyze(make_matrix(counts), k=5)
+        sol = factor_analyze(counts, k=5)
         assert (np.diff(sol.eigenvalues) <= 1e-12).all()
         assert (sol.communalities() <= 1 + 1e-8).all()
 
@@ -121,20 +118,6 @@ class TestFactorAnalyze:
         for f in range(sol.n_factors):
             column = sol.loadings[:, f]
             assert column[np.argmax(np.abs(column))] >= 0
-
-    def test_q_mode_transposes(self):
-        rng = np.random.default_rng(46)
-        counts = random_pruned_counts(rng, 6, 9)
-        q = factor_analyze(make_matrix(counts), orientation="Q", k=2)
-        r = factor_analyze(counts.T.astype(float), orientation="R", k=2)
-        np.testing.assert_allclose(q.loadings, r.loadings, atol=1e-10)
-        assert q.variable_labels == [f"d{i + 1}" for i in range(counts.shape[0])]
-
-    def test_obsexp_cells_change_the_correlation(self):
-        counts = np.array([[9, 1, 1], [1, 9, 1], [1, 1, 9], [3, 3, 1]])
-        by_counts = factor_analyze(make_matrix(counts), input_mode="counts", k=2)
-        by_ratio = factor_analyze(make_matrix(counts), input_mode="obsexp", k=2)
-        assert not np.allclose(by_counts.correlation, by_ratio.correlation)
 
     def test_constant_column_dropped_before_extraction(self):
         data = np.array([[1.0, 5.0, 2.0], [2.0, 5.0, 4.0], [3.0, 5.0, 5.0]])

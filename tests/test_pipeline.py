@@ -20,6 +20,7 @@ from cowordmap import corpus, export
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, DataError
+from cowordmap.factors import factor_analyze
 from cowordmap.pipeline import (
     _CHOICES, ARTIFACTS, PipelineConfig, _parse_value, run, run_stage,
 )
@@ -67,6 +68,17 @@ class TestPipelineConfig:
         assert config.input == "corpus/"
         assert config.top == 10
         assert config.rotate is False
+
+    def test_hash_inside_a_value_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("input = a#b\ntoken_pattern = [\\w#]+\n", encoding="utf-8")
+        config = PipelineConfig.from_file(path)
+        assert (config.input, config.token_pattern) == ("a#b", r"[\w#]+")
+
+    @pytest.mark.parametrize("key, value", [("rotate", "false"), ("top", "5")])
+    def test_value_of_the_wrong_type_is_a_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            PipelineConfig.build({"input": "x", key: value})
 
     def test_file_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -211,6 +223,38 @@ class TestRun:
         # variables are documents (those still covered by the selected terms)
         assert 3 <= len(loadings) - 1 <= 8
         assert all(line.split(",")[0].endswith(".txt") for line in loadings[1:])
+
+    def test_q_mode_loadings_are_factors_of_the_transposed_counts(
+        self, micro_dir, tmp_path
+    ):
+        out = tmp_path / "out"
+        result = run(micro_config(micro_dir, out, mode="Q", factors=3, rotate=False))
+        matrix = corpus.build_word_doc_matrix(
+            corpus.load_corpus(str(micro_dir)), corpus.TokenizerConfig()
+        )
+        selected = matrix.select_terms(result.report["selection"]["terms"])
+        sol = factor_analyze(selected.counts.T, selected.doc_ids, k=3)
+        rows = [
+            (label, *sol.loadings[j], communality)
+            for j, (label, communality) in enumerate(
+                zip(sol.variable_labels, sol.communalities())
+            )
+        ]
+        header = ["variable", "factor_1", "factor_2", "factor_3", "communality"]
+        export.write_table_csv(tmp_path / "expected.csv", header, rows)
+        assert (out / "loadings.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["R", "Q"])
+    def test_factor_cells_are_counts_or_ratios(self, micro_dir, tmp_path, mode):
+        def loadings(cells):
+            run(micro_config(micro_dir, tmp_path / cells, cells=cells, mode=mode))
+            return (tmp_path / cells / "loadings.csv").read_bytes()
+
+        by_counts = loadings("counts")
+        assert loadings("obsexp") != by_counts
+        # tf-idf cells feed the cosine map only (in R mode idf's column
+        # scaling would not change the correlations anyway; in Q mode it does)
+        assert loadings("tfidf") == by_counts
 
     def test_cooc_map(self, micro_dir, tmp_path):
         config = micro_config(micro_dir, tmp_path / "out", map="cooc")

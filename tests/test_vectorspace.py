@@ -69,17 +69,6 @@ class TestCosine:
             with pytest.raises(DataError, match="all vectors are all-zero"):
                 cosine_matrix(np.zeros((3, 2)))
 
-    def test_row_orientation(self):
-        data = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        sim = cosine_matrix(data, orientation="rows")
-        assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert len(sim.labels) == 2
-
-    def test_accepts_word_doc_matrix(self):
-        m = make_matrix([[2, 1], [0, 1]])
-        sim = cosine_matrix(m)
-        assert sim.labels == ["t1", "t2"]
-
     def test_positive_column_has_positive_cosine_with_any_nonzero(self):
         # A term present in every document keeps a positive similarity with
         # every other surviving term, which is what parks it in the center
