@@ -1,8 +1,8 @@
 """Deterministic 2-D graph layouts: Fruchterman-Reingold and Kamada-Kawai.
 
-Fruchterman-Reingold starts from seeded random positions, Kamada-Kawai
-from the classical scaling of the graph distances. Both run in a fixed
-node order, then fit the drawing into the unit square with a uniform
+Both start from the classical scaling of the graph distances where it has
+unique axes, and from seeded random positions otherwise. Both run in a
+fixed node order, then fit the drawing into the unit square with a uniform
 (aspect-preserving) transform, so a seed and graph fix the coordinates.
 """
 
@@ -35,9 +35,9 @@ class Layout:
 
     ``raw`` keeps the pre-normalization coordinates, where geometric
     quantities such as the ideal Fruchterman-Reingold edge length are
-    meaningful. ``stress_history`` is filled by the Kamada-Kawai algorithm:
-    the stress of the start positions, then the stress after each
-    majorization iteration.
+    meaningful; ``iterations`` counts the steps run. ``stress_history`` is
+    filled by the Kamada-Kawai algorithm: the stress of the start positions,
+    then the stress after each majorization iteration.
     """
 
     coords: np.ndarray
@@ -106,12 +106,16 @@ def fruchterman_reingold(
     force d^2/k (scaled by the edge weight when ``use_weights``), where
     k = sqrt(area / n) is the ideal edge length for a unit-square area.
     Displacements are capped by a temperature that cools linearly from
-    0.1 * sqrt(area) towards zero. Forces accumulate in a fixed order, so
-    results are reproducible: per axis, each node's repulsion is the
-    negated column sum of the antisymmetric n×n offset plane (its pushes
-    from nodes 0..n-1, added in node order), then its edge pulls are
-    subtracted (edges where it is ``a``) and added (where it is ``b``) in
-    edge order.
+    0.1 * sqrt(area) towards zero over ``iterations`` steps. Per axis, each
+    node's repulsion is the negated column sum of the antisymmetric n×n
+    offset plane (pushes from nodes 0..n-1 in node order), then its edge
+    pulls are subtracted (as ``a``) and added (as ``b``) in edge order.
+
+    A connected graph with a unique classical scaling starts from it times
+    k (one hop is one ideal edge; Brandes & Pich 2008). That start is
+    untangled, so only steps ``4 * iterations // 5`` onward run, and ``seed``
+    only nudges coincident nodes apart. Other graphs start from seeded
+    random positions and run every step.
 
     Raises:
         DataError: The graph has no nodes.
@@ -119,8 +123,7 @@ def fruchterman_reingold(
     n = len(g.nodes)
     if n == 0:
         raise DataError("cannot lay out an empty graph")
-    rng = np.random.default_rng(seed)
-    pos = rng.random((n, 2))
+    rng, pos, _, scaled = _start(g, seed)
     if n == 1:
         return Layout(
             coords=_normalize(pos), labels=g.labels, algorithm="fr",
@@ -129,17 +132,18 @@ def fruchterman_reingold(
 
     k = math.sqrt(1.0 / n)
     t0 = 0.1
+    pos, first = (pos, 0) if scaled is None else (scaled * k, 4 * iterations // 5)
     a, b = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2).T
     edge_weight = np.array([e.weight if use_weights else 1.0 for e in g.edges], dtype=float)
     slots = np.add.outer([0, n], np.concatenate([np.arange(n), a, b])).ravel()  # x, then y
     work = np.empty((4, n, n))
-    for step in range(iterations):
+    for step in range(first, iterations):
         t = t0 * (1.0 - step / iterations)
         dx, dy, dist = _pair_offsets(pos, work)
         if dist.min() < _EPS:
             _separate_coincident(pos, rng)
             dx, dy, dist = _pair_offsets(pos, work)
-        np.maximum(dist, _EPS, out=dist)
+        # Every distance is now >= _EPS (the diagonal is inf), so no floor.
         np.square(dist, out=dist)
         repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
         dx *= repulse
@@ -160,7 +164,7 @@ def fruchterman_reingold(
             raise DataError("layout diverged to non-finite coordinates")
     return Layout(
         coords=_normalize(pos), labels=g.labels, algorithm="fr",
-        seed=seed, iterations=iterations, raw=pos,
+        seed=seed, iterations=iterations - first, raw=pos,
     )
 
 
@@ -236,6 +240,15 @@ def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
     return np.round(start, 6) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
+def _start(g: Graph, seed: int):
+    """Seeded generator and random start (drawn first), hop distances, and
+    their classical scaling: None if disconnected or without unique axes."""
+    rng = np.random.default_rng(seed)
+    pos = rng.random((len(g.nodes), 2))
+    hops = graph_distances(g)
+    return rng, pos, hops, _classical_mds(hops) if np.isfinite(hops).all() else None
+
+
 def kamada_kawai(
     g: Graph,
     tol: float = 1e-4,
@@ -271,18 +284,15 @@ def kamada_kawai(
     n = len(g.nodes)
     if n == 0:
         raise DataError("cannot lay out an empty graph")
-    rng = np.random.default_rng(seed)
-    pos = rng.random((n, 2))
+    rng, pos, hops, scaled = _start(g, seed)
     if n == 1:
         return Layout(
             coords=_normalize(pos), labels=g.labels, algorithm="kk",
             seed=seed, iterations=0, raw=pos, stress_history=(0.0,),
         )
-    hops = graph_distances(g)
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
-    start = _classical_mds(hops)
-    pos = pos if start is None else start
+    pos = pos if scaled is None else scaled
     _separate_coincident(pos, rng)
     weight = _stress_weights(hops)
     laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
