@@ -40,26 +40,17 @@ __all__ = [
     "tokenize",
 ]
 
-LABEL_MAX_CHARS = 40  # display labels are truncated for network files
-
-
 @dataclass(frozen=True, slots=True)
 class Document:
     """One unit of analysis: a row of the word-document matrix.
 
     Attributes:
         id: Unique identifier within the corpus (filename or line number).
-        label: Display label, at most 40 characters.
         text: Raw text content.
     """
 
     id: str
-    label: str
     text: str
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise DataError(f"document {self.id!r} has an empty label")
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +156,8 @@ class WordDocMatrix:
         if counts.shape != (len(doc_ids), len(terms)):
             raise DataError("counts shape does not match the labels")
 
-        keep_rows = counts.sum(axis=1) > 0
-        keep_cols = counts.sum(axis=0) > 0
+        row_margins, col_margins = counts.sum(axis=1), counts.sum(axis=0)
+        keep_rows, keep_cols = row_margins > 0, col_margins > 0
         pruned_docs = [i for i, keep in zip(doc_ids, keep_rows) if not keep]
         pruned_terms = [t for t, keep in zip(terms, keep_cols) if not keep]
         if pruned_docs:
@@ -189,11 +180,10 @@ class WordDocMatrix:
         self.counts = counts
         self.doc_ids = [i for i, keep in zip(doc_ids, keep_rows) if keep]
         self.terms = [t for t, keep in zip(terms, keep_cols) if keep]
-        self.row_margins = counts.sum(axis=1)
-        self.col_margins = counts.sum(axis=0)
-        self.total = int(counts.sum())
+        self.row_margins = row_margins[keep_rows]  # pruned rows and columns are all zero
+        self.col_margins = col_margins[keep_cols]
+        self.total = int(self.row_margins.sum())
         self.pruned_docs = pruned_docs
-        self.pruned_terms = pruned_terms
 
     @property
     def n_docs(self) -> int:
@@ -227,8 +217,7 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
 
     Returns:
         The loaded corpus. Document ids are filenames for ``"files"`` and
-        1-based line numbers for ``"lines"``; labels are the filename or the
-        first 40 characters of the line.
+        1-based line numbers for ``"lines"``.
 
     Raises:
         ConfigError: Unknown ``format`` value.
@@ -246,16 +235,14 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
         for path in sorted(source.glob("*.txt")):
-            text = _read_utf8(path)
-            docs.append(Document(id=path.name, label=path.name[:LABEL_MAX_CHARS], text=text))
+            docs.append(Document(id=path.name, text=_read_utf8(path)))
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")
         for lineno, line in enumerate(_read_utf8(source).splitlines(), start=1):
             if not line.strip():
                 continue
-            label = line.strip()[:LABEL_MAX_CHARS]
-            docs.append(Document(id=str(lineno), label=label, text=line))
+            docs.append(Document(id=str(lineno), text=line))
 
     if not docs:
         raise DataError(f"empty corpus: no documents found in {source}")

@@ -2,6 +2,9 @@
 
 Writers are deterministic serializers: fixed number formats (4 decimals in
 Pajek files, 6 significant digits in CSV), LF line endings, no timestamps.
+``write_csv`` streams count rows from their nonzeros; given an index into
+distinct rows, it formats each distinct row once (``expected.csv`` has one
+per distinct row margin).
 ``read_pajek_net`` and ``read_pajek_matrix`` parse exactly what the writers
 emit, so written files can be reloaded and round-tripped in tests.
 
@@ -104,6 +107,13 @@ _VERTEX_RE = re.compile(
 )
 
 
+def _line(path: Path, lines: list[str], lineno: int, what: str) -> str:
+    """Line ``lineno`` (1-based) of ``path``; a DataError names ``what`` if it is missing."""
+    if lineno > len(lines):
+        raise DataError(f"{path.name}:{lineno}: missing {what}")
+    return lines[lineno - 1]
+
+
 def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
     """Parse a Pajek network file written by :func:`write_pajek_net`.
 
@@ -129,9 +139,7 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
     lineno = 1
     for i in range(n):
         lineno += 1
-        if lineno > len(lines):
-            raise DataError(f"{path.name}:{lineno}: missing vertex line {i + 1}")
-        match = _VERTEX_RE.match(lines[lineno - 1])
+        match = _VERTEX_RE.match(_line(path, lines, lineno, f"vertex line {i + 1}"))
         if not match:
             raise DataError(f"{path.name}:{lineno}: malformed vertex line")
         vid = int(match.group(1))
@@ -201,18 +209,20 @@ def read_pajek_matrix(path: str | Path) -> CoocMatrix:
     labels = []
     for i in range(n):
         lineno = i + 2
-        match = re.match(r'^(\d+)\s+"((?:[^"]|"")*)"\s*$', lines[lineno - 1])
+        match = re.match(
+            r'^(\d+)\s+"((?:[^"]|"")*)"\s*$', _line(path, lines, lineno, f"vertex line {i + 1}")
+        )
         if not match or int(match.group(1)) != i + 1:
             raise DataError(f"{path.name}:{lineno}: malformed vertex line")
         labels.append(match.group(2).replace('""', '"'))
-    if lines[n + 1].lower() != "*matrix":
+    if _line(path, lines, n + 2, "'*Matrix' header").lower() != "*matrix":
         raise DataError(f"{path.name}:{n + 2}: expected '*Matrix' header")
     rows = []
     for i in range(n):
         lineno = n + 3 + i
         try:
-            row = [int(v) for v in lines[lineno - 1].split()]
-        except (IndexError, ValueError):
+            row = [int(v) for v in _line(path, lines, lineno, f"matrix row {i + 1}").split()]
+        except ValueError:
             raise DataError(f"{path.name}:{lineno}: malformed matrix row") from None
         if len(row) != n:
             raise DataError(f"{path.name}:{lineno}: expected {n} values")
@@ -230,23 +240,14 @@ def _cell(value) -> str:
     return _fmt_real(float(value))
 
 
-_MEMO_ROWS = 256  # bounds write_csv's memo when every real row differs
-
-
-def _row_body(row: np.ndarray, memo: dict) -> str:
+def _row_body(row: np.ndarray) -> str:
     """``,cell`` for each cell of ``row``: ``%d`` for integers, else ``%.6g``."""
     if row.dtype.kind in "biu":
         nz = np.flatnonzero(row)
         zeros = np.diff(nz, prepend=-1, append=len(row)) - 1  # before each nonzero, then after
         cells = [",%d" % v for v in row[nz].tolist()] + [""]
         return "".join(",0" * z + cell for z, cell in zip(zeros.tolist(), cells))
-    key = (row.dtype.str, row.tobytes())
-    body = memo.get(key)
-    if body is None:
-        body = ",%.6g" * len(row) % tuple(row.tolist())
-        if len(memo) < _MEMO_ROWS:
-            memo[key] = body
-    return body
+    return ",%.6g" * len(row) % tuple(row.tolist())
 
 
 def write_csv(
@@ -255,33 +256,37 @@ def write_csv(
     row_labels: list[str],
     col_labels: list[str],
     corner: str = "doc",
+    index: np.ndarray | None = None,
 ) -> None:
     """Write a labelled matrix as CSV.
 
-    ``values`` is a 2-D array or an iterable of 1-D array rows, such as the
-    stream of :func:`~cowordmap.termstats.expected_rows`. Header row holds
+    ``values`` is a 2-D array or an iterable of 1-D array rows. With
+    ``index``, ``values`` holds distinct rows and data row ``i`` is
+    ``values[index[i]]``, so each distinct row is formatted once; this is
+    how ``expected.csv`` is written from
+    :func:`~cowordmap.termstats.distinct_expected_rows`. Header row holds
     the column labels after the ``corner`` cell; each data row starts with
     its row label. Bool, integer and unsigned rows are written with ``%d``
     (booleans as 0/1), every other dtype with ``%.6g`` (6 significant
     digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line endings.
 
     Only labels go through :mod:`csv` quoting: a formatted number never
-    needs it. Integer rows are built from their nonzeros and runs of
-    ``,0``. Real row bodies are memoized on ``row.tobytes()`` (up to
-    ``_MEMO_ROWS`` of them): the expected rows of documents with equal
-    margins have equal bits and are formatted once.
+    needs it. Integer rows are built from their nonzeros and runs of ``,0``.
     """
-    memo: dict = {}
+    bodies = map(_row_body, values)
+    if index is not None:
+        distinct = list(bodies)
+        bodies = (distinct[k] for k in index)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([corner, *col_labels])
-        for row_label, row in zip(row_labels, values):
-            if not len(row):
+        for row_label, body in zip(row_labels, bodies):
+            if not body:  # an empty row
                 writer.writerow([row_label])
                 continue
             quoted = io.StringIO()  # receives the csv-quoted label, then ",\n"
             csv.writer(quoted, lineterminator="\n").writerow([row_label, ""])
-            fh.write(quoted.getvalue()[:-2] + _row_body(row, memo) + "\n")
+            fh.write(quoted.getvalue()[:-2] + body + "\n")
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:

@@ -328,9 +328,8 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
     export.write_csv(matrix.counts, out / "matrix.csv", matrix.doc_ids, matrix.terms)
-    export.write_csv(
-        termstats.expected_rows(matrix), out / "expected.csv", matrix.doc_ids, matrix.terms
-    )
+    rows, index = termstats.distinct_expected_rows(matrix)
+    export.write_csv(rows, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
 
 
 def _compute_terms(view: SimpleNamespace, products: dict) -> None:
@@ -339,17 +338,13 @@ def _compute_terms(view: SimpleNamespace, products: dict) -> None:
 
 def _write_terms(view: SimpleNamespace, products: dict, out: Path) -> None:
     scores = products["scores"]
-    values = scores.by_criterion(view.criterion)
-    order = sorted(
-        range(len(scores.terms)), key=lambda k: (-values[k], scores.terms[k])
-    )
     rows = [
         (
             scores.terms[k], int(scores.freq[k]), int(scores.doc_freq[k]),
             float(scores.tfidf[k]), float(scores.chi2[k]),
             float(scores.obs_exp_sum[k]),
         )
-        for k in order
+        for k in scores.ranked(view.criterion)
     ]
     export.write_table_csv(
         out / "terms.csv",

@@ -15,7 +15,6 @@ top terms selected for mapping.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ __all__ = [
     "ObsExpMatrix",
     "TermScores",
     "chi_square",
+    "distinct_expected_rows",
     "expected_matrix",
-    "expected_rows",
     "obs_exp",
     "select_terms",
     "term_scores",
@@ -107,13 +106,18 @@ class TermScores:
             "obsexp": self.obs_exp_sum,
         }[criterion]
 
+    def ranked(self, criterion: str) -> list[int]:
+        """Column indices by descending ``criterion`` score, ties broken by term."""
+        values = self.by_criterion(criterion)
+        return sorted(range(len(self.terms)), key=lambda k: (-values[k], self.terms[k]))
+
 
 _BLOCK_CELLS = 1 << 20  # cells per row block: bounds each float temporary
 
 
-def _expected(m: WordDocMatrix, rows: slice = slice(None)) -> np.ndarray:
-    """Rows of ``outer(R, C) / T``; each cell is computed on its own."""
-    return np.outer(m.row_margins[rows], m.col_margins) / m.total
+def _expected(m: WordDocMatrix, row_margins: np.ndarray) -> np.ndarray:
+    """``outer(row_margins, C) / T``; each cell is computed on its own."""
+    return np.outer(row_margins, m.col_margins) / m.total
 
 
 def _row_blocks(m: WordDocMatrix) -> list[slice]:
@@ -132,13 +136,20 @@ def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
     Row and column sums of the result equal those of the observed matrix;
     all entries are positive because the input is pruned.
     """
-    return ExpectedMatrix(values=_expected(m), doc_ids=list(m.doc_ids), terms=list(m.terms))
+    return ExpectedMatrix(
+        values=_expected(m, m.row_margins), doc_ids=list(m.doc_ids), terms=list(m.terms)
+    )
 
 
-def expected_rows(m: WordDocMatrix) -> Iterator[np.ndarray]:
-    """Yield the rows of :func:`expected_matrix`, bit for bit, one block at a time."""
-    for rows in _row_blocks(m):
-        yield from _expected(m, rows)
+def distinct_expected_rows(m: WordDocMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of :func:`expected_matrix` and each document's index into them.
+
+    An expected row depends only on its row margin, so there is one row per
+    distinct margin, in ascending margin order. Each cell is computed as
+    ``expected_matrix`` computes it, so ``rows[index]`` has its bits.
+    """
+    margins, index = np.unique(m.row_margins, return_inverse=True)
+    return _expected(m, margins), index
 
 
 def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
@@ -173,7 +184,7 @@ def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareRepor
             correction. The corrected contribution is never larger than the
             uncorrected one.
     """
-    per_cell, applied = _chi_cells(m.counts, _expected(m), yates)
+    per_cell, applied = _chi_cells(m.counts, _expected(m, m.row_margins), yates)
     dof = (m.n_docs - 1) * (m.n_terms - 1)
     return ChiSquareReport(
         total=float(per_cell.sum()),
@@ -190,7 +201,7 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     On a uniform matrix every cell is 1 and every column sums to the number
     of documents.
     """
-    values = m.counts / _expected(m)
+    values = m.counts / _expected(m, m.row_margins)
     return ObsExpMatrix(
         values=values,
         doc_ids=list(m.doc_ids),
@@ -217,7 +228,7 @@ def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     idf = np.log2(m.n_docs / doc_freq)
     chi2 = ratio = tfidf = None
     for rows in _row_blocks(m):
-        counts, expected = m.counts[rows], _expected(m, rows)
+        counts, expected = m.counts[rows], _expected(m, m.row_margins[rows])
         chi2 = _add_rows(chi2, _chi_cells(counts, expected, yates)[0])
         ratio = _add_rows(ratio, counts / expected)
         tfidf = _add_rows(tfidf, counts * idf)
@@ -252,7 +263,7 @@ def select_terms(
     if top_n is not None and top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
     values = scores.by_criterion(criterion)
-    order = sorted(range(len(scores.terms)), key=lambda k: (-values[k], scores.terms[k]))
+    order = scores.ranked(criterion)
     if top_n is not None:
         picked = order[:top_n]
     else:

@@ -30,7 +30,7 @@ NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 def corpus_of(*texts: str) -> Corpus:
     return Corpus(
         tuple(
-            Document(id=f"d{i + 1}", label=f"d{i + 1}", text=t)
+            Document(id=f"d{i + 1}", text=t)
             for i, t in enumerate(texts)
         )
     )
@@ -93,12 +93,6 @@ class TestLoadCorpus:
         corpus = load_corpus(path, format="lines")
         assert len(corpus) == 3
         assert [d.id for d in corpus] == ["1", "3", "4"]
-
-    def test_label_truncation(self, tmp_path):
-        path = tmp_path / "docs.txt"
-        path.write_text("x" * 100 + "\n", encoding="utf-8")
-        corpus = load_corpus(path, format="lines")
-        assert len(corpus.documents[0].label) == 40
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(DataError, match="empty corpus"):

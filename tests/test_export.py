@@ -7,12 +7,10 @@ import io
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from cowordmap import export
 from cowordmap.errors import DataError
 from cowordmap.export import (
     _cell,
@@ -29,7 +27,7 @@ from cowordmap.export import (
 )
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.layout import Layout
-from cowordmap.termstats import expected_matrix, expected_rows
+from cowordmap.termstats import distinct_expected_rows, expected_matrix
 from cowordmap.vectorspace import CoocMatrix, Edge, Graph, Node
 from conftest import make_matrix
 
@@ -225,6 +223,20 @@ class TestPajekMatrix:
             write_pajek_matrix(CoocMatrix(values=values, labels=labels, mode="words"), path)
             assert path.read_bytes() == pajek_matrix_reference(values, labels)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('*Vertices 2\n1 "a"\n', r"m\.dat:3: missing vertex line 2"),
+            ('*Vertices 2\n1 "a"\n2 "b"\n', r"m\.dat:4: missing '\*Matrix' header"),
+            ('*Vertices 2\n1 "a"\n2 "b"\n*Matrix\n1 0\n', r"m\.dat:6: missing matrix row 2"),
+        ],
+    )
+    def test_truncated_file_names_missing_line(self, tmp_path, text, message):
+        path = tmp_path / "m.dat"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_pajek_matrix(path)
+
     def test_asymmetric_rejected(self, tmp_path):
         m = CoocMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"], mode="words")
         with pytest.raises(DataError, match="symmetric"):
@@ -310,26 +322,30 @@ class TestCsv:
             else:
                 elements = st.integers(0, 255 if dtype is np.uint8 else 10**12)
             values = draw(hnp.arrays(dtype, (n, m), elements=elements))
-            if n:  # repeated rows share a memo entry
-                values = values[draw(st.lists(st.integers(0, n - 1), max_size=12))]
-            labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS), min_size=len(values),
-                                   max_size=len(values)))
-            return values, labels, draw(st.lists(st.sampled_from(AWKWARD_LABELS),
-                                                 min_size=m, max_size=m))
+            # rows repeat when several data rows index one distinct row
+            index = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+            labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS), min_size=len(index),
+                                   max_size=len(index)))
+            return values, index, labels, draw(st.lists(st.sampled_from(AWKWARD_LABELS),
+                                                        min_size=m, max_size=m))
 
         @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
-        @hypothesis.given(matrices(), st.sampled_from([0, 1, 256]), st.booleans())
-        def check(matrix, memo_rows, streamed):
-            values, rows, cols = matrix
-            write_csv_oracle(values, tmp_path / "oracle.csv", rows, cols, corner="")
-            source = (row for row in values) if streamed else values
-            with mock.patch.object(export, "_MEMO_ROWS", memo_rows):
+        @hypothesis.given(matrices(), st.booleans(), st.booleans())
+        def check(matrix, indexed, streamed):
+            values, index, rows, cols = matrix
+            values_by_row = values[index]
+            write_csv_oracle(values_by_row, tmp_path / "oracle.csv", rows, cols, corner="")
+            if indexed:
+                write_csv(values, tmp_path / "m.csv", rows, cols, corner="",
+                          index=np.array(index, dtype=np.int64))
+            else:
+                source = (row for row in values_by_row) if streamed else values_by_row
                 write_csv(source, tmp_path / "m.csv", rows, cols, corner="")
             assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
         check()
 
-    def test_memo_keys_on_every_bit_and_the_dtype(self, tmp_path):
+    def test_ragged_rows_keep_signed_zero_and_dtype(self, tmp_path):
         rows = [[0.5, 1.0, 2.0], [0.5, 1.0, 3.0], [0.5, 1.0, 2.0], [0.0, -0.0, 0.0],
                 [0.0, 0.0, 0.0]]
         stream = [np.array(r) for r in rows] + [np.zeros(2, np.float32), np.zeros(1)]
@@ -339,12 +355,13 @@ class TestCsv:
             "doc,x,y,z\na,0.5,1,2\nb,0.5,1,3\nc,0.5,1,2\nd,0,-0,0\ne,0,0,0\nf,0,0\ng,0\n"
         )
 
-    def test_streamed_expected_rows_match_expected_matrix(self, tmp_path):
+    def test_distinct_expected_rows_match_expected_matrix(self, tmp_path):
         m = make_matrix([[3, 0, 1], [1, 1, 2], [3, 0, 1], [0, 5, 0]])
-        write_csv(expected_rows(m), tmp_path / "streamed.csv", m.doc_ids, m.terms)
+        rows, index = distinct_expected_rows(m)
+        write_csv(rows, tmp_path / "distinct.csv", m.doc_ids, m.terms, index=index)
         e = expected_matrix(m)
         write_csv_oracle(e.values, tmp_path / "oracle.csv", e.doc_ids, e.terms)
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "distinct.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_table_writer(self, tmp_path):
         path = tmp_path / "terms.csv"

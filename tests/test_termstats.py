@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,11 +11,11 @@ import pytest
 
 from conftest import make_matrix, random_pruned_counts
 from cowordmap import termstats
-from cowordmap.errors import ConfigError, DataError
+from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.termstats import (
     chi_square,
+    distinct_expected_rows,
     expected_matrix,
-    expected_rows,
     obs_exp,
     select_terms,
     term_scores,
@@ -95,24 +96,55 @@ class TestBlockedScores:
             oracle = term_scores_oracle(m, yates)
             with mock.patch.object(termstats, "_BLOCK_CELLS", block_cells):
                 scores = term_scores(m, yates=yates)
-                rows = np.array(list(expected_rows(m)))
             for field, values in oracle.items():
                 assert np.array_equal(getattr(scores, field), values), field
-            assert rows.tobytes() == (np.outer(m.row_margins, m.col_margins) / m.total).tobytes()
             assert np.array_equal(chi_square(m, yates).per_cell.sum(axis=0), oracle["chi2"])
             assert np.array_equal(obs_exp(m).term_sums, oracle["obs_exp_sum"])
 
         check()
 
     def test_expected_rows_equal_outer_product_bitwise(self):
-        m = random_count_matrix(5, 300, 30)
-        outer = np.outer(m.row_margins, m.col_margins) / m.total
-        for block_cells in (1, 30, 31, 1000):
-            with mock.patch.object(termstats, "_BLOCK_CELLS", block_cells):
-                rows = list(expected_rows(m))
-            assert len(rows) == m.n_docs
-            assert np.array(rows).tobytes() == outer.tobytes()
-        assert expected_matrix(m).values.tobytes() == outer.tobytes()
+        """The distinct expected rows, indexed by document, have the bits of
+        ``expected_matrix`` on pruned matrices with repeated row margins and
+        with hundreds of distinct ones; the margins are those of the counts."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        distinct = []
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            shape=st.sampled_from([(40, 12), (40, 1), (2, 12), (600, 30)]),
+            repeat_rows=st.booleans(),
+            spread=st.sampled_from([0, 5000]),
+            zero_lines=st.booleans(),
+        )
+        def check(seed, shape, repeat_rows, spread, zero_lines):
+            rng = np.random.default_rng(seed)
+            counts = random_count_matrix(seed, *shape, repeat_rows=repeat_rows).counts
+            counts[:, 0] += rng.integers(0, spread + 1, size=len(counts))
+            if zero_lines:  # pruned at construction
+                counts[rng.integers(0, len(counts))] = 0
+                counts[:, rng.integers(0, counts.shape[1])] = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CowordMapWarning)
+                try:
+                    m = make_matrix(counts)
+                except DataError:  # nothing left after pruning
+                    return
+            assert np.array_equal(m.row_margins, m.counts.sum(axis=1))
+            assert np.array_equal(m.col_margins, m.counts.sum(axis=0))
+            assert m.total == m.counts.sum()
+            rows, index = distinct_expected_rows(m)
+            assert len(rows) == len(set(m.row_margins.tolist()))
+            outer = np.outer(m.row_margins, m.col_margins) / m.total
+            assert rows[index].tobytes() == outer.tobytes()
+            assert expected_matrix(m).values.tobytes() == outer.tobytes()
+            distinct.append((len(rows), m.n_docs))
+
+        check()
+        assert any(rows > 256 for rows, _ in distinct)
+        assert any(rows < docs for rows, docs in distinct)
 
     def test_bad_yates_rejected(self):
         with pytest.raises(ConfigError, match="yates"):
