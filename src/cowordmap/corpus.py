@@ -133,68 +133,74 @@ class Vocabulary:
 class WordDocMatrix:
     """Occurrence counts with documents as rows and terms as columns.
 
-    Rows and columns with a zero margin are pruned at construction so the
-    expected-value matrix derived from the margins is positive everywhere.
-
-    Attributes:
-        counts: Nonnegative integer matrix, shape (documents, terms).
-        doc_ids: Row identifiers.
-        terms: Column terms.
+    Compressed sparse rows: row ``i`` has the nonzero counts
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]`` of that
+    slice. The margins, ``total`` and ``doc_freq`` are exact integers from
+    these arrays. :attr:`counts` builds the dense matrix on each access.
+    Rows and columns with a zero margin are pruned at construction (ids in
+    ``pruned_docs``), so every expected value from the margins is positive.
     """
 
-    def __init__(
-        self,
-        counts: np.ndarray,
-        doc_ids: list[str],
-        terms: list[str],
-    ) -> None:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise DataError("counts must be a 2-D matrix")
-        if (counts < 0).any():
+    def __init__(self, counts: np.ndarray | tuple, doc_ids: list[str], terms: list[str]):
+        """``counts`` is a dense matrix or a CSR triple ``(indptr, indices, data)``."""
+        if isinstance(counts, tuple):
+            indptr, indices, data = (np.asarray(a, dtype=np.int64) for a in counts)
+            shape = (len(indptr) - 1, len(terms))
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.ndim != 2:
+                raise DataError("counts must be a 2-D matrix")
+            shape, (rows, indices) = counts.shape, np.nonzero(counts)
+            data, indptr = counts[rows, indices], np.searchsorted(rows, range(len(counts) + 1))
+        if (data < 0).any():
             raise DataError("counts must be nonnegative")
-        if counts.shape != (len(doc_ids), len(terms)):
+        if shape != (len(doc_ids), len(terms)):
             raise DataError("counts shape does not match the labels")
 
-        row_margins, col_margins = counts.sum(axis=1), counts.sum(axis=0)
+        row_margins = np.diff(np.concatenate([[0], np.cumsum(data)])[indptr])
+        col_margins = np.zeros(len(terms), dtype=np.int64)
+        np.add.at(col_margins, indices, data)
         keep_rows, keep_cols = row_margins > 0, col_margins > 0
-        pruned_docs = [i for i, keep in zip(doc_ids, keep_rows) if not keep]
-        pruned_terms = [t for t, keep in zip(terms, keep_cols) if not keep]
-        if pruned_docs:
-            warnings.warn(
-                "pruned documents with all-zero counts: " + ", ".join(pruned_docs),
-                CowordMapWarning,
-                stacklevel=2,
-            )
-        if pruned_terms:
-            warnings.warn(
-                "pruned terms with all-zero counts: " + ", ".join(pruned_terms),
-                CowordMapWarning,
-                stacklevel=2,
-            )
-        if pruned_docs or pruned_terms:
-            counts = counts[np.ix_(keep_rows, keep_cols)]
-        if counts.size == 0:
+        self.pruned_docs = [i for i, keep in zip(doc_ids, keep_rows) if not keep]
+        _warn_pruned("documents", self.pruned_docs)
+        _warn_pruned("terms", [t for t, keep in zip(terms, keep_cols) if not keep])
+        if not (keep_rows.any() and keep_cols.any()):
             raise DataError("matrix is empty after pruning zero margins")
 
-        self.counts = counts
+        # Pruned rows and columns hold no entry: keep row end pointers, renumber columns.
+        self.indptr = np.concatenate([[0], indptr[1:][keep_rows]])
+        self.indices, self.data = (np.cumsum(keep_cols) - 1)[indices], data
         self.doc_ids = [i for i, keep in zip(doc_ids, keep_rows) if keep]
         self.terms = [t for t, keep in zip(terms, keep_cols) if keep]
-        self.row_margins = row_margins[keep_rows]  # pruned rows and columns are all zero
+        self.row_margins = row_margins[keep_rows]
         self.col_margins = col_margins[keep_cols]
         self.total = int(self.row_margins.sum())
-        self.pruned_docs = pruned_docs
+        self.doc_freq = np.bincount(self.indices, minlength=len(self.terms))
 
     @property
     def n_docs(self) -> int:
-        return self.counts.shape[0]
+        return len(self.doc_ids)
 
     @property
     def n_terms(self) -> int:
-        return self.counts.shape[1]
+        return len(self.terms)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense int64 counts, shape (documents, terms), built on each access."""
+        return self.dense()
+
+    def dense(self, rows: slice = slice(None)) -> np.ndarray:
+        """The dense int64 counts of a contiguous block of rows."""
+        start, stop, _ = rows.indices(self.n_docs)
+        lengths = np.diff(self.indptr[start:stop + 1])
+        cells = slice(self.indptr[start], self.indptr[start + len(lengths)])
+        block = np.zeros((len(lengths), self.n_terms), dtype=np.int64)
+        block[np.repeat(np.arange(len(lengths)), lengths), self.indices[cells]] = self.data[cells]
+        return block
 
     def select_terms(self, selected: list[str]) -> "WordDocMatrix":
-        """Return the submatrix restricted to ``selected`` columns.
+        """Return the submatrix restricted to the distinct ``selected`` columns.
 
         Documents whose counts are all zero over the selected terms are
         pruned from the result (with a warning).
@@ -203,8 +209,24 @@ class WordDocMatrix:
         missing = [t for t in selected if t not in index]
         if missing:
             raise DataError(f"unknown terms: {', '.join(missing[:5])}")
-        cols = [index[t] for t in selected]
-        return WordDocMatrix(self.counts[:, cols], list(self.doc_ids), list(selected))
+        if len(set(selected)) != len(selected):
+            raise DataError("selected terms must be distinct")
+        position = np.full(self.n_terms, -1)
+        position[[index[t] for t in selected]] = np.arange(len(selected))
+        column = position[self.indices]
+        hit = column >= 0
+        indptr = np.concatenate([[0], np.cumsum(hit)])[self.indptr]
+        return WordDocMatrix(
+            (indptr, column[hit], self.data[hit]), list(self.doc_ids), list(selected)
+        )
+
+
+def _warn_pruned(what: str, ids: list[str]) -> None:
+    """Warn that ``ids`` were pruned, naming the first 10 and then the count."""
+    if ids:
+        more = f", ... ({len(ids)} in all)" if len(ids) > 10 else ""
+        message = f"pruned {what} with all-zero counts: {', '.join(ids[:10])}{more}"
+        warnings.warn(message, CowordMapWarning, stacklevel=3)
 
 
 def load_corpus(source: str | Path, format: str = "files") -> Corpus:
@@ -313,12 +335,12 @@ def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
     return out
 
 
-def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], np.ndarray]:
-    """Tokenize each document once into the documents x terms count matrix.
+def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], tuple]:
+    """Tokenize each document once into the CSR documents x terms counts.
 
     Each term gets an id when it first appears; the columns are then put in
     vocabulary order (descending total count, ties broken lexicographically)
-    and every count is filled by one ``np.bincount`` over the token cells.
+    and the sorted ``(row, column)`` keys of the tokens give each cell once.
     """
     if len(corpus) == 0:
         raise DataError("empty corpus")
@@ -333,14 +355,15 @@ def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], np.nd
         raise DataError("vocabulary is empty after stopword/length filtering")
     terms = list(ids)
     col = np.array(cols, dtype=np.int64)
+    del cols  # free the per-token list before the sort
     totals = np.bincount(col).tolist()
     order = sorted(range(len(terms)), key=lambda k: (-totals[k], terms[k]))
     rank = np.empty(len(terms), dtype=np.int64)
     rank[order] = np.arange(len(terms))
     row = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
-    shape = (len(corpus), len(terms))
-    counts = np.bincount(row * shape[1] + rank[col], minlength=shape[0] * shape[1])
-    return [terms[k] for k in order], counts.reshape(shape)
+    keys, data = np.unique(row * len(terms) + rank[col], return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(len(corpus) + 1) * len(terms))
+    return [terms[k] for k in order], (indptr, keys % len(terms), data)
 
 
 def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
@@ -353,12 +376,10 @@ def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
     Raises:
         DataError: No token survives filtering.
     """
-    terms, counts = _count_terms(corpus, cfg)
-    return Vocabulary(
-        terms=tuple(terms),
-        total_freq=counts.sum(axis=0),
-        doc_freq=np.count_nonzero(counts, axis=0).astype(np.int64),
-    )
+    terms, (_, indices, data) = _count_terms(corpus, cfg)
+    total_freq = np.zeros(len(terms), dtype=np.int64)
+    np.add.at(total_freq, indices, data)
+    return Vocabulary(tuple(terms), total_freq, doc_freq=np.bincount(indices))
 
 
 def build_word_doc_matrix(
@@ -379,7 +400,7 @@ def build_word_doc_matrix(
     Raises:
         DataError: The corpus is empty, or no token survives filtering.
     """
-    terms, counts = _count_terms(corpus, cfg)
+    terms, (indptr, indices, data) = _count_terms(corpus, cfg)
     if binary:
-        np.minimum(counts, 1, out=counts)
-    return WordDocMatrix(counts, [d.id for d in corpus], terms)
+        np.minimum(data, 1, out=data)
+    return WordDocMatrix((indptr, indices, data), [d.id for d in corpus], terms)

@@ -2,9 +2,9 @@
 
 Writers are deterministic serializers: fixed number formats (4 decimals in
 Pajek files, 6 significant digits in CSV), LF line endings, no timestamps.
-``write_csv`` streams count rows from their nonzeros; given an index into
-distinct rows, it formats each distinct row once (``expected.csv`` has one
-per distinct row margin).
+``write_csv`` streams count rows from their nonzeros; given the row and
+column index into distinct cells, it formats each distinct cell once
+(``expected.csv`` has one per distinct pair of row and column margins).
 ``read_pajek_net`` and ``read_pajek_matrix`` parse exactly what the writers
 emit, so written files can be reloaded and round-tripped in tests.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from collections.abc import Iterable
 from pathlib import Path
@@ -68,10 +69,6 @@ def _quote(label: str) -> str:
 
 def _fmt4(x: float) -> str:
     return f"{x:.4f}"
-
-
-def _fmt_real(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _xml_escape(text: str) -> str:
@@ -233,11 +230,9 @@ def read_pajek_matrix(path: str | Path) -> CoocMatrix:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt_real(float(value))
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return str(int(value))  # booleans as 0/1
+    return f"{float(value):.6g}"
 
 
 def _row_body(row: np.ndarray) -> str:
@@ -256,15 +251,15 @@ def write_csv(
     row_labels: list[str],
     col_labels: list[str],
     corner: str = "doc",
-    index: np.ndarray | None = None,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> None:
     """Write a labelled matrix as CSV.
 
     ``values`` is a 2-D array or an iterable of 1-D array rows. With
-    ``index``, ``values`` holds distinct rows and data row ``i`` is
-    ``values[index[i]]``, so each distinct row is formatted once; this is
-    how ``expected.csv`` is written from
-    :func:`~cowordmap.termstats.distinct_expected_rows`. Header row holds
+    ``index=(rows, cols)``, ``values`` holds distinct cells, each formatted
+    once, and data cell ``(i, j)`` is ``values[rows[i], cols[j]]``, as
+    :func:`~cowordmap.termstats.distinct_expected_cells` gives for
+    ``expected.csv``. Header row holds
     the column labels after the ``corner`` cell; each data row starts with
     its row label. Bool, integer and unsigned rows are written with ``%d``
     (booleans as 0/1), every other dtype with ``%.6g`` (6 significant
@@ -275,8 +270,11 @@ def write_csv(
     """
     bodies = map(_row_body, values)
     if index is not None:
-        distinct = list(bodies)
-        bodies = (distinct[k] for k in index)
+        fmt = ",%d" if values.dtype.kind in "biu" else ",%.6g"
+        cells = [[fmt % v for v in row] for row in values.tolist()]
+        # itemgetter of one column gives a str, which joins to itself
+        pick = operator.itemgetter(*index[1]) if len(index[1]) else lambda row: ()
+        bodies = ("".join(pick(cells[k])) for k in index[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([corner, *col_labels])

@@ -8,6 +8,7 @@ fixed node order, then fit the drawing into the unit square with a uniform
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,7 +124,8 @@ def fruchterman_reingold(
     n = len(g.nodes)
     if n == 0:
         raise DataError("cannot lay out an empty graph")
-    rng, pos, _, scaled = _start(g, seed)
+    seeded, _, scaled = _start(g, seed)
+    pos = seeded()[1] if scaled is None else scaled  # scaled is None if n < 3
     if n == 1:
         return Layout(
             coords=_normalize(pos), labels=g.labels, algorithm="fr",
@@ -141,7 +143,7 @@ def fruchterman_reingold(
         t = t0 * (1.0 - step / iterations)
         dx, dy, dist = _pair_offsets(pos, work)
         if dist.min() < _EPS:
-            _separate_coincident(pos, rng)
+            _separate_coincident(pos, seeded()[0])
             dx, dy, dist = _pair_offsets(pos, work)
         # Every distance is now >= _EPS (the diagonal is inf), so no floor.
         np.square(dist, out=dist)
@@ -241,12 +243,17 @@ def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
 
 
 def _start(g: Graph, seed: int):
-    """Seeded generator and random start (drawn first), hop distances, and
-    their classical scaling: None if disconnected or without unique axes."""
-    rng = np.random.default_rng(seed)
-    pos = rng.random((len(g.nodes), 2))
+    """A cached factory of the seeded generator and its random start (drawn
+    first), built on the first call only; hop distances; and their classical
+    scaling: None if disconnected or without unique axes."""
     hops = graph_distances(g)
-    return rng, pos, hops, _classical_mds(hops) if np.isfinite(hops).all() else None
+
+    @functools.cache
+    def seeded():
+        rng = np.random.default_rng(seed)
+        return rng, rng.random((len(g.nodes), 2))
+
+    return seeded, hops, _classical_mds(hops) if np.isfinite(hops).all() else None
 
 
 def kamada_kawai(
@@ -284,7 +291,8 @@ def kamada_kawai(
     n = len(g.nodes)
     if n == 0:
         raise DataError("cannot lay out an empty graph")
-    rng, pos, hops, scaled = _start(g, seed)
+    seeded, hops, scaled = _start(g, seed)
+    pos = seeded()[1] if scaled is None else scaled
     if n == 1:
         return Layout(
             coords=_normalize(pos), labels=g.labels, algorithm="kk",
@@ -292,14 +300,15 @@ def kamada_kawai(
         )
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
-    pos = pos if scaled is None else scaled
-    _separate_coincident(pos, rng)
     weight = _stress_weights(hops)
     laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
     neg_pull = -(weight * hops)
     # Planes 0, 1 and 3 are scratch; plane 2 holds the current distances.
     work = np.empty((4, n, n))
     dist = _pair_offsets(pos, work)[2]
+    if dist.min() < _EPS:
+        _separate_coincident(pos, seeded()[0])
+        dist = _pair_offsets(pos, work)[2]
     energy = _energy(dist, hops, weight, work[0])
     history = [energy]
     iterations = 0

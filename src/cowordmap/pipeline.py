@@ -327,9 +327,10 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
 
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
-    export.write_csv(matrix.counts, out / "matrix.csv", matrix.doc_ids, matrix.terms)
-    rows, index = termstats.distinct_expected_rows(matrix)
-    export.write_csv(rows, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
+    rows = (row for block in map(matrix.dense, termstats._row_blocks(matrix)) for row in block)
+    export.write_csv(rows, out / "matrix.csv", matrix.doc_ids, matrix.terms)
+    cells, *index = termstats.distinct_expected_cells(matrix)
+    export.write_csv(cells, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
 
 
 def _compute_terms(view: SimpleNamespace, products: dict) -> None:

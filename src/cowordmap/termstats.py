@@ -29,7 +29,7 @@ __all__ = [
     "ObsExpMatrix",
     "TermScores",
     "chi_square",
-    "distinct_expected_rows",
+    "distinct_expected_cells",
     "expected_matrix",
     "obs_exp",
     "select_terms",
@@ -112,22 +112,17 @@ class TermScores:
         return sorted(range(len(self.terms)), key=lambda k: (-values[k], self.terms[k]))
 
 
-_BLOCK_CELLS = 1 << 20  # cells per row block: bounds each float temporary
+_BLOCK_CELLS = 1 << 15  # cells per row block: bounds each dense temporary
 
 
-def _expected(m: WordDocMatrix, row_margins: np.ndarray) -> np.ndarray:
-    """``outer(row_margins, C) / T``; each cell is computed on its own."""
-    return np.outer(row_margins, m.col_margins) / m.total
+def _expected(m: WordDocMatrix, row_margins: np.ndarray, col_margins=None) -> np.ndarray:
+    """``outer(row_margins, C) / T``, or of ``col_margins``; each cell on its own."""
+    return np.outer(row_margins, m.col_margins if col_margins is None else col_margins) / m.total
 
 
 def _row_blocks(m: WordDocMatrix) -> list[slice]:
     step = max(1, _BLOCK_CELLS // m.n_terms)
     return [slice(i, i + step) for i in range(0, m.n_docs, step)]
-
-
-def _doc_freq(m: WordDocMatrix) -> np.ndarray:
-    """Documents per term, counted in row blocks (no n×m bool temporary)."""
-    return sum(np.count_nonzero(m.counts[rows], axis=0) for rows in _row_blocks(m))
 
 
 def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
@@ -141,15 +136,17 @@ def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
     )
 
 
-def distinct_expected_rows(m: WordDocMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of :func:`expected_matrix` and each document's index into them.
+def distinct_expected_cells(m: WordDocMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct cells of :func:`expected_matrix`, and each row's and column's index.
 
-    An expected row depends only on its row margin, so there is one row per
-    distinct margin, in ascending margin order. Each cell is computed as
-    ``expected_matrix`` computes it, so ``rows[index]`` has its bits.
+    An expected cell depends only on its two margins, so ``cells`` has one
+    row per distinct row margin and one column per distinct column margin,
+    both ascending. Each cell is computed as ``expected_matrix`` computes
+    it, so ``cells[np.ix_(rows, cols)]`` has its bits.
     """
-    margins, index = np.unique(m.row_margins, return_inverse=True)
-    return _expected(m, margins), index
+    row_margins, rows = np.unique(m.row_margins, return_inverse=True)
+    col_margins, cols = np.unique(m.col_margins, return_inverse=True)
+    return _expected(m, row_margins, col_margins), rows, cols
 
 
 def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
@@ -157,7 +154,7 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
 
     A term present in every document gets an all-zero column.
     """
-    idf = np.log2(m.n_docs / _doc_freq(m))
+    idf = np.log2(m.n_docs / m.doc_freq)
     return m.counts * idf[np.newaxis, :]
 
 
@@ -218,24 +215,23 @@ def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
 def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     """Compute all four selection scores for every term of the matrix.
 
-    Row blocks of about ``_BLOCK_CELLS`` cells compute their expected rows
-    once and take the chi-square, obs/exp and tf-idf cells from them; no
-    n×m float temporary is held. Column sums are running sums added in row
-    order, as ``sum(axis=0)`` adds a C-ordered matrix, so every score has
-    the bits of the whole-matrix functions (summed block totals would not).
+    Row blocks of about ``_BLOCK_CELLS`` cells are made dense one at a time
+    and give their chi-square, obs/exp and tf-idf cells; no temporary is as
+    large as the matrix. Column sums are running sums added in row order, as
+    ``sum(axis=0)`` adds a C-ordered matrix, so every score has the bits of
+    the whole-matrix functions (summed block totals would not).
     """
-    doc_freq = _doc_freq(m)
-    idf = np.log2(m.n_docs / doc_freq)
+    idf = np.log2(m.n_docs / m.doc_freq)
     chi2 = ratio = tfidf = None
     for rows in _row_blocks(m):
-        counts, expected = m.counts[rows], _expected(m, m.row_margins[rows])
+        counts, expected = m.dense(rows), _expected(m, m.row_margins[rows])
         chi2 = _add_rows(chi2, _chi_cells(counts, expected, yates)[0])
         ratio = _add_rows(ratio, counts / expected)
         tfidf = _add_rows(tfidf, counts * idf)
     return TermScores(
         terms=list(m.terms),
         freq=m.col_margins.astype(np.int64),
-        doc_freq=doc_freq.astype(np.int64),
+        doc_freq=m.doc_freq.astype(np.int64),
         tfidf=tfidf,
         chi2=chi2,
         obs_exp_sum=ratio,

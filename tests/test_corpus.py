@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,3 +351,154 @@ class TestBuildWordDocMatrix:
         m = make_matrix([[1, 1], [1, 1]])
         with pytest.raises(DataError, match="unknown"):
             m.select_terms(["nope"])
+
+    def test_select_terms_rejects_repeated_terms(self):
+        m = make_matrix([[1, 1], [1, 1]])
+        with pytest.raises(DataError, match="distinct"):
+            m.select_terms(["t1", "t1"])
+
+    def test_pruned_document_warning_names_ten_ids_then_the_count(self):
+        counts = np.zeros((30, 2), dtype=np.int64)
+        counts[25:] = 1  # the first 25 rows are all zero
+        with pytest.warns(CowordMapWarning) as caught:
+            m = make_matrix(counts)
+        ids = [f"d{i + 1}" for i in range(25)]
+        assert [str(w.message) for w in caught] == [
+            "pruned documents with all-zero counts: " + ", ".join(ids[:10]) + ", ... (25 in all)"
+        ]
+        assert m.pruned_docs == ids
+        assert m.doc_ids == [f"d{i + 1}" for i in range(25, 30)]
+
+
+def dense_count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], np.ndarray]:
+    """The dense one-pass ingest the CSR one replaced, kept verbatim as the oracle."""
+    if len(corpus) == 0:
+        raise DataError("empty corpus")
+    ids: dict[str, int] = {}
+    cols: list[int] = []
+    lengths: list[int] = []
+    for doc in corpus:
+        tokens = tokenize(doc, cfg)
+        cols.extend([ids.setdefault(tok, len(ids)) for tok in tokens])
+        lengths.append(len(tokens))
+    if not ids:
+        raise DataError("vocabulary is empty after stopword/length filtering")
+    terms = list(ids)
+    col = np.array(cols, dtype=np.int64)
+    totals = np.bincount(col).tolist()
+    order = sorted(range(len(terms)), key=lambda k: (-totals[k], terms[k]))
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[order] = np.arange(len(terms))
+    row = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    shape = (len(corpus), len(terms))
+    counts = np.bincount(row * shape[1] + rank[col], minlength=shape[0] * shape[1])
+    return [terms[k] for k in order], counts.reshape(shape)
+
+
+def dense_matrix(counts: np.ndarray, doc_ids: list[str], terms: list[str]):
+    """What the dense WordDocMatrix held: the pruned counts, their margins,
+    total and doc frequencies, and the pruning warnings (at most 10 ids, then
+    the count); a str for the DataError of an empty result."""
+    row_margins, col_margins = counts.sum(axis=1), counts.sum(axis=0)
+    keep_rows, keep_cols = row_margins > 0, col_margins > 0
+    messages = []
+    for what, labels, keep in (("documents", doc_ids, keep_rows), ("terms", terms, keep_cols)):
+        pruned = [label for label, k in zip(labels, keep) if not k]
+        if pruned:
+            more = f", ... ({len(pruned)} in all)" if len(pruned) > 10 else ""
+            messages.append(f"pruned {what} with all-zero counts: " + ", ".join(pruned[:10]) + more)
+    kept = counts[np.ix_(keep_rows, keep_cols)]
+    if kept.size == 0:
+        return "DataError: matrix is empty after pruning zero margins", messages
+    return SimpleNamespace(
+        counts=kept,
+        doc_ids=[i for i, k in zip(doc_ids, keep_rows) if k],
+        terms=[t for t, k in zip(terms, keep_cols) if k],
+        row_margins=row_margins[keep_rows],
+        col_margins=col_margins[keep_cols],
+        total=int(kept.sum()),
+        doc_freq=np.count_nonzero(kept, axis=0),
+        pruned_docs=[i for i, k in zip(doc_ids, keep_rows) if not k],
+    ), messages
+
+
+def assert_same_matrix(got, want):
+    """``got`` (a WordDocMatrix or an error string) equals ``want`` bit for bit."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("counts", "row_margins", "col_margins", "doc_freq"):
+        value, expected = getattr(got, name), getattr(want, name)
+        assert value.dtype == np.int64 and value.tobytes() == expected.tobytes(), name
+        assert value.shape == expected.shape, name
+    assert (got.doc_ids, got.terms, got.pruned_docs, got.total) == (
+        want.doc_ids, want.terms, want.pruned_docs, want.total
+    )
+    assert (got.n_docs, got.n_terms) == want.counts.shape
+
+
+def test_csr_matrix_matches_dense_builder():
+    """CSR ingest and select_terms against the dense builder, bit for bit:
+    empty and all-stopword documents (pruned, more than 10 at a time) and
+    binary counts included."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pool = ["a", "b", "ab", "Ab", "map", "Maps", "maps", "xyz", "x1", "the", "of"]
+    words = st.lists(st.sampled_from(pool), min_size=1, max_size=9).map(" ".join)
+    text = st.one_of(words, st.just(""), st.sampled_from(["the of", "The, of.", "of"]))
+    seen = []
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(
+        texts=st.lists(text, max_size=16),
+        lowercase=st.booleans(),
+        min_token_length=st.integers(1, 2),
+        binary=st.booleans(),
+        data=st.data(),
+    )
+    def check(texts, lowercase, min_token_length, binary, data):
+        corpus = corpus_of(*texts)
+        cfg = TokenizerConfig(lowercase=lowercase, min_token_length=min_token_length,
+                              stopwords=frozenset({"the", "of"}))
+        got, got_warnings = outcome(lambda: build_word_doc_matrix(corpus, cfg, binary=binary))
+        try:
+            terms, counts = dense_count_terms(corpus, cfg)
+        except DataError as exc:
+            assert got == f"DataError: {exc}"
+            return
+        if binary:
+            np.minimum(counts, 1, out=counts)
+        want, want_warnings = dense_matrix(counts, [d.id for d in corpus], terms)
+        assert got_warnings == want_warnings
+        assert_same_matrix(got, want)
+        if isinstance(want, str):
+            return
+        seen.append((len(want.pruned_docs), binary, int(counts.max())))
+        picked = data.draw(st.lists(st.sampled_from(want.terms), unique=True))
+        got_sub, got_sub_warnings = outcome(lambda: got.select_terms(picked))
+        cols = [want.terms.index(t) for t in picked]
+        want_sub, want_sub_warnings = dense_matrix(want.counts[:, cols], want.doc_ids, picked)
+        assert got_sub_warnings == want_sub_warnings
+        assert_same_matrix(got_sub, want_sub)
+
+    check()
+    assert any(pruned > 10 for pruned, _, _ in seen)
+    assert any(binary for _, binary, _ in seen) and any(top > 1 for _, _, top in seen)
+
+
+def test_ingest_memory_stays_well_under_the_dense_matrix():
+    """tracemalloc sees numpy's buffers: building a 400 x 5000 matrix at 2%
+    density needs far less than its 16 MB of dense int64 counts."""
+    rng = np.random.default_rng(0)
+    words = [f"w{k}" for k in range(5000)]
+    corpus = corpus_of(*(
+        " ".join([*words[13 * i:13 * i + 13], *rng.choice(words, size=90)]) for i in range(400)
+    ))
+    tracemalloc.start()
+    try:
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.counts.shape == (400, 5000)
+    assert peak < 16e6 / 4, peak

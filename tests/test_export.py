@@ -27,7 +27,7 @@ from cowordmap.export import (
 )
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.layout import Layout
-from cowordmap.termstats import distinct_expected_rows, expected_matrix
+from cowordmap.termstats import distinct_expected_cells, expected_matrix
 from cowordmap.vectorspace import CoocMatrix, Edge, Graph, Node
 from conftest import make_matrix
 
@@ -322,24 +322,25 @@ class TestCsv:
             else:
                 elements = st.integers(0, 255 if dtype is np.uint8 else 10**12)
             values = draw(hnp.arrays(dtype, (n, m), elements=elements))
-            # rows repeat when several data rows index one distinct row
+            # cells repeat when several data rows or columns index one distinct cell
             index = draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else []
+            columns = draw(st.lists(st.integers(0, m - 1), max_size=12)) if m else []
             labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS), min_size=len(index),
                                    max_size=len(index)))
-            return values, index, labels, draw(st.lists(st.sampled_from(AWKWARD_LABELS),
-                                                        min_size=m, max_size=m))
+            return values, index, columns, labels, draw(st.lists(
+                st.sampled_from(AWKWARD_LABELS), min_size=len(columns), max_size=len(columns)))
 
         @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
         @hypothesis.given(matrices(), st.booleans(), st.booleans())
         def check(matrix, indexed, streamed):
-            values, index, rows, cols = matrix
-            values_by_row = values[index]
-            write_csv_oracle(values_by_row, tmp_path / "oracle.csv", rows, cols, corner="")
+            values, index, columns, rows, cols = matrix
+            cells = values[np.ix_(index, columns)]
+            write_csv_oracle(cells, tmp_path / "oracle.csv", rows, cols, corner="")
             if indexed:
                 write_csv(values, tmp_path / "m.csv", rows, cols, corner="",
-                          index=np.array(index, dtype=np.int64))
+                          index=(np.array(index, dtype=np.int64), np.array(columns, dtype=np.int64)))
             else:
-                source = (row for row in values_by_row) if streamed else values_by_row
+                source = (row for row in cells) if streamed else cells
                 write_csv(source, tmp_path / "m.csv", rows, cols, corner="")
             assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -356,9 +357,9 @@ class TestCsv:
         )
 
     def test_distinct_expected_rows_match_expected_matrix(self, tmp_path):
-        m = make_matrix([[3, 0, 1], [1, 1, 2], [3, 0, 1], [0, 5, 0]])
-        rows, index = distinct_expected_rows(m)
-        write_csv(rows, tmp_path / "distinct.csv", m.doc_ids, m.terms, index=index)
+        m = make_matrix([[3, 0, 1, 1], [1, 1, 2, 2], [3, 0, 1, 1], [0, 5, 0, 2]])
+        cells, rows, cols = distinct_expected_cells(m)
+        write_csv(cells, tmp_path / "distinct.csv", m.doc_ids, m.terms, index=(rows, cols))
         e = expected_matrix(m)
         write_csv_oracle(e.values, tmp_path / "oracle.csv", e.doc_ids, e.terms)
         assert (tmp_path / "distinct.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

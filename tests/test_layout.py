@@ -15,6 +15,7 @@ from cowordmap.errors import DataError
 from cowordmap.layout import (
     _EPS,
     _classical_mds,
+    _pair_offsets,
     _separate_coincident,
     fruchterman_reingold,
     graph_distances,
@@ -44,6 +45,15 @@ def cycle(n):
         nodes=[Node(f"n{i}") for i in range(n)],
         edges=[Edge(i, i + 1, 1.0) for i in range(n - 1)] + [Edge(0, n - 1, 1.0)],
     )
+
+
+def twin_leaf_grid():
+    """A 6 x 4 grid with two leaves on a corner: its classical scaling has
+    unique axes and puts the two leaves on one point."""
+    edges = [Edge(r * 6 + c, r * 6 + c + 1, 1.0) for r in range(4) for c in range(5)]
+    edges += [Edge(r * 6 + c, (r + 1) * 6 + c, 1.0) for r in range(3) for c in range(6)]
+    edges += [Edge(0, 24, 1.0), Edge(0, 25, 1.0)]
+    return Graph(nodes=[Node(f"n{i}") for i in range(26)], edges=edges)
 
 
 def _separate_coincident_reference(pos, rng):
@@ -242,6 +252,15 @@ class TestFruchtermanReingold:
                                   start=start, first=first)
         assert np.array_equal(layout.raw, reference)
         assert layout.iterations == 25 - first
+
+    def test_coincident_scaled_start_nudges_from_the_seeded_stream(self):
+        """The nudge draws follow the random start's draw, as when the
+        generator was built up front."""
+        g = twin_leaf_grid()
+        start, first = scaled_start(g, 25)
+        assert _pair_offsets(start)[2].min() == 0.0
+        layout = fruchterman_reingold(g, iterations=25, seed=7)
+        assert np.array_equal(layout.raw, _fr_reference(g, 25, 7, start=start, first=first))
 
     @pytest.mark.parametrize("g", [
         chain(2),
@@ -489,6 +508,17 @@ class TestClassicalStart:
         assert layout.stress_history[0] == stress(seeded, hops)
         assert np.array_equal(layout.raw, kamada_kawai(g, seed=5).raw)
         assert not np.array_equal(layout.raw, kamada_kawai(g, seed=6).raw)
+
+    def test_coincident_scaled_start_nudges_from_the_seeded_stream(self):
+        g = twin_leaf_grid()
+        hops = graph_distances(g)
+        after_draw, fresh = _classical_mds(hops), _classical_mds(hops)
+        rng = np.random.default_rng(7)
+        rng.random((len(g.nodes), 2))  # the random start is drawn first
+        _separate_coincident(after_draw, rng)
+        _separate_coincident(fresh, np.random.default_rng(7))
+        history = kamada_kawai(g, seed=7).stress_history
+        assert history[0] == stress(after_draw, hops) != stress(fresh, hops)
 
     @pytest.mark.parametrize("graph_seed", [0, 3, 7])
     def test_default_tol_beats_random_start_at_strict_tol(self, graph_seed):

@@ -735,6 +735,25 @@ class TestCli:
         assert "dropped all-zero vectors before cosine: common" in report["warnings"]
         assert report["map"]["nodes"] == 4
 
+    def test_pruned_document_warning_is_capped_but_report_lists_all(self, tmp_path, capsys):
+        lines = tmp_path / "docs.lines"
+        lines.write_text(
+            "the of and\n" * 25 + "alpha beta\nbeta gamma\ngamma alpha\n", encoding="utf-8"
+        )
+        config = tmp_path / "run.cfg"
+        config.write_text("input_format = lines\n", encoding="utf-8")
+        code = main([
+            "run", "--config", str(config), "--input", str(lines),
+            "--out", str(tmp_path / "out"), "--top", "3", "--factors", "1",
+        ])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        ids = [str(i) for i in range(1, 26)]
+        assert report["corpus"]["pruned_documents"] == ids
+        assert report["warnings"][0] == (
+            "pruned documents with all-zero counts: " + ", ".join(ids[:10]) + ", ... (25 in all)"
+        )
+
     def test_fuzzed_configs_and_inputs_exit_with_a_documented_code(self, micro_dir):
         """Bad values, unknown keys, empty lines, a BOM, odd inputs and outputs.
 

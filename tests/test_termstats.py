@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,7 +15,7 @@ from cowordmap import termstats
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.termstats import (
     chi_square,
-    distinct_expected_rows,
+    distinct_expected_cells,
     expected_matrix,
     obs_exp,
     select_terms,
@@ -104,9 +105,10 @@ class TestBlockedScores:
         check()
 
     def test_expected_rows_equal_outer_product_bitwise(self):
-        """The distinct expected rows, indexed by document, have the bits of
-        ``expected_matrix`` on pruned matrices with repeated row margins and
-        with hundreds of distinct ones; the margins are those of the counts."""
+        """The distinct expected cells, indexed by row and column, have the
+        bits of ``expected_matrix`` on pruned matrices with repeated row
+        margins and with hundreds of distinct ones; the margins are those of
+        the counts."""
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         distinct = []
@@ -135,16 +137,35 @@ class TestBlockedScores:
             assert np.array_equal(m.row_margins, m.counts.sum(axis=1))
             assert np.array_equal(m.col_margins, m.counts.sum(axis=0))
             assert m.total == m.counts.sum()
-            rows, index = distinct_expected_rows(m)
-            assert len(rows) == len(set(m.row_margins.tolist()))
+            cells, rows, cols = distinct_expected_cells(m)
+            assert cells.shape == (len(set(m.row_margins.tolist())),
+                                   len(set(m.col_margins.tolist())))
             outer = np.outer(m.row_margins, m.col_margins) / m.total
-            assert rows[index].tobytes() == outer.tobytes()
+            assert cells[np.ix_(rows, cols)].tobytes() == outer.tobytes()
             assert expected_matrix(m).values.tobytes() == outer.tobytes()
-            distinct.append((len(rows), m.n_docs))
+            distinct.append((cells.shape, m.counts.shape))
 
         check()
-        assert any(rows > 256 for rows, _ in distinct)
-        assert any(rows < docs for rows, docs in distinct)
+        assert any(shape[0] > 256 for shape, _ in distinct)
+        assert any(shape[0] < docs for shape, (docs, _) in distinct)
+        assert any(shape[1] < terms for shape, (_, terms) in distinct)
+
+    def test_traced_peak_stays_far_below_a_dense_float_matrix(self):
+        """tracemalloc sees numpy's buffers: on a 400 x 5000 matrix, where one
+        dense float temporary would take 16 MB, the scores peak under 2 MB."""
+        rng = np.random.default_rng(1)
+        counts = rng.integers(1, 6, size=(400, 5000)) * (rng.random((400, 5000)) < 0.02)
+        counts[np.arange(5000) % 400, np.arange(5000)] += 1  # no zero margin
+        m = make_matrix(counts)
+        del counts
+        tracemalloc.start()
+        try:
+            scores = term_scores(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(scores.freq, m.col_margins)
+        assert peak < 2 * 2**20, peak
 
     def test_bad_yates_rejected(self):
         with pytest.raises(ConfigError, match="yates"):
