@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._stopwords import DEFAULT_STOPWORDS
-from .errors import ConfigError, CowordMapWarning, DataError
+from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
 
 __all__ = [
     "Corpus",
@@ -39,6 +39,9 @@ __all__ = [
     "load_synonym_file",
     "tokenize",
 ]
+
+_BLOCK_CELLS = 1 << 15  # cells per row block: bounds each dense temporary
+
 
 @dataclass(frozen=True, slots=True)
 class Document:
@@ -199,6 +202,13 @@ class WordDocMatrix:
         block[np.repeat(np.arange(len(lengths)), lengths), self.indices[cells]] = self.data[cells]
         return block
 
+    def row_blocks(self):
+        """``(rows, dense(rows))`` for consecutive row slices of about ``_BLOCK_CELLS`` cells."""
+        step = max(1, _BLOCK_CELLS // self.n_terms)
+        for start in range(0, self.n_docs, step):
+            rows = slice(start, start + step)
+            yield rows, self.dense(rows)
+
     def select_terms(self, selected: list[str]) -> "WordDocMatrix":
         """Return the submatrix restricted to the distinct ``selected`` columns.
 
@@ -224,8 +234,7 @@ class WordDocMatrix:
 def _warn_pruned(what: str, ids: list[str]) -> None:
     """Warn that ``ids`` were pruned, naming the first 10 and then the count."""
     if ids:
-        more = f", ... ({len(ids)} in all)" if len(ids) > 10 else ""
-        message = f"pruned {what} with all-zero counts: {', '.join(ids[:10])}{more}"
+        message = f"pruned {what} with all-zero counts: {capped_ids(ids)}"
         warnings.warn(message, CowordMapWarning, stacklevel=3)
 
 

@@ -25,3 +25,9 @@ class CowordMapWarning(UserWarning):
     constant columns dropped before correlation, an empty edge set after
     thresholding, or a clamped factor count.
     """
+
+
+def capped_ids(ids: list[str]) -> str:
+    """``ids`` joined by commas: the first 10, then ``, ... (N in all)`` if longer."""
+    more = f", ... ({len(ids)} in all)" if len(ids) > 10 else ""
+    return ", ".join(ids[:10]) + more

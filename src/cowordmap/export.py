@@ -10,9 +10,9 @@ emit, so written files can be reloaded and round-tripped in tests.
 
 Dialect notes: vertex ids are dense and 1-based; labels are quoted with
 embedded quotes doubled; the z coordinate is fixed at 0.5 (2-D maps). A
-vertex may carry an ``ic <color>`` attribute and an edge a ``p Dots``
-pattern (the standard Pajek way to mark the dashed negative-loading lines);
-both are omitted when unset, keeping the default output minimal.
+``.net`` edge may carry a ``p Dots`` pattern (the standard Pajek way to mark
+the dashed negative-loading lines); it is omitted when unset, keeping the
+default output minimal.
 """
 
 from __future__ import annotations
@@ -111,6 +111,32 @@ def _line(path: Path, lines: list[str], lineno: int, what: str) -> str:
     return lines[lineno - 1]
 
 
+def _vertices(path: Path) -> tuple[list[str], list[tuple[str, tuple[float, float] | None]]]:
+    """The lines of ``path`` and its ``*Vertices N`` block: each label, with x, y if given.
+
+    N must be an integer >= 0, and vertex line ``i`` (file line ``i + 1``)
+    must match ``_VERTEX_RE`` with id ``i``; else a DataError.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        n = int(lines[0].split()[1]) if lines[0].lower().startswith("*vertices") else -1
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0:
+        raise DataError(f"{path.name}:1: expected '*Vertices N' header")
+    vertices = []
+    for i in range(1, n + 1):
+        match = _VERTEX_RE.match(_line(path, lines, i + 1, f"vertex line {i}"))
+        if not match:
+            raise DataError(f"{path.name}:{i + 1}: malformed vertex line")
+        if int(match.group(1)) != i:
+            raise DataError(f"{path.name}:{i + 1}: vertex id {int(match.group(1))} "
+                            f"out of order (expected {i})")
+        xy = None if match.group(3) is None else (float(match.group(3)), float(match.group(4)))
+        vertices.append((match.group(2).replace('""', '"'), xy))
+    return lines, vertices
+
+
 def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
     """Parse a Pajek network file written by :func:`write_pajek_net`.
 
@@ -122,35 +148,13 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
         DataError: Malformed content, reported with its line number.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise DataError(f"{path.name}:1: expected '*Vertices N' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path.name}:1: expected '*Vertices N' header") from None
+    lines, vertices = _vertices(path)
+    n = len(vertices)
+    nodes = [Node(label=label) for label, _ in vertices]
+    have_coords = any(xy is not None for _, xy in vertices)
+    coords = np.array([xy or (0.5, 0.5) for _, xy in vertices], dtype=float).reshape(n, 2)
 
-    nodes: list[Node] = []
-    coords = np.full((n, 2), 0.5)
-    have_coords = False
-    lineno = 1
-    for i in range(n):
-        lineno += 1
-        match = _VERTEX_RE.match(_line(path, lines, lineno, f"vertex line {i + 1}"))
-        if not match:
-            raise DataError(f"{path.name}:{lineno}: malformed vertex line")
-        vid = int(match.group(1))
-        if vid != i + 1:
-            raise DataError(
-                f"{path.name}:{lineno}: vertex id {vid} out of order (expected {i + 1})"
-            )
-        label = match.group(2).replace('""', '"')
-        if match.group(3) is not None:
-            coords[i] = (float(match.group(3)), float(match.group(4)))
-            have_coords = True
-        nodes.append(Node(label=label))
-
-    lineno += 1
+    lineno = n + 2
     if lineno > len(lines) or lines[lineno - 1].lower() != "*edges":
         raise DataError(f"{path.name}:{lineno}: expected '*Edges' header")
     edges: list[Edge] = []
@@ -196,22 +200,11 @@ def write_pajek_matrix(m: CoocMatrix, path: str | Path) -> None:
 def read_pajek_matrix(path: str | Path) -> CoocMatrix:
     """Parse a Pajek matrix file written by :func:`write_pajek_matrix`."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].lower().startswith("*vertices"):
-        raise DataError(f"{path.name}:1: expected '*Vertices N' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataError(f"{path.name}:1: expected '*Vertices N' header") from None
-    labels = []
-    for i in range(n):
-        lineno = i + 2
-        match = re.match(
-            r'^(\d+)\s+"((?:[^"]|"")*)"\s*$', _line(path, lines, lineno, f"vertex line {i + 1}")
-        )
-        if not match or int(match.group(1)) != i + 1:
+    lines, vertices = _vertices(path)
+    n = len(vertices)
+    for lineno, (_, xy) in enumerate(vertices, start=2):
+        if xy is not None:  # .dat vertex lines carry no coordinates
             raise DataError(f"{path.name}:{lineno}: malformed vertex line")
-        labels.append(match.group(2).replace('""', '"'))
     if _line(path, lines, n + 2, "'*Matrix' header").lower() != "*matrix":
         raise DataError(f"{path.name}:{n + 2}: expected '*Matrix' header")
     rows = []
@@ -224,6 +217,7 @@ def read_pajek_matrix(path: str | Path) -> CoocMatrix:
         if len(row) != n:
             raise DataError(f"{path.name}:{lineno}: expected {n} values")
         rows.append(row)
+    labels = [label for label, _ in vertices]
     return CoocMatrix(values=np.array(rows, dtype=np.int64), labels=labels, mode="words")
 
 

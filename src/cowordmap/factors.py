@@ -290,12 +290,9 @@ def factor_graph(sol: FactorSolution, suppression: float = 0.1) -> Graph:
     p, k = sol.loadings.shape
     nodes = [Node(label=l) for l in sol.variable_labels]
     nodes += [Node(label=f"Factor {f + 1}") for f in range(k)]
-    edges = []
-    for j in range(p):
-        for f in range(k):
-            value = sol.loadings[j, f]
-            if abs(value) > suppression:
-                edges.append(
-                    Edge(a=j, b=p + f, weight=abs(float(value)), dotted=value < 0)
-                )
+    rows, cols = np.nonzero(np.abs(sol.loadings) > suppression)  # row-major: (j, f) order
+    edges = [
+        Edge(a=j, b=p + f, weight=abs(v), dotted=v < 0)
+        for j, f, v in zip(rows.tolist(), cols.tolist(), sol.loadings[rows, cols].tolist())
+    ]
     return Graph(nodes=nodes, edges=edges)

@@ -32,19 +32,17 @@ _EPS = 1e-9  # minimum inter-node distance before forces blow up
 
 @dataclass(frozen=True)
 class Layout:
-    """Node coordinates in the unit square, plus provenance.
+    """Node coordinates in the unit square, one row per label.
 
     ``raw`` keeps the pre-normalization coordinates, where geometric
     quantities such as the ideal Fruchterman-Reingold edge length are
-    meaningful; ``iterations`` counts the steps run. ``stress_history`` is
-    filled by the Kamada-Kawai algorithm: the stress of the start positions,
-    then the stress after each majorization iteration.
+    meaningful; ``iterations`` counts the steps run, 0 for one node.
+    ``stress_history`` is filled by the Kamada-Kawai algorithm: the stress of
+    the start positions, then the stress after each majorization iteration.
     """
 
     coords: np.ndarray
     labels: list[str]
-    algorithm: str
-    seed: int
     iterations: int
     raw: np.ndarray
     stress_history: tuple[float, ...] = ()
@@ -121,20 +119,14 @@ def fruchterman_reingold(
     Raises:
         DataError: The graph has no nodes.
     """
-    n = len(g.nodes)
-    if n == 0:
-        raise DataError("cannot lay out an empty graph")
     seeded, _, scaled = _start(g, seed)
-    pos = seeded()[1] if scaled is None else scaled  # scaled is None if n < 3
-    if n == 1:
-        return Layout(
-            coords=_normalize(pos), labels=g.labels, algorithm="fr",
-            seed=seed, iterations=iterations, raw=pos,
-        )
-
+    n = len(g.nodes)
     k = math.sqrt(1.0 / n)
     t0 = 0.1
-    pos, first = (pos, 0) if scaled is None else (scaled * k, 4 * iterations // 5)
+    if scaled is None:  # always so for n < 3; a lone node never moves
+        pos, first = seeded()[1], iterations if n == 1 else 0
+    else:
+        pos, first = scaled * k, 4 * iterations // 5
     a, b = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2).T
     edge_weight = np.array([e.weight if use_weights else 1.0 for e in g.edges], dtype=float)
     slots = np.add.outer([0, n], np.concatenate([np.arange(n), a, b])).ravel()  # x, then y
@@ -165,8 +157,7 @@ def fruchterman_reingold(
         if not np.isfinite(pos).all():
             raise DataError("layout diverged to non-finite coordinates")
     return Layout(
-        coords=_normalize(pos), labels=g.labels, algorithm="fr",
-        seed=seed, iterations=iterations - first, raw=pos,
+        coords=_normalize(pos), labels=g.labels, iterations=iterations - first, raw=pos
     )
 
 
@@ -245,7 +236,9 @@ def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
 def _start(g: Graph, seed: int):
     """A cached factory of the seeded generator and its random start (drawn
     first), built on the first call only; hop distances; and their classical
-    scaling: None if disconnected or without unique axes."""
+    scaling: None if disconnected or without unique axes. DataError if empty."""
+    if not g.nodes:
+        raise DataError("cannot lay out an empty graph")
     hops = graph_distances(g)
 
     @functools.cache
@@ -288,16 +281,12 @@ def kamada_kawai(
         DataError: The graph is empty or disconnected (split components
             first, e.g. with :func:`split_and_pack`).
     """
-    n = len(g.nodes)
-    if n == 0:
-        raise DataError("cannot lay out an empty graph")
     seeded, hops, scaled = _start(g, seed)
+    n = len(g.nodes)
     pos = seeded()[1] if scaled is None else scaled
     if n == 1:
-        return Layout(
-            coords=_normalize(pos), labels=g.labels, algorithm="kk",
-            seed=seed, iterations=0, raw=pos, stress_history=(0.0,),
-        )
+        return Layout(coords=_normalize(pos), labels=g.labels, iterations=0, raw=pos,
+                      stress_history=(0.0,))
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
     weight = _stress_weights(hops)
@@ -326,10 +315,8 @@ def kamada_kawai(
         iterations += 1
         if converged:
             break
-    return Layout(
-        coords=_normalize(pos), labels=g.labels, algorithm="kk",
-        seed=seed, iterations=iterations, raw=pos, stress_history=tuple(history),
-    )
+    return Layout(coords=_normalize(pos), labels=g.labels, iterations=iterations, raw=pos,
+                  stress_history=tuple(history))
 
 
 def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
@@ -374,10 +361,9 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
         spacing = main_width / max(len(isolates) - 1, 1) if main_width > 0 else gutter
         for i, node in enumerate(isolates):
             coords[node] = (i * spacing, row_y)
-    largest = sublayouts[0] if sublayouts else None  # components come largest first
     return Layout(
         coords=_normalize(coords), labels=g.labels,
-        algorithm=largest.algorithm if largest else "pack", seed=seed,
         iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,
-        stress_history=largest.stress_history if largest else (),
+        # components come largest first
+        stress_history=sublayouts[0].stress_history if sublayouts else (),
     )

@@ -28,6 +28,7 @@ artifacts, whatever ran in the output directory before.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -327,7 +328,7 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
 
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
-    rows = (row for block in map(matrix.dense, termstats._row_blocks(matrix)) for row in block)
+    rows = (row for _, block in matrix.row_blocks() for row in block)
     export.write_csv(rows, out / "matrix.csv", matrix.doc_ids, matrix.terms)
     cells, *index = termstats.distinct_expected_cells(matrix)
     export.write_csv(cells, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
@@ -519,29 +520,19 @@ def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
     }
 
 
-def _write_stage(stage: Stage, view: SimpleNamespace, products: dict, out: Path) -> dict:
-    """Run ``stage``'s write step atomically; return its artifacts' sha256s.
+def _publish(out: Path, names: tuple, write: Callable[[Path], None]) -> dict[str, str]:
+    """Run ``write(staged)`` atomically for the files ``names``; return their sha256s.
 
-    The step writes into a temporary directory inside ``out``; only when it
-    returns does each artifact replace its namesake in ``out``.
+    ``write`` fills a temporary directory inside ``out``; only when it
+    returns does each file replace its namesake in ``out``.
     """
     with tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out) as tmp:
         staged = Path(tmp)
-        stage.write(view, products, staged)
-        hashes = {name: _file_digest(staged / name) for name in stage.artifacts}
-        for name in stage.artifacts:
+        write(staged)
+        hashes = {name: _file_digest(staged / name) for name in names}
+        for name in names:
             os.replace(staged / name, out / name)
     return hashes
-
-
-def _write_json(path: Path, data: dict) -> None:
-    """Write ``data`` as sorted, indented JSON through a temporary file."""
-    with tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=path.parent) as tmp:
-        staged = Path(tmp) / path.name
-        staged.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(staged, path)
 
 
 def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
@@ -567,13 +558,12 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     keys: dict[str, str] = {}
     products: dict = {}
     statuses: dict[str, str] = {}
-    stage_warnings: dict[str, list[str]] = {}
 
-    for stage in stages:
-        started = time.perf_counter()
-        view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stage in stages:
+            started = time.perf_counter()
+            view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
             stage.compute(view, products)
             key = keys[stage.name] = _digest([
                 stage.name,
@@ -586,20 +576,23 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
                 and entry.get("artifacts") == _artifact_hashes(out, stage)
             )
             if not cached:
-                entry = {"key": key, "artifacts": _write_stage(stage, view, products, out)}
-        recorded[stage.name] = entry
-        stage_warnings[stage.name] = [str(w.message) for w in caught]
-        statuses[stage.name] = "cached" if cached else "computed"
-        logger.info(
-            "stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
-            time.perf_counter() - started,
-        )
+                write = functools.partial(stage.write, view, products)
+                entry = {"key": key, "artifacts": _publish(out, stage.artifacts, write)}
+            recorded[stage.name] = entry
+            statuses[stage.name] = "cached" if cached else "computed"
+            logger.info("stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
+                        time.perf_counter() - started)
 
     manifest["stages"] = recorded
-    _write_json(out / _MANIFEST, manifest)
     names = sorted(name for stage in stages for name in stage.artifacts)
-    report = _build_report(config, products, names, stage_warnings)
-    _write_json(out / "report.json", report)
+    report = _build_report(config, products, names, [str(w.message) for w in caught])
+
+    def write_json(staged: Path) -> None:
+        for name, data in ((_MANIFEST, manifest), ("report.json", report)):
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            (staged / name).write_text(text, encoding="utf-8")
+
+    _publish(out, (_MANIFEST, "report.json"), write_json)
     artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 
@@ -609,16 +602,12 @@ def run(config: PipelineConfig) -> RunResult:
     return run_stage(config, "run")
 
 
-def _build_report(
-    config: PipelineConfig,
-    products: dict,
-    artifacts: list[str],
-    stage_warnings: dict[str, list[str]],
-) -> dict:
+def _build_report(config: PipelineConfig, products: dict, artifacts: list[str],
+                  warning_messages: list[str]) -> dict:
     report: dict = {
         "config": config.as_dict(),
         "artifacts": artifacts + ["report.json"],
-        "warnings": [w for caught in stage_warnings.values() for w in caught],
+        "warnings": warning_messages,
     }
     if "matrix" in products:
         matrix = products["matrix"]

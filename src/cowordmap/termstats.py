@@ -112,17 +112,9 @@ class TermScores:
         return sorted(range(len(self.terms)), key=lambda k: (-values[k], self.terms[k]))
 
 
-_BLOCK_CELLS = 1 << 15  # cells per row block: bounds each dense temporary
-
-
 def _expected(m: WordDocMatrix, row_margins: np.ndarray, col_margins=None) -> np.ndarray:
     """``outer(row_margins, C) / T``, or of ``col_margins``; each cell on its own."""
     return np.outer(row_margins, m.col_margins if col_margins is None else col_margins) / m.total
-
-
-def _row_blocks(m: WordDocMatrix) -> list[slice]:
-    step = max(1, _BLOCK_CELLS // m.n_terms)
-    return [slice(i, i + step) for i in range(0, m.n_docs, step)]
 
 
 def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
@@ -207,24 +199,25 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     )
 
 
-def _add_rows(total: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+def _add_rows(total: np.ndarray, block: np.ndarray) -> np.ndarray:
     """``total`` plus the rows of ``block`` one by one, as ``sum(axis=0)`` adds."""
-    return block.sum(axis=0) if total is None else np.vstack([total, block]).sum(axis=0)
+    return np.vstack([total, block]).sum(axis=0)
 
 
 def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     """Compute all four selection scores for every term of the matrix.
 
-    Row blocks of about ``_BLOCK_CELLS`` cells are made dense one at a time
-    and give their chi-square, obs/exp and tf-idf cells; no temporary is as
-    large as the matrix. Column sums are running sums added in row order, as
-    ``sum(axis=0)`` adds a C-ordered matrix, so every score has the bits of
-    the whole-matrix functions (summed block totals would not).
+    The dense row blocks of :meth:`~cowordmap.corpus.WordDocMatrix.row_blocks`
+    give their chi-square, obs/exp and tf-idf cells one block at a time; no
+    temporary is as large as the matrix. Column sums are running sums from
+    zero added in row order, as ``sum(axis=0)`` adds a C-ordered matrix, so
+    every score has the bits of the whole-matrix functions (summed block
+    totals would not; every cell is >= +0.0, so the zero start adds none).
     """
     idf = np.log2(m.n_docs / m.doc_freq)
-    chi2 = ratio = tfidf = None
-    for rows in _row_blocks(m):
-        counts, expected = m.dense(rows), _expected(m, m.row_margins[rows])
+    chi2, ratio, tfidf = np.zeros((3, m.n_terms))
+    for rows, counts in m.row_blocks():
+        expected = _expected(m, m.row_margins[rows])
         chi2 = _add_rows(chi2, _chi_cells(counts, expected, yates)[0])
         ratio = _add_rows(ratio, counts / expected)
         tfidf = _add_rows(tfidf, counts * idf)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import WordDocMatrix
-from .errors import ConfigError, CowordMapWarning, DataError
+from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
 
 __all__ = [
     "CoocMatrix",
@@ -148,19 +148,18 @@ def _vectors(values, labels: list[str] | None):
     return data, labels
 
 
-def _mirror_upper(values: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one for exact symmetry."""
-    return np.triu(values, 1) + np.triu(values, 1).T + np.diag(np.diag(values))
+def _unit_gram(data: np.ndarray, labels: list[str], kind: str,
+               result: str) -> tuple[np.ndarray, list[str]]:
+    """Gram matrix of the unit columns, its upper triangle mirrored, diagonal 0.
 
-
-def _drop_null(data: np.ndarray, norms: np.ndarray, labels: list[str], kind: str,
-               result: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Drop the columns of norm 0 with a warning naming them; refuse an empty result."""
+    Columns of norm 0 are dropped with a warning; none left is a DataError.
+    """
+    norms = np.linalg.norm(data, axis=0)
     null = np.flatnonzero(norms == 0)
     if null.size:
         warnings.warn(
             f"dropped {kind} vectors before {result}: "
-            + ", ".join(labels[int(k)] for k in null),
+            + capped_ids([labels[int(k)] for k in null]),
             CowordMapWarning,
             stacklevel=3,
         )
@@ -168,7 +167,8 @@ def _drop_null(data: np.ndarray, norms: np.ndarray, labels: list[str], kind: str
         data, norms, labels = data[:, keep], norms[keep], [labels[int(k)] for k in keep]
     if data.shape[1] == 0:
         raise DataError(f"all vectors are {kind}; {result} matrix is empty")
-    return data, norms, labels
+    upper = np.triu((data.T @ data) / np.outer(norms, norms), 1)
+    return upper + upper.T, labels
 
 
 def cosine_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
@@ -184,32 +184,24 @@ def cosine_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
     Raises:
         DataError: Every vector is all zeros.
     """
-    data, out_labels = _vectors(values, labels)
-    data, norms, out_labels = _drop_null(
-        data, np.linalg.norm(data, axis=0), out_labels, "all-zero", "cosine"
-    )
-    values = (data.T @ data) / np.outer(norms, norms)
-    values = _mirror_upper(values)
+    values, labels = _unit_gram(*_vectors(values, labels), "all-zero", "cosine")
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, labels=out_labels, kind="cosine")
+    return SimilarityMatrix(values=values, labels=labels, kind="cosine")
 
 
 def pearson_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
     """Pairwise Pearson correlation of the columns of a real 2-D array.
 
-    Constant vectors have no defined correlation and are dropped from the
-    result with a warning naming them (count data often yields constants
-    after heavy pruning).
+    The correlation is the cosine of the centred columns. Constant vectors
+    have no defined correlation and are dropped from the result with a
+    warning naming them (count data often yields constants after heavy
+    pruning).
     """
-    data, out_labels = _vectors(values, labels)
-    centered = data - data.mean(axis=0)
-    centered, norms, out_labels = _drop_null(
-        centered, np.linalg.norm(centered, axis=0), out_labels, "constant", "correlation"
-    )
-    values = (centered.T @ centered) / np.outer(norms, norms)
-    values = np.clip(_mirror_upper(values), -1.0, 1.0)
+    data, labels = _vectors(values, labels)
+    values, labels = _unit_gram(data - data.mean(axis=0), labels, "constant", "correlation")
+    values = np.clip(values, -1.0, 1.0)
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, labels=out_labels, kind="pearson")
+    return SimilarityMatrix(values=values, labels=labels, kind="pearson")
 
 
 def cooccurrence(m: WordDocMatrix, mode: str = "words") -> CoocMatrix:

@@ -261,7 +261,7 @@ def test_criterion_08_suppression_behavior(tmp_path):
     from cowordmap.layout import Layout
 
     layout = Layout(coords=coords, labels=[f"v{j}" for j in range(4)],
-                    algorithm="fr", seed=0, iterations=0, raw=coords)
+                    iterations=0, raw=coords)
     node_graph = Graph(nodes=[Node(f"v{j}") for j in range(4)])
     svg = tmp_path / "suppression.svg"
     render_svg_map(node_graph, layout, assignment, svg)

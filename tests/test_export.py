@@ -50,10 +50,7 @@ def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
 
 def layout_for(g, rng) -> Layout:
     coords = np.round(rng.random((len(g.nodes), 2)), 4)
-    return Layout(
-        coords=coords, labels=g.labels, algorithm="fr", seed=0,
-        iterations=0, raw=coords,
-    )
+    return Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
 
 
 def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
@@ -237,6 +234,22 @@ class TestPajekMatrix:
         with pytest.raises(DataError, match=message):
             read_pajek_matrix(path)
 
+    @pytest.mark.parametrize(
+        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
+    )
+    @pytest.mark.parametrize("count", ["-1", "two", ""])
+    def test_bad_vertex_count_is_a_header_error(self, tmp_path, reader, name, count):
+        path = tmp_path / name
+        path.write_text(f"*Vertices {count}\n*Edges\n*Matrix\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"{name}:1: expected '\*Vertices N' header"):
+            reader(path)
+
+    def test_vertex_line_with_coordinates_is_malformed(self, tmp_path):
+        path = tmp_path / "m.dat"
+        path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n*Matrix\n1\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"m\.dat:2: malformed vertex line"):
+            read_pajek_matrix(path)
+
     def test_asymmetric_rejected(self, tmp_path):
         m = CoocMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"], mode="words")
         with pytest.raises(DataError, match="symmetric"):
@@ -379,8 +392,7 @@ class TestSvg:
 
     def layout(self, g):
         coords = np.array([[0.2, 0.2], [0.8, 0.8]])
-        return Layout(coords=coords, labels=g.labels, algorithm="fr",
-                      seed=0, iterations=0, raw=coords)
+        return Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
 
     def test_unassigned_node_is_white(self, tmp_path):
         g = self.graph()
@@ -435,8 +447,7 @@ class TestSvg:
     def test_well_formed_xml_with_special_labels(self, tmp_path):
         g = Graph(nodes=[Node("a<b&c", size=2.0)])
         coords = np.array([[0.5, 0.5]])
-        layout = Layout(coords=coords, labels=g.labels, algorithm="fr",
-                        seed=0, iterations=0, raw=coords)
+        layout = Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
         path = tmp_path / "special.svg"
         render_svg_map(g, layout, None, path)
         ET.fromstring(path.read_text())  # parses cleanly

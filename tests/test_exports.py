@@ -47,3 +47,10 @@ def test_traced_benchmark_wraps_only_names_that_exist():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_stays_within_the_line_budget():
+    # The ROADMAP budget for src/cowordmap/*.py, with room left for a trace module.
+    package = Path(__file__).resolve().parents[1] / "src" / "cowordmap"
+    lines = sum(len(path.read_bytes().splitlines()) for path in package.glob("*.py"))
+    assert lines <= 2921, f"src/cowordmap/*.py has {lines} lines, over the budget of 2921"

@@ -204,6 +204,10 @@ class TestFruchtermanReingold:
         layout = fruchterman_reingold(Graph(nodes=[Node("only")]), seed=1)
         np.testing.assert_allclose(layout.coords, [[0.5, 0.5]])
 
+    @pytest.mark.parametrize("layout_fn", [fruchterman_reingold, kamada_kawai])
+    def test_single_node_runs_no_steps(self, layout_fn):
+        assert layout_fn(Graph(nodes=[Node("a")])).iterations == 0
+
     def test_two_connected_nodes_settle_near_ideal_length(self):
         layout = fruchterman_reingold(chain(2), iterations=500, seed=42)
         k = math.sqrt(1.0 / 2)

@@ -19,7 +19,7 @@ import pytest
 from cowordmap import corpus, export
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
-from cowordmap.errors import ConfigError, DataError
+from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.factors import factor_analyze
 from cowordmap.pipeline import (
     _CHOICES, ARTIFACTS, PipelineConfig, _parse_value, run, run_stage,
@@ -232,7 +232,8 @@ class TestRun:
         matrix = corpus.build_word_doc_matrix(
             corpus.load_corpus(str(micro_dir)), corpus.TokenizerConfig()
         )
-        selected = matrix.select_terms(result.report["selection"]["terms"])
+        with pytest.warns(CowordMapWarning, match="pruned documents"):
+            selected = matrix.select_terms(result.report["selection"]["terms"])
         sol = factor_analyze(selected.counts.T, selected.doc_ids, k=3)
         rows = [
             (label, *sol.loadings[j], communality)

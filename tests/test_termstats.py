@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix, random_pruned_counts
-from cowordmap import termstats
+from cowordmap import corpus
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.termstats import (
     chi_square,
@@ -95,7 +95,7 @@ class TestBlockedScores:
         def check(seed, shape, repeat_rows, yates, block_cells):
             m = random_count_matrix(seed, *shape, repeat_rows=repeat_rows)
             oracle = term_scores_oracle(m, yates)
-            with mock.patch.object(termstats, "_BLOCK_CELLS", block_cells):
+            with mock.patch.object(corpus, "_BLOCK_CELLS", block_cells):
                 scores = term_scores(m, yates=yates)
             for field, values in oracle.items():
                 assert np.array_equal(getattr(scores, field), values), field

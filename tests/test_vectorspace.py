@@ -64,6 +64,19 @@ class TestCosine:
         assert sim.labels == ["good", "other"]
         np.testing.assert_allclose(sim.values, cosine_oracle(data[:, [0, 2]]), atol=1e-12)
 
+    def test_warning_names_ten_dropped_vectors_then_the_count(self):
+        data = np.zeros((2, 13))
+        data[:, 12] = 1.0
+        labels = [f"z{k}" for k in range(12)] + ["kept"]
+        with pytest.warns(CowordMapWarning) as caught:
+            sim = cosine_matrix(data, labels=labels)
+        assert str(caught[0].message) == (
+            "dropped all-zero vectors before cosine: "
+            + ", ".join(labels[:10]) + ", ... (12 in all)"
+        )
+        assert caught[0].filename == __file__  # attributed to the caller
+        assert sim.labels == ["kept"]
+
     def test_all_zero_is_fatal(self):
         with pytest.warns(CowordMapWarning):
             with pytest.raises(DataError, match="all vectors are all-zero"):
