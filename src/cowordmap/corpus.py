@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._stopwords import DEFAULT_STOPWORDS
-from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
+from .errors import ConfigError, CowordMapWarning, DataError, capped_ids, check_unique
 
 __all__ = [
     "Corpus",
@@ -63,10 +63,7 @@ class Corpus:
     documents: tuple[Document, ...]
 
     def __post_init__(self) -> None:
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DataError(f"duplicate document ids: {', '.join(dupes)}")
+        check_unique([d.id for d in self.documents], "document ids")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -105,9 +102,10 @@ class TokenizerConfig:
             )
         bad = sorted(w for w in self.stopwords if w != w.lower())
         if bad:
-            raise ConfigError(f"stopwords must be lowercase: {', '.join(bad[:5])}")
+            raise ConfigError(f"stopwords must be lowercase: {capped_ids(bad)}")
         try:
-            re.compile(self.token_pattern)
+            if re.compile(self.token_pattern).groups > 1:  # findall would yield tuples
+                raise re.error("two or more capture groups; group with (?:...) instead")
         except re.error as exc:
             raise ConfigError(f"invalid token_pattern: {exc}") from exc
 
@@ -218,7 +216,7 @@ class WordDocMatrix:
         index = {t: k for k, t in enumerate(self.terms)}
         missing = [t for t in selected if t not in index]
         if missing:
-            raise DataError(f"unknown terms: {', '.join(missing[:5])}")
+            raise DataError(f"unknown terms: {capped_ids(missing)}")
         if len(set(selected)) != len(selected):
             raise DataError("selected terms must be distinct")
         position = np.full(self.n_terms, -1)

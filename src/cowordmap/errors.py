@@ -9,6 +9,8 @@ Exit-code mapping used by the command-line front end:
 
 from __future__ import annotations
 
+from collections import Counter
+
 
 class ConfigError(Exception):
     """Invalid configuration: unknown key, bad value, missing setting."""
@@ -31,3 +33,9 @@ def capped_ids(ids: list[str]) -> str:
     """``ids`` joined by commas: the first 10, then ``, ... (N in all)`` if longer."""
     more = f", ... ({len(ids)} in all)" if len(ids) > 10 else ""
     return ", ".join(ids[:10]) + more
+
+
+def check_unique(ids: list[str], what: str) -> None:
+    """Raise a DataError naming the repeated ``ids``, sorted and capped."""
+    if dupes := sorted(i for i, count in Counter(ids).items() if count > 1):
+        raise DataError(f"duplicate {what}: {capped_ids(dupes)}")

@@ -8,8 +8,8 @@ fixed node order, then fit the drawing into the unit square with a uniform
 
 from __future__ import annotations
 
-import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +81,9 @@ def _pair_offsets(
     return dx, dy, dist
 
 
-def _separate_coincident(pos: np.ndarray, rng: np.random.Generator) -> None:
-    """Nudge exactly coincident nodes apart by a tiny seeded displacement."""
-    _, _, dist = _pair_offsets(pos)
+def _separate_coincident(pos: np.ndarray, rng, work: np.ndarray | None = None) -> None:
+    """Nudge coincident nodes apart by _EPS at ``rng.random()`` of a full turn each."""
+    _, _, dist = _pair_offsets(pos, work)
     while len(close := np.argwhere(dist < _EPS)):
         j = int(close[0, 1])
         angle = rng.random() * 2 * math.pi
@@ -112,30 +112,31 @@ def fruchterman_reingold(
 
     A connected graph with a unique classical scaling starts from it times
     k (one hop is one ideal edge; Brandes & Pich 2008). That start is
-    untangled, so only steps ``4 * iterations // 5`` onward run, and ``seed``
-    only nudges coincident nodes apart. Other graphs start from seeded
-    random positions and run every step.
+    untangled, so only steps ``4 * iterations // 5`` onward run. Other graphs
+    start from random positions drawn with ``seed`` and run every step.
+    Coincident nodes are nudged apart at angles from one ``random.Random(seed)``.
 
     Raises:
         DataError: The graph has no nodes.
     """
-    seeded, _, scaled = _start(g, seed)
+    _, pos, classical = _start(g, seed)
     n = len(g.nodes)
     k = math.sqrt(1.0 / n)
     t0 = 0.1
-    if scaled is None:  # always so for n < 3; a lone node never moves
-        pos, first = seeded()[1], iterations if n == 1 else 0
+    if classical is None:  # always so for n < 3; a lone node never moves
+        first = iterations if n == 1 else 0
     else:
-        pos, first = scaled * k, 4 * iterations // 5
+        pos, first = classical * k, 4 * iterations // 5
     a, b = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2).T
     edge_weight = np.array([e.weight if use_weights else 1.0 for e in g.edges], dtype=float)
     slots = np.add.outer([0, n], np.concatenate([np.arange(n), a, b])).ravel()  # x, then y
     work = np.empty((4, n, n))
+    nudges = random.Random(seed)
     for step in range(first, iterations):
         t = t0 * (1.0 - step / iterations)
         dx, dy, dist = _pair_offsets(pos, work)
         if dist.min() < _EPS:
-            _separate_coincident(pos, seeded()[0])
+            _separate_coincident(pos, nudges, work)
             dx, dy, dist = _pair_offsets(pos, work)
         # Every distance is now >= _EPS (the diagonal is inf), so no floor.
         np.square(dist, out=dist)
@@ -234,19 +235,16 @@ def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
 
 
 def _start(g: Graph, seed: int):
-    """A cached factory of the seeded generator and its random start (drawn
-    first), built on the first call only; hop distances; and their classical
-    scaling: None if disconnected or without unique axes. DataError if empty."""
+    """Hop distances, the start and its classical scaling: None if disconnected
+    or without unique axes, when the start is ``np.random.default_rng(seed)``
+    positions, the only use of ``numpy.random``. DataError if empty."""
     if not g.nodes:
         raise DataError("cannot lay out an empty graph")
     hops = graph_distances(g)
-
-    @functools.cache
-    def seeded():
-        rng = np.random.default_rng(seed)
-        return rng, rng.random((len(g.nodes), 2))
-
-    return seeded, hops, _classical_mds(hops) if np.isfinite(hops).all() else None
+    classical = _classical_mds(hops) if np.isfinite(hops).all() else None
+    if classical is None:
+        return hops, np.random.default_rng(seed).random((len(g.nodes), 2)), None
+    return hops, classical, classical
 
 
 def kamada_kawai(
@@ -271,8 +269,8 @@ def kamada_kawai(
     rises through rounding is discarded and ends the loop.
 
     It starts from the classical scaling of the ideal distances (Brandes &
-    Pich 2008), or from seeded random positions where that has no unique
-    axes; ``seed`` also sets how coincident start nodes are nudged apart.
+    Pich 2008), or from random positions drawn with ``seed`` where that has no
+    unique axes; coincident start nodes are nudged apart by ``random.Random(seed)``.
     The start is rounded, but ``pinv`` and the products vary in their last
     bits with the BLAS thread count; that shows in 4 decimals only near a
     rounding boundary, or where a relative decrease is within them of ``tol``.
@@ -281,9 +279,8 @@ def kamada_kawai(
         DataError: The graph is empty or disconnected (split components
             first, e.g. with :func:`split_and_pack`).
     """
-    seeded, hops, scaled = _start(g, seed)
+    hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
-    pos = seeded()[1] if scaled is None else scaled
     if n == 1:
         return Layout(coords=_normalize(pos), labels=g.labels, iterations=0, raw=pos,
                       stress_history=(0.0,))
@@ -296,7 +293,7 @@ def kamada_kawai(
     work = np.empty((4, n, n))
     dist = _pair_offsets(pos, work)[2]
     if dist.min() < _EPS:
-        _separate_coincident(pos, seeded()[0])
+        _separate_coincident(pos, random.Random(seed), work)
         dist = _pair_offsets(pos, work)[2]
     energy = _energy(dist, hops, weight, work[0])
     history = [energy]

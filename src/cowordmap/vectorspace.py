@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import WordDocMatrix
-from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
+from .errors import ConfigError, CowordMapWarning, DataError, capped_ids, check_unique
 
 __all__ = [
     "CoocMatrix",
@@ -82,10 +82,7 @@ class Graph:
     edges: list[Edge] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        labels = [n.label for n in self.nodes]
-        if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise DataError(f"duplicate node labels: {', '.join(dupes[:5])}")
+        check_unique([n.label for n in self.nodes], "node labels")
         n = len(self.nodes)
         for e in self.edges:
             if e.a == e.b:

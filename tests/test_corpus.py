@@ -25,6 +25,7 @@ from cowordmap.corpus import (
     tokenize,
 )
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
+from cowordmap.vectorspace import Graph, Node
 
 NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 
@@ -108,6 +109,18 @@ class TestLoadCorpus:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             load_corpus(tmp_path, format="records")
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda ids: Corpus(tuple(Document(i, "") for i in ids)), "document ids"),
+    (lambda ids: Graph(nodes=[Node(i) for i in ids]), "node labels"),
+], ids=["Corpus", "Graph"])
+def test_duplicate_ids_name_ten_then_the_count(build, what):
+    ids = [f"d{i:02d}" for i in range(30)]
+    with pytest.raises(DataError) as excinfo:
+        build(["once"] + ids[::-1] + ids)
+    assert str(excinfo.value) == (
+        f"duplicate {what}: " + ", ".join(ids[:10]) + ", ... (30 in all)")
 
 
 class TestStopwordAndSynonymFiles:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -75,12 +76,12 @@ def _fr_reference(g, iterations=500, seed=42, use_weights=False, start=None, fir
 
     Kept verbatim (returning the raw positions) as the oracle: the plane
     kernel must reproduce it bit for bit. ``start`` replaces the seeded
-    random positions (which are still drawn first) and ``first`` is the
-    schedule step the loop begins at.
+    random positions and ``first`` is the schedule step the loop begins at.
+    Coincident nodes are nudged from one ``random.Random(seed)`` stream.
     """
     n = len(g.nodes)
-    rng = np.random.default_rng(seed)
-    pos = rng.random((n, 2))
+    rng = random.Random(seed)
+    pos = np.random.default_rng(seed).random((n, 2))
     if start is not None:
         pos = start.copy()
     if n == 1:
@@ -258,8 +259,7 @@ class TestFruchtermanReingold:
         assert layout.iterations == 25 - first
 
     def test_coincident_scaled_start_nudges_from_the_seeded_stream(self):
-        """The nudge draws follow the random start's draw, as when the
-        generator was built up front."""
+        """The nudge angles come from one ``random.Random(seed)`` stream."""
         g = twin_leaf_grid()
         start, first = scaled_start(g, 25)
         assert _pair_offsets(start)[2].min() == 0.0
@@ -516,13 +516,10 @@ class TestClassicalStart:
     def test_coincident_scaled_start_nudges_from_the_seeded_stream(self):
         g = twin_leaf_grid()
         hops = graph_distances(g)
-        after_draw, fresh = _classical_mds(hops), _classical_mds(hops)
-        rng = np.random.default_rng(7)
-        rng.random((len(g.nodes), 2))  # the random start is drawn first
-        _separate_coincident(after_draw, rng)
-        _separate_coincident(fresh, np.random.default_rng(7))
+        start = _classical_mds(hops)
+        _separate_coincident(start, random.Random(7))
         history = kamada_kawai(g, seed=7).stress_history
-        assert history[0] == stress(after_draw, hops) != stress(fresh, hops)
+        assert history[0] == stress(start, hops) != stress(_classical_mds(hops), hops)
 
     @pytest.mark.parametrize("graph_seed", [0, 3, 7])
     def test_default_tol_beats_random_start_at_strict_tol(self, graph_seed):
@@ -550,6 +547,26 @@ class TestClassicalStart:
             assert np.array_equal(got, want)
 
         check()
+
+    def test_only_a_random_start_imports_numpy_random(self):
+        """Nudges draw from the stdlib generator, so laying out a coincident
+        classical start leaves ``numpy.random`` unloaded; a fresh interpreter,
+        because the tests themselves import it."""
+        script = (
+            "import sys\n"
+            "from test_layout import cycle, twin_leaf_grid\n"
+            "from cowordmap.layout import fruchterman_reingold, kamada_kawai\n"
+            "fruchterman_reingold(twin_leaf_grid(), iterations=25, seed=7)\n"
+            "kamada_kawai(twin_leaf_grid(), seed=7)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "kamada_kawai(cycle(6), seed=7)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        here = Path(__file__).parent
+        path = os.pathsep.join([str(here), str(here.parent / "src")])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_map_coordinates_do_not_depend_on_blas_threads(self, tmp_path):
         """At about 400 nodes OpenBLAS threads eigh, pinv and the products."""

@@ -654,6 +654,7 @@ class TestCli:
         ("suppression = nan", "suppression"),
         ("cooc_threshold = -inf", "cooc_threshold"),
         ("token_pattern = (", "token_pattern"),
+        (r"token_pattern = (\w)(\w+)", "token_pattern"),
     ])
     def test_negative_or_non_finite_setting_exits_one_before_writing(
         self, micro_dir, tmp_path, capsys, line, key
