@@ -3,8 +3,9 @@
 The pipeline starts here: a directory of ``.txt`` files (or a file with one
 document per line) becomes a :class:`Corpus`, and one tokenizing pass turns
 that into a :class:`WordDocMatrix` of occurrence counts with documents as
-rows and terms as columns. Everything downstream (term statistics,
-similarity, factors) consumes the matrix.
+rows and terms as columns, kept as compressed sparse rows. Everything
+downstream consumes the matrix: term statistics and ``matrix.csv`` read it
+one dense row at a time, similarity and factors a selected submatrix whole.
 
 Example:
     >>> corpus = load_corpus("texts/", format="files")
@@ -39,8 +40,6 @@ __all__ = [
     "load_synonym_file",
     "tokenize",
 ]
-
-_BLOCK_CELLS = 1 << 15  # cells per row block: bounds each dense temporary
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,9 +136,10 @@ class WordDocMatrix:
     Compressed sparse rows: row ``i`` has the nonzero counts
     ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]`` of that
     slice. The margins, ``total`` and ``doc_freq`` are exact integers from
-    these arrays. :attr:`counts` builds the dense matrix on each access.
-    Rows and columns with a zero margin are pruned at construction (ids in
-    ``pruned_docs``), so every expected value from the margins is positive.
+    these arrays. :attr:`counts` builds the dense matrix on each access, and
+    :meth:`rows` one dense row at a time. Rows and columns with a zero margin
+    are pruned at construction (ids in ``pruned_docs``), so every expected
+    value from the margins is positive.
     """
 
     def __init__(self, counts: np.ndarray | tuple, doc_ids: list[str], terms: list[str]):
@@ -188,24 +188,17 @@ class WordDocMatrix:
 
     @property
     def counts(self) -> np.ndarray:
-        """The dense int64 counts, shape (documents, terms), built on each access."""
-        return self.dense()
+        """The dense int64 counts, shape (documents, terms), scattered from CSR on each access."""
+        counts = np.zeros((self.n_docs, self.n_terms), dtype=np.int64)
+        counts[np.repeat(np.arange(self.n_docs), np.diff(self.indptr)), self.indices] = self.data
+        return counts
 
-    def dense(self, rows: slice = slice(None)) -> np.ndarray:
-        """The dense int64 counts of a contiguous block of rows."""
-        start, stop, _ = rows.indices(self.n_docs)
-        lengths = np.diff(self.indptr[start:stop + 1])
-        cells = slice(self.indptr[start], self.indptr[start + len(lengths)])
-        block = np.zeros((len(lengths), self.n_terms), dtype=np.int64)
-        block[np.repeat(np.arange(len(lengths)), lengths), self.indices[cells]] = self.data[cells]
-        return block
-
-    def row_blocks(self):
-        """``(rows, dense(rows))`` for consecutive row slices of about ``_BLOCK_CELLS`` cells."""
-        step = max(1, _BLOCK_CELLS // self.n_terms)
-        for start in range(0, self.n_docs, step):
-            rows = slice(start, start + step)
-            yield rows, self.dense(rows)
+    def rows(self):
+        """Each document's dense int64 counts in row order, scattered into a fresh row."""
+        for start, stop in zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist()):
+            row = np.zeros(self.n_terms, dtype=np.int64)
+            row[self.indices[start:stop]] = self.data[start:stop]
+            yield row
 
     def select_terms(self, selected: list[str]) -> "WordDocMatrix":
         """Return the submatrix restricted to the distinct ``selected`` columns.

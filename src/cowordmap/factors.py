@@ -91,13 +91,9 @@ class FactorAssignment:
 
 
 def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
-    """Flip factor columns so the largest-magnitude loading is non-negative."""
-    flips = np.ones(loadings.shape[1])
-    for f in range(loadings.shape[1]):
-        j = int(np.argmax(np.abs(loadings[:, f])))
-        if loadings[j, f] < 0:
-            flips[f] = -1.0
-    return flips
+    """Flip factor columns so the first largest-magnitude loading is non-negative."""
+    top = loadings[np.abs(loadings).argmax(axis=0), np.arange(loadings.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def factor_analyze(

@@ -328,8 +328,7 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
 
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
-    rows = (row for _, block in matrix.row_blocks() for row in block)
-    export.write_csv(rows, out / "matrix.csv", matrix.doc_ids, matrix.terms)
+    export.write_csv(matrix.rows(), out / "matrix.csv", matrix.doc_ids, matrix.terms)
     cells, *index = termstats.distinct_expected_cells(matrix)
     export.write_csv(cells, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
 

@@ -112,9 +112,10 @@ class TermScores:
         return sorted(range(len(self.terms)), key=lambda k: (-values[k], self.terms[k]))
 
 
-def _expected(m: WordDocMatrix, row_margins: np.ndarray, col_margins=None) -> np.ndarray:
-    """``outer(row_margins, C) / T``, or of ``col_margins``; each cell on its own."""
-    return np.outer(row_margins, m.col_margins if col_margins is None else col_margins) / m.total
+def _expected(m: WordDocMatrix, row_margins, col_margins=None) -> np.ndarray:
+    """``outer(row_margins, C) / T``, or of ``col_margins``; a scalar margin gives one row."""
+    cols = m.col_margins if col_margins is None else col_margins
+    return np.multiply.outer(row_margins, cols) / m.total
 
 
 def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
@@ -199,28 +200,23 @@ def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
     )
 
 
-def _add_rows(total: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``total`` plus the rows of ``block`` one by one, as ``sum(axis=0)`` adds."""
-    return np.vstack([total, block]).sum(axis=0)
-
-
 def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     """Compute all four selection scores for every term of the matrix.
 
-    The dense row blocks of :meth:`~cowordmap.corpus.WordDocMatrix.row_blocks`
-    give their chi-square, obs/exp and tf-idf cells one block at a time; no
-    temporary is as large as the matrix. Column sums are running sums from
-    zero added in row order, as ``sum(axis=0)`` adds a C-ordered matrix, so
-    every score has the bits of the whole-matrix functions (summed block
-    totals would not; every cell is >= +0.0, so the zero start adds none).
+    Each dense row of :meth:`~cowordmap.corpus.WordDocMatrix.rows` adds its
+    chi-square, obs/exp and tf-idf cells to three running column sums; no
+    temporary is larger than one row. A running sum from +0.0 in row order is
+    exactly what ``sum(axis=0)`` computes on a C-ordered matrix, so every
+    score has the bits of the whole-matrix functions (partial totals summed
+    afterwards would not; every cell is >= +0.0, so the zero start adds none).
     """
     idf = np.log2(m.n_docs / m.doc_freq)
     chi2, ratio, tfidf = np.zeros((3, m.n_terms))
-    for rows, counts in m.row_blocks():
-        expected = _expected(m, m.row_margins[rows])
-        chi2 = _add_rows(chi2, _chi_cells(counts, expected, yates)[0])
-        ratio = _add_rows(ratio, counts / expected)
-        tfidf = _add_rows(tfidf, counts * idf)
+    for margin, counts in zip(m.row_margins, m.rows()):
+        expected = _expected(m, margin)
+        chi2 += _chi_cells(counts, expected, yates)[0]
+        ratio += counts / expected
+        tfidf += counts * idf
     return TermScores(
         terms=list(m.terms),
         freq=m.col_margins.astype(np.int64),

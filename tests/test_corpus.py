@@ -499,6 +499,53 @@ def test_csr_matrix_matches_dense_builder():
     assert any(binary for _, binary, _ in seen) and any(top > 1 for _, _, top in seen)
 
 
+def test_rows_yield_the_dense_counts_one_fresh_row_at_a_time():
+    """rows() gives int64 rows equal to counts[i], and counts is the pruned
+    input, on random matrices, on select_terms submatrices (whose columns
+    are not ascending within a row) and where documents were pruned."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = []
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 15)),
+        density=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    def check(seed, shape, density, data):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 9, size=shape) * (rng.random(shape) < density)
+        keep_rows, keep_cols = counts.sum(axis=1) > 0, counts.sum(axis=0) > 0
+        if not keep_rows.any():
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CowordMapWarning)
+            m = make_matrix(counts)
+            picked = data.draw(st.lists(st.sampled_from(m.terms), min_size=1, unique=True))
+            sub = m.select_terms(picked)
+        want = counts[np.ix_(keep_rows, keep_cols)]
+        cols = [m.terms.index(t) for t in picked]
+        want_sub = want[:, cols][want[:, cols].sum(axis=1) > 0]
+        for matrix, expected in ((m, want), (sub, want_sub)):
+            rows = list(matrix.rows())
+            assert matrix.counts.dtype == np.int64
+            assert matrix.counts.tobytes() == expected.tobytes()
+            assert len(rows) == matrix.n_docs
+            for i, row in enumerate(rows):
+                assert row.dtype == np.int64 and row.shape == (matrix.n_terms,)
+                assert row.tobytes() == expected[i].tobytes()
+        unsorted = any(
+            (np.diff(sub.indices[a:b]) < 0).any() for a, b in zip(sub.indptr, sub.indptr[1:])
+        )
+        seen.append((unsorted, bool(m.pruned_docs), bool(sub.pruned_docs)))
+
+    check()
+    for case in range(3):
+        assert any(flags[case] for flags in seen), case
+
+
 def test_ingest_memory_stays_well_under_the_dense_matrix():
     """tracemalloc sees numpy's buffers: building a 400 x 5000 matrix at 2%
     density needs far less than its 16 MB of dense int64 counts."""

@@ -11,6 +11,7 @@ from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.factors import (
     UNASSIGNED,
     FactorSolution,
+    _apply_sign_convention,
     assign_factors,
     factor_analyze,
     factor_graph,
@@ -118,6 +119,11 @@ class TestFactorAnalyze:
         for f in range(sol.n_factors):
             column = sol.loadings[:, f]
             assert column[np.argmax(np.abs(column))] >= 0
+
+    def test_sign_convention_ties_go_to_the_first_maximum(self):
+        loadings = np.array([[0.5, -0.7, 0.0], [-0.5, 0.7, 0.0], [0.1, -0.2, 0.0]])
+        flips = _apply_sign_convention(loadings)
+        assert flips.dtype == np.float64 and flips.tolist() == [1.0, -1.0, 1.0]
 
     def test_constant_column_dropped_before_extraction(self):
         data = np.array([[1.0, 5.0, 2.0], [2.0, 5.0, 4.0], [3.0, 5.0, 5.0]])

@@ -6,6 +6,8 @@ original, so it needs no independent formula.
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
 import warnings
 
@@ -21,6 +23,7 @@ from cowordmap.corpus import (
 )
 from cowordmap.errors import DataError
 from cowordmap.factors import assign_factors, factor_analyze, varimax
+from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run
 from cowordmap.termstats import obs_exp, term_scores, tfidf_matrix
 from cowordmap.vectorspace import cooccurrence, cosine_matrix, pearson_matrix
 
@@ -101,3 +104,59 @@ def test_duplicating_every_document_on_random_corpora():
 
 def test_duplicating_every_micro_document_keeps_the_factors(micro_dir):
     check_duplication(list(load_corpus(micro_dir)), TokenizerConfig(), factors=5)
+
+
+def run_outcome(config: PipelineConfig, out) -> dict:
+    """Every artifact's bytes after ``run``, or the DataError it raised;
+    ``report.json`` parsed."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run(config)
+    except DataError as exc:
+        return {"error": str(exc)}
+    result = {name: (out / name).read_bytes() for name in ARTIFACTS}
+    result["report.json"] = json.loads(result["report.json"])
+    return result
+
+
+def test_binary_counts_change_nothing_when_no_document_repeats_a_token(tmp_path, monkeypatch):
+    """On a corpus where every count is 0 or 1, --binary gives the same bytes
+    in every artifact; report.json differs only in the echoed config.binary."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    words = (*WORDS, "theta", "iota", "kappa")
+    examples, seen = itertools.count(), []
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        texts=st.lists(
+            st.lists(st.sampled_from(words), min_size=1, max_size=8, unique=True),
+            min_size=3, max_size=10,
+        ),
+        top=st.sampled_from([3, 6, 30]),
+        layout=st.sampled_from(["fr", "kk"]),
+    )
+    def check(texts, top, layout):
+        example = tmp_path / str(next(examples))
+        example.mkdir()
+        corpus = example / "corpus.txt"
+        corpus.write_text("".join(" ".join(t) + "\n" for t in texts), encoding="utf-8")
+        outcomes = []
+        for binary in (False, True):
+            (example / str(binary)).mkdir()
+            monkeypatch.chdir(example / str(binary))  # both reports echo the same out
+            config = PipelineConfig.build({
+                "input": str(corpus), "input_format": "lines", "out": "out",
+                "top": top, "layout": layout, "binary": binary,
+            })
+            outcomes.append(run_outcome(config, example / str(binary) / "out"))
+        counts, binary = outcomes
+        if "report.json" in binary:
+            assert binary["report.json"]["config"].pop("binary") is True
+            assert counts["report.json"]["config"].pop("binary") is False
+        assert binary == counts
+        seen.append("error" not in counts)
+
+    check()
+    assert sum(seen) > len(seen) // 2

@@ -5,13 +5,11 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix, random_pruned_counts
-from cowordmap import corpus
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.termstats import (
     chi_square,
@@ -77,8 +75,8 @@ def random_count_matrix(seed, rows, cols, repeat_rows=True):
     return make_matrix(counts)
 
 
-class TestBlockedScores:
-    """term_scores in row blocks keeps the bits of the whole-matrix computation."""
+class TestRowByRowScores:
+    """term_scores, one dense row at a time, keeps the bits of the whole-matrix computation."""
 
     def test_random_matrices_match_oracle_bitwise(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -90,13 +88,11 @@ class TestBlockedScores:
             shape=st.sampled_from([(40, 12), (40, 1), (2, 12), (60, 3)]),
             repeat_rows=st.booleans(),
             yates=st.sampled_from(["observed_lt_5", "off"]),
-            block_cells=st.sampled_from([1, 5, 24, 1 << 20]),
         )
-        def check(seed, shape, repeat_rows, yates, block_cells):
+        def check(seed, shape, repeat_rows, yates):
             m = random_count_matrix(seed, *shape, repeat_rows=repeat_rows)
             oracle = term_scores_oracle(m, yates)
-            with mock.patch.object(corpus, "_BLOCK_CELLS", block_cells):
-                scores = term_scores(m, yates=yates)
+            scores = term_scores(m, yates=yates)
             for field, values in oracle.items():
                 assert np.array_equal(getattr(scores, field), values), field
             assert np.array_equal(chi_square(m, yates).per_cell.sum(axis=0), oracle["chi2"])
