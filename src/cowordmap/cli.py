@@ -6,9 +6,9 @@ Usage::
     coword-map run --input texts/ --criterion chi2 --top 50 --map cooc
     coword-map terms --input texts/ --out results/   # pipeline prefix only
 
-Subcommands ``ingest | terms | map | factors | cooc | render`` run the
-pipeline up to the named stage, skipping the writes of stages whose inputs,
-configuration and artifacts are unchanged.
+Each stage of ``pipeline.STAGES`` is a subcommand that runs the pipeline up
+to that stage, skipping the writes of stages whose inputs, configuration and
+artifacts are unchanged; ``run`` runs every stage.
 
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
 3 I/O error. Progress lines go to stderr; artifacts are deterministic.
@@ -21,7 +21,7 @@ import logging
 import sys
 
 from .errors import ConfigError, DataError
-from .pipeline import _CHOICES, PipelineConfig, _parse_value, run_stage
+from .pipeline import _CHOICES, STAGES, PipelineConfig, _parse_value, run_stage
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -62,32 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared = _Parser(add_help=False)
     shared.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    cut = shared.add_mutually_exclusive_group()
     defaults = PipelineConfig()
     for key, metavar, help_text in _FLAGS:
         default = getattr(defaults, key)
-        group = cut if key in ("top", "min_score") else shared
         if isinstance(default, bool):
             flag = ("--no-" if default else "--") + key
-            group.add_argument(flag, dest=key, action="store_const",
-                               const=str(not default).lower(), help=help_text)
+            shared.add_argument(flag, dest=key, action="store_const",
+                                const=str(not default).lower(), help=help_text)
             continue
         if default not in (None, ""):
             help_text += f" (default {default})"
-        group.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
-                           choices=_CHOICES.get(key), help=help_text)
+        shared.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
+                            choices=_CHOICES.get(key), help=help_text)
 
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("run", "run the full pipeline and write all artifacts"),
-        ("ingest", "build the word-document matrix; write matrix.csv / expected.csv"),
-        ("terms", "score terms and write terms.csv"),
-        ("cooc", "write the selected-term co-occurrence matrix"),
-        ("factors", "extract factors; write loadings.csv / factors.net"),
-        ("map", "build and lay out the map; write map.net"),
-        ("render", "render map.svg with factor coloring"),
-    ]:
-        commands.add_parser(name, parents=[shared], help=help_text)
+    commands.add_parser("run", parents=[shared], help="run every stage; write all artifacts")
+    for stage in STAGES:
+        commands.add_parser(stage.name, parents=[shared],
+                            help=f"run up to {stage.name}; write {', '.join(stage.artifacts)}")
     return parser
 
 

@@ -130,6 +130,14 @@ class Vocabulary:
         return len(self.terms)
 
 
+def _whole(counts) -> np.ndarray:
+    """``counts`` as int64; a DataError unless every value is a finite whole number."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind == "f" and not (np.isfinite(counts) & (counts == np.trunc(counts))).all():
+        raise DataError("counts must be finite whole numbers")
+    return counts.astype(np.int64, copy=False)
+
+
 class WordDocMatrix:
     """Occurrence counts with documents as rows and terms as columns.
 
@@ -145,10 +153,10 @@ class WordDocMatrix:
     def __init__(self, counts: np.ndarray | tuple, doc_ids: list[str], terms: list[str]):
         """``counts`` is a dense matrix or a CSR triple ``(indptr, indices, data)``."""
         if isinstance(counts, tuple):
-            indptr, indices, data = (np.asarray(a, dtype=np.int64) for a in counts)
-            shape = (len(indptr) - 1, len(terms))
+            indptr, indices = (np.asarray(a, dtype=np.int64) for a in counts[:2])
+            data, shape = _whole(counts[2]), (len(indptr) - 1, len(terms))
         else:
-            counts = np.asarray(counts, dtype=np.int64)
+            counts = _whole(counts)
             if counts.ndim != 2:
                 raise DataError("counts must be a 2-D matrix")
             shape, (rows, indices) = counts.shape, np.nonzero(counts)
@@ -235,7 +243,8 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     Args:
         source: Directory of UTF-8 ``.txt`` files, or a UTF-8 text file.
         format: ``"files"`` (one document per file, sorted by filename) or
-            ``"lines"`` (one document per non-empty line).
+            ``"lines"`` (one document per non-empty line; lines end at
+            ``\n``, ``\r\n`` or ``\r``).
 
     Returns:
         The loaded corpus. Document ids are filenames for ``"files"`` and
@@ -261,7 +270,7 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")
-        for lineno, line in enumerate(_read_utf8(source).splitlines(), start=1):
+        for lineno, line in enumerate(_read_utf8(source).split("\n"), start=1):
             if not line.strip():
                 continue
             docs.append(Document(id=str(lineno), text=line))

@@ -23,9 +23,10 @@ class DataError(Exception):
 class CowordMapWarning(UserWarning):
     """Non-fatal condition worth recording in the run report.
 
-    Emitted for documented situations only: pruned all-zero documents,
-    constant columns dropped before correlation, an empty edge set after
-    thresholding, or a clamped factor count.
+    Emitted for documented situations only: pruned all-zero documents or
+    terms, all-zero vectors dropped before cosine, constant columns dropped
+    before correlation, an empty edge set after thresholding, a clamped
+    factor count, and varimax given fewer than 2 factors or not converging.
     """
 
 

@@ -82,20 +82,21 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
     (0.5 everywhere when no layout is given), followed by ``*Edges`` and
     one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix.
     """
-    lines = [f"*Vertices {len(g.nodes)}"]
-    for i, node in enumerate(g.nodes):
-        if layout is not None:
-            x, y = layout.coords[i]
-        else:
-            x, y = 0.5, 0.5
-        lines.append(f"{i + 1} {_quote(node.label)} {_fmt4(x)} {_fmt4(y)} {_fmt4(0.5)}")
-    lines.append("*Edges")
+    xy = [(0.5, 0.5)] * len(g.nodes) if layout is None else layout.coords
+    tails = [f" {_fmt4(x)} {_fmt4(y)} {_fmt4(0.5)}" for x, y in xy]
+    lines = _vertex_lines(g.labels, tails) + ["*Edges"]
     for e in g.edges:
         line = f"{e.a + 1} {e.b + 1} {_fmt4(e.weight)}"
         if e.dotted:
             line += " p Dots"
         lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
+    """The ``*Vertices N`` header, then ``i "label"`` and its tail for each vertex."""
+    pairs = enumerate(zip(labels, tails, strict=True), 1)
+    return [f"*Vertices {len(labels)}"] + [f"{i} {_quote(s)}{t}" for i, (s, t) in pairs]
 
 
 _VERTEX_RE = re.compile(
@@ -189,9 +190,7 @@ def write_pajek_matrix(m: CoocMatrix, path: str | Path) -> None:
     values = np.asarray(m.values)
     if values.shape[0] != values.shape[1] or (values != values.T).any():
         raise DataError("Pajek matrix output requires a symmetric matrix")
-    lines = [f"*Vertices {len(m.labels)}"]
-    lines += [f"{i + 1} {_quote(label)}" for i, label in enumerate(m.labels)]
-    lines.append("*Matrix")
+    lines = _vertex_lines(m.labels, [""] * len(m.labels)) + ["*Matrix"]
     row_format = " ".join(["%d"] * values.shape[1])
     lines += [row_format % tuple(row.tolist()) for row in values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -202,9 +202,9 @@ def varimax(
     loadings = sol.loadings.copy()
     p, k = loadings.shape
     scale = np.sqrt(sol.communalities())
+    scale = np.where(scale > 0, scale, 1.0)[:, np.newaxis]
     if kaiser_normalize:
-        safe = np.where(scale > 0, scale, 1.0)
-        loadings /= safe[:, np.newaxis]
+        loadings /= scale
 
     rotation = np.eye(k)
     history = [varimax_criterion(loadings)]
@@ -223,11 +223,9 @@ def varimax(
                     continue
                 phi = 0.25 * math.atan2(num, den)
                 c, s = math.cos(phi), math.sin(phi)
-                loadings[:, f], loadings[:, g] = c * x + s * y, -s * x + c * y
-                rotation[:, [f, g]] = np.column_stack(
-                    (c * rotation[:, f] + s * rotation[:, g],
-                     -s * rotation[:, f] + c * rotation[:, g])
-                )
+                for m in (loadings, rotation):  # the right side is built before either store
+                    x, y = m[:, f], m[:, g]
+                    m[:, f], m[:, g] = c * x + s * y, -s * x + c * y
         sweeps += 1
         history.append(varimax_criterion(loadings))
         if history[-1] - history[-2] < tol:
@@ -241,7 +239,7 @@ def varimax(
         )
 
     if kaiser_normalize:
-        loadings *= np.where(scale > 0, scale, 1.0)[:, np.newaxis]
+        loadings *= scale
     flips = _apply_sign_convention(loadings)
     return replace(
         sol,

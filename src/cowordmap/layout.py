@@ -81,16 +81,20 @@ def _pair_offsets(
     return dx, dy, dist
 
 
-def _separate_coincident(pos: np.ndarray, rng, work: np.ndarray | None = None) -> None:
-    """Nudge coincident nodes apart by _EPS at ``rng.random()`` of a full turn each."""
-    _, _, dist = _pair_offsets(pos, work)
-    while len(close := np.argwhere(dist < _EPS)):
-        j = int(close[0, 1])
-        angle = rng.random() * 2 * math.pi
-        pos[j] = pos[j] + _EPS * np.array([math.cos(angle), math.sin(angle)])
-        dx, dy = (pos[j] - pos).T  # only node j moved: refresh its distances
-        dist[j] = dist[:, j] = np.sqrt(dx * dx + dy * dy)
-        dist[j, j] = np.inf
+def _separate_coincident(pos: np.ndarray, rng, work: np.ndarray | None = None):
+    """Nudge nodes closer than _EPS apart in place, by _EPS at ``rng.random()``
+    of a full turn each; return the :func:`_pair_offsets` of the result."""
+    offsets = _pair_offsets(pos, work)
+    if (dist := offsets[2]).min() < _EPS:
+        while len(close := np.argwhere(dist < _EPS)):
+            j = int(close[0, 1])
+            angle = rng.random() * 2 * math.pi
+            pos[j] = pos[j] + _EPS * np.array([math.cos(angle), math.sin(angle)])
+            dx, dy = (pos[j] - pos).T  # only node j moved: refresh its distances
+            dist[j] = dist[:, j] = np.sqrt(dx * dx + dy * dy)
+            dist[j, j] = np.inf
+        offsets = _pair_offsets(pos, work)
+    return offsets
 
 
 def fruchterman_reingold(
@@ -134,10 +138,7 @@ def fruchterman_reingold(
     nudges = random.Random(seed)
     for step in range(first, iterations):
         t = t0 * (1.0 - step / iterations)
-        dx, dy, dist = _pair_offsets(pos, work)
-        if dist.min() < _EPS:
-            _separate_coincident(pos, nudges, work)
-            dx, dy, dist = _pair_offsets(pos, work)
+        dx, dy, dist = _separate_coincident(pos, nudges, work)
         # Every distance is now >= _EPS (the diagonal is inf), so no floor.
         np.square(dist, out=dist)
         repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
@@ -235,9 +236,12 @@ def _classical_mds(ideal: np.ndarray) -> np.ndarray | None:
 
 
 def _start(g: Graph, seed: int):
-    """Hop distances, the start and its classical scaling: None if disconnected
-    or without unique axes, when the start is ``np.random.default_rng(seed)``
-    positions, the only use of ``numpy.random``. DataError if empty."""
+    """The hop distances, start positions and classical scaling of ``g``.
+
+    The scaling is None for a disconnected graph or one without unique axes;
+    the start is then ``np.random.default_rng(seed)`` positions (the only use
+    of ``numpy.random``), else the scaling. DataError if ``g`` has no nodes.
+    """
     if not g.nodes:
         raise DataError("cannot lay out an empty graph")
     hops = graph_distances(g)
@@ -291,10 +295,7 @@ def kamada_kawai(
     neg_pull = -(weight * hops)
     # Planes 0, 1 and 3 are scratch; plane 2 holds the current distances.
     work = np.empty((4, n, n))
-    dist = _pair_offsets(pos, work)[2]
-    if dist.min() < _EPS:
-        _separate_coincident(pos, random.Random(seed), work)
-        dist = _pair_offsets(pos, work)[2]
+    dist = _separate_coincident(pos, random.Random(seed), work)[2]
     energy = _energy(dist, hops, weight, work[0])
     history = [energy]
     iterations = 0

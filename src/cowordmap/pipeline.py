@@ -177,10 +177,10 @@ class PipelineConfig:
                 )
         if (self.top is None) == (self.min_score is None):
             raise ConfigError("give exactly one of top and min_score")
-        if self.top is not None and self.top < 1:
-            raise ConfigError(f"top must be >= 1, got {self.top}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for key, low in (("top", 1), ("threads", 1), ("seed", 0), ("fr_iterations", 0),
+                         ("kk_max_iter", 0), ("kk_tol", 0)):
+            if (value := getattr(self, key)) is not None and value < low:
+                raise ConfigError(f"{key} must be >= {low}, got {value}")
         if self.factors != "kaiser" and (isinstance(self.factors, str) or self.factors < 1):
             raise ConfigError(
                 f"factors must be a positive integer or 'kaiser', got {self.factors!r}"
@@ -189,9 +189,6 @@ class PipelineConfig:
         corpus_mod.TokenizerConfig(
             token_pattern=self.token_pattern, min_token_length=self.min_token_length
         )
-        for key in ("seed", "fr_iterations", "kk_max_iter", "kk_tol"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -339,19 +336,11 @@ def _compute_terms(view: SimpleNamespace, products: dict) -> None:
 
 def _write_terms(view: SimpleNamespace, products: dict, out: Path) -> None:
     scores = products["scores"]
-    rows = [
-        (
-            scores.terms[k], int(scores.freq[k]), int(scores.doc_freq[k]),
-            float(scores.tfidf[k]), float(scores.chi2[k]),
-            float(scores.obs_exp_sum[k]),
-        )
-        for k in scores.ranked(view.criterion)
-    ]
-    export.write_table_csv(
-        out / "terms.csv",
-        ["term", "freq", "docfreq", "tfidf", "chi2", "obs_exp_sum"],
-        rows,
-    )
+    columns = (scores.terms, scores.freq, scores.doc_freq, scores.tfidf, scores.chi2,
+               scores.obs_exp_sum)
+    rows = [tuple(column[k] for column in columns) for k in scores.ranked(view.criterion)]
+    header = ["term", "freq", "docfreq", "tfidf", "chi2", "obs_exp_sum"]
+    export.write_table_csv(out / "terms.csv", header, rows)
 
 
 _SELECTION = ("criterion", "top", "min_score")
@@ -390,21 +379,10 @@ def _compute_factors(view: SimpleNamespace, products: dict) -> None:
 
 def _write_factors(view: SimpleNamespace, products: dict, out: Path) -> None:
     solution = products["solution"]
-    header = (
-        ["variable"]
-        + [f"factor_{f + 1}" for f in range(solution.n_factors)]
-        + ["communality"]
-    )
-    communality = solution.communalities()
-    rows = [
-        (
-            label,
-            *(float(v) for v in solution.loadings[j]),
-            float(communality[j]),
-        )
-        for j, label in enumerate(solution.variable_labels)
-    ]
-    export.write_table_csv(out / "loadings.csv", header, rows)
+    header = [f"factor_{f + 1}" for f in range(solution.n_factors)] + ["communality"]
+    table = np.column_stack([solution.loadings, solution.communalities()])
+    export.write_csv(table, out / "loadings.csv", solution.variable_labels, header,
+                     corner="variable")
     # No coordinates: factors.net is the bipartite structure itself, and a
     # network program can lay it out; this also keeps the factors stage
     # independent of the layout seed.

@@ -97,6 +97,17 @@ class TestLoadCorpus:
         assert len(corpus) == 3
         assert [d.id for d in corpus] == ["1", "3", "4"]
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        path = tmp_path / "docs.txt"
+        path.write_bytes("map\x0cone\nmap\u2028two\n".encode("utf-8"))
+        corpus = load_corpus(path, format="lines")
+        assert [(d.id, d.text) for d in corpus] == [("1", "map\x0cone"), ("2", "map\u2028two")]
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(b"one\r\n\r\ntwo\r\n")
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(b"one\n\ntwo\n")
+        assert load_corpus(crlf, format="lines") == load_corpus(lf, format="lines")
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(DataError, match="empty corpus"):
             load_corpus(tmp_path, format="files")
@@ -347,6 +358,31 @@ class TestBuildWordDocMatrix:
             m = build_word_doc_matrix(corpus, cfg)
         assert m.pruned_docs == ["d1"]
         assert m.doc_ids == ["d2"]
+
+    @staticmethod
+    def csr(dense: np.ndarray) -> tuple:
+        rows, cols = np.nonzero(dense)
+        return np.searchsorted(rows, range(len(dense) + 1)), cols, dense[rows, cols]
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("dense", [
+        np.array([[0.5, 1.5], [2.0, 0.9]]), np.array([[-1.5, 1.0], [2.0, 3.0]]),
+        np.array([[np.inf, 1.0], [2.0, 3.0]]), np.array([[-np.inf, 1.0], [2.0, 3.0]]),
+        np.array([[np.nan, 1.0], [2.0, 3.0]]),
+    ], ids=["fractions", "negative-fraction", "inf", "-inf", "nan"])
+    def test_rejects_counts_that_are_not_finite_whole_numbers(self, layout, dense):
+        counts = dense if layout == "dense" else self.csr(dense)
+        with pytest.raises(DataError, match="finite whole numbers"):
+            WordDocMatrix(counts, ["x", "y"], ["a", "b"])
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("dense", [
+        np.array([[1.0, 0.0], [2.0, 3.0]]), np.array([[True, False], [True, True]]),
+    ], ids=["integral-floats", "bools"])
+    def test_accepts_integral_floats_and_bools(self, layout, dense):
+        m = WordDocMatrix(dense if layout == "dense" else self.csr(dense), ["x", "y"], ["a", "b"])
+        assert m.counts.dtype == np.int64
+        assert m.counts.tolist() == dense.astype(np.int64).tolist()
 
     def test_select_terms_submatrix(self):
         m = make_matrix([[2, 1, 0], [0, 1, 3]])

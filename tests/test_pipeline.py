@@ -692,6 +692,7 @@ class TestCli:
     def test_top_and_min_score_mutually_exclusive(self, capsys):
         code = main(["run", "--input", "x", "--top", "5", "--min-score", "1.0"])
         assert code == 1
+        assert "give either top or min_score, not both" in capsys.readouterr().err
 
     @pytest.mark.parametrize("file_line, flag, selection", [
         ("top = 20", ["--min-score", "2"], (None, 2.0)),
