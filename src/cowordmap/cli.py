@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Usage::
+Usage: ``coword-map COMMAND [flags]``; flags may come before or after the
+command::
 
     coword-map run --config run.cfg --out results/
-    coword-map run --input texts/ --criterion chi2 --top 50 --map cooc
+    coword-map --input texts/ --criterion chi2 --top 50 --map cooc run
     coword-map terms --input texts/ --out results/   # pipeline prefix only
 
-Each stage of ``pipeline.STAGES`` is a subcommand that runs the pipeline up
-to that stage, skipping the writes of stages whose inputs, configuration and
+Each stage of ``pipeline.STAGES`` is a command that runs the pipeline up to
+that stage, skipping the writes of stages whose inputs, configuration and
 artifacts are unchanged; ``run`` runs every stage.
 
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
@@ -21,7 +22,7 @@ import logging
 import sys
 
 from .errors import ConfigError, DataError
-from .pipeline import _CHOICES, STAGES, PipelineConfig, _parse_value, run_stage
+from .pipeline import _CHOICES, STAGE_ORDER, STAGES, PipelineConfig, _parse_value, run_stage
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -60,26 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coword-map",
         description="Turn a document collection into semantic co-word maps.",
     )
-    shared = _Parser(add_help=False)
-    shared.add_argument("--config", metavar="FILE", help="key = value configuration file")
+    parser.add_argument(
+        "command", choices=("run", *STAGE_ORDER),
+        help="run runs every stage, a stage name that stage and its upstream ones; "
+        + "; ".join(f"{stage.name} writes {', '.join(stage.artifacts)}" for stage in STAGES),
+    )
+    parser.add_argument("--config", metavar="FILE", help="key = value configuration file")
     defaults = PipelineConfig()
     for key, metavar, help_text in _FLAGS:
         default = getattr(defaults, key)
         if isinstance(default, bool):
             flag = ("--no-" if default else "--") + key
-            shared.add_argument(flag, dest=key, action="store_const",
+            parser.add_argument(flag, dest=key, action="store_const",
                                 const=str(not default).lower(), help=help_text)
             continue
         if default not in (None, ""):
             help_text += f" (default {default})"
-        shared.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
                             choices=_CHOICES.get(key), help=help_text)
-
-    commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("run", parents=[shared], help="run every stage; write all artifacts")
-    for stage in STAGES:
-        commands.add_parser(stage.name, parents=[shared],
-                            help=f"run up to {stage.name}; write {', '.join(stage.artifacts)}")
     return parser
 
 

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ._stopwords import DEFAULT_STOPWORDS
-from .errors import ConfigError, CowordMapWarning, DataError, capped_ids, check_unique
+from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
+from .errors import check_choice, check_unique
 
 __all__ = [
     "Corpus",
@@ -38,6 +39,8 @@ __all__ = [
     "load_corpus",
     "load_stopword_file",
     "load_synonym_file",
+    "read_lines",
+    "text_files",
     "tokenize",
 ]
 
@@ -256,8 +259,7 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
         OSError: ``source`` does not exist or cannot be read.
     """
     source = Path(source)
-    if format not in ("files", "lines"):
-        raise ConfigError(f"unknown corpus format {format!r}; use files or lines")
+    check_choice("corpus format", format, ("files", "lines"))
     if not source.exists():
         raise FileNotFoundError(f"corpus source not found: {source}")
 
@@ -265,12 +267,12 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     if format == "files":
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
-        for path in sorted(source.glob("*.txt")):
+        for path in text_files(source):
             docs.append(Document(id=path.name, text=_read_utf8(path)))
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")
-        for lineno, line in enumerate(_read_utf8(source).split("\n"), start=1):
+        for lineno, line in enumerate(read_lines(source), start=1):
             if not line.strip():
                 continue
             docs.append(Document(id=str(lineno), text=line))
@@ -280,23 +282,31 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     return Corpus(tuple(docs))
 
 
-def _read_utf8(path: Path) -> str:
-    """Read a UTF-8 text file; undecodable bytes are a DataError naming it."""
+def text_files(directory: Path) -> list[Path]:
+    """The ``.txt`` files of a ``files`` corpus, in document order (by name)."""
+    return sorted(directory.glob("*.txt"))
+
+
+def _read_utf8(path: Path, error: type[Exception] = DataError) -> str:
+    """Read a UTF-8 text file without its leading BOM; bad bytes raise ``error``."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-        ) from None
+        raise error(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def read_lines(path: str | Path, error: type[Exception] = DataError) -> list[str]:
+    r"""Split ``_read_utf8(path)`` into lines; only ``\n``, ``\r\n`` or ``\r`` ends one."""
+    return _read_utf8(Path(path), error).split("\n")
 
 
 def load_stopword_file(path: str | Path) -> frozenset[str]:
-    """Read a stopword file, one lowercase term per line.
+    """Read a stopword file, one term per :func:`read_lines` line, lowercased.
 
-    The returned set replaces the bundled default entirely.
+    A leading BOM is dropped; the returned set replaces the bundled default entirely.
     """
     words = set()
-    for line in _read_utf8(Path(path)).splitlines():
+    for line in read_lines(path):
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -304,9 +314,9 @@ def load_stopword_file(path: str | Path) -> frozenset[str]:
 
 
 def load_synonym_file(path: str | Path) -> dict[str, str]:
-    """Read a synonym file with ``variant<TAB>canonical`` per line."""
+    """Read a synonym file with ``variant<TAB>canonical`` per :func:`read_lines` line."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(_read_utf8(Path(path)).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -36,6 +36,12 @@ def capped_ids(ids: list[str]) -> str:
     return ", ".join(ids[:10]) + more
 
 
+def check_choice(what: str, value: object, choices: tuple[str, ...]) -> None:
+    """Raise a ConfigError naming ``value`` and every valid choice if it is not one."""
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r}; valid values: {', '.join(choices)}")
+
+
 def check_unique(ids: list[str], what: str) -> None:
     """Raise a DataError naming the repeated ``ids``, sorted and capped."""
     if dupes := sorted(i for i, count in Counter(ids).items() if count > 1):

@@ -49,7 +49,7 @@ from . import corpus as corpus_mod
 from . import export, layout as layout_mod, termstats, vectorspace
 from . import factors as factors_mod
 from ._stopwords import DEFAULT_STOPWORDS
-from .errors import ConfigError
+from .errors import ConfigError, check_choice
 
 __all__ = ["ARTIFACTS", "PipelineConfig", "RunResult", "run", "run_stage"]
 
@@ -107,7 +107,7 @@ class PipelineConfig:
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
+        return tuple(_TYPES)
 
     @classmethod
     def build(
@@ -124,7 +124,7 @@ class PipelineConfig:
         merged: dict = {}
         for source in (file_values or {}, overrides or {}):
             for key in source:
-                if key not in cls.field_names():
+                if key not in _TYPES:
                     raise ConfigError(f"unknown configuration key {key!r}")
             cuts = [key for key in ("top", "min_score") if source.get(key) is not None]
             if len(cuts) == 2:
@@ -139,14 +139,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
         """Parse a ``key = value`` file; ``#`` at line start or after a space comments."""
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
         values: dict = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(corpus_mod.read_lines(path, ConfigError), start=1):
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
@@ -154,27 +148,23 @@ class PipelineConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in cls.field_names():
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
             values[key] = _parse_value(key, value, f"{path}:{lineno}")
         return cls.build(values, overrides)
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value, kinds = getattr(self, f.name), f.type.split(" | ")
+        for key, annotation in _TYPES.items():
+            value, kinds = getattr(self, key), annotation.split(" | ")
             types = tuple(_KINDS[kind] for kind in kinds)
             if isinstance(value, bool) != ("bool" in kinds) or not isinstance(value, types):
-                raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, got {value!r}")
+                raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not self.input:
             raise ConfigError("input is required (config key 'input' or --input)")
         for key, choices in _CHOICES.items():
-            if getattr(self, key) not in choices:
-                raise ConfigError(
-                    f"invalid {key} {getattr(self, key)!r}; valid values: "
-                    + ", ".join(choices)
-                )
+            check_choice(key, getattr(self, key), choices)
         if (self.top is None) == (self.min_score is None):
             raise ConfigError("give exactly one of top and min_score")
         for key, low in (("top", 1), ("threads", 1), ("seed", 0), ("fr_iterations", 0),
@@ -190,9 +180,10 @@ class PipelineConfig:
             token_pattern=self.token_pattern, min_token_length=self.min_token_length
         )
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
+# Every setting's annotation (a string under ``from __future__ import
+# annotations``), by name; the one walk over the PipelineConfig fields.
+_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 # What each annotation kind accepts; validate also keeps bools and numbers apart.
 _KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": type(None)}
@@ -201,11 +192,10 @@ _KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str, "None": t
 def _parse_value(key: str, value: str, where: str):
     """Parse one config-file or flag value into the type its field declares.
 
-    The field annotation (a string under ``from __future__ import
-    annotations``) names the kind: ``bool``, ``int...``, ``float...``, else
-    text. ``factors`` also takes the word ``kaiser``.
+    The annotation in ``_TYPES`` names the kind: ``bool``, ``int...``,
+    ``float...``, else text. ``factors`` also takes the word ``kaiser``.
     """
-    kind = next(f.type for f in dataclasses.fields(PipelineConfig) if f.name == key)
+    kind = _TYPES[key]
     try:
         if kind == "bool":
             low = value.lower()
@@ -271,7 +261,7 @@ def _key_part(view: SimpleNamespace, key: str):
     """A config value as it enters a cache key; keys naming files by content."""
     value = getattr(view, key)
     if key == "input" and view.input_format == "files":
-        return [(p.name, _file_digest(p)) for p in sorted(Path(value).glob("*.txt"))]
+        return [(p.name, _file_digest(p)) for p in corpus_mod.text_files(Path(value))]
     if key in ("input", "stopword_file", "synonym_file") and value:
         return _file_digest(Path(value))
     return value
@@ -469,14 +459,8 @@ ARTIFACTS = tuple(name for stage in STAGES for name in stage.artifacts) + ("repo
 
 def _prefix(subcommand: str) -> tuple[Stage, ...]:
     """The stages ``subcommand`` runs: its stage and everything upstream."""
-    if subcommand == "run":
-        return STAGES
-    if subcommand not in STAGE_ORDER:
-        raise ConfigError(
-            f"unknown subcommand {subcommand!r}; valid values: "
-            + ", ".join(STAGE_ORDER + ("run",))
-        )
-    needed = {subcommand}
+    check_choice("subcommand", subcommand, ("run",) + STAGE_ORDER)
+    needed = set(STAGE_ORDER) if subcommand == "run" else {subcommand}
     for stage in reversed(STAGES):
         if stage.name in needed:
             needed.update(stage.after)
@@ -497,18 +481,16 @@ def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
     }
 
 
-def _publish(out: Path, names: tuple, write: Callable[[Path], None]) -> dict[str, str]:
+def _publish(staged: Path, names: tuple, write: Callable[[Path], None]) -> dict[str, str]:
     """Run ``write(staged)`` atomically for the files ``names``; return their sha256s.
 
-    ``write`` fills a temporary directory inside ``out``; only when it
-    returns does each file replace its namesake in ``out``.
+    ``write`` fills ``staged``, a temporary directory inside the output
+    directory; only when it returns does each file replace its namesake there.
     """
-    with tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out) as tmp:
-        staged = Path(tmp)
-        write(staged)
-        hashes = {name: _file_digest(staged / name) for name in names}
-        for name in names:
-            os.replace(staged / name, out / name)
+    write(staged)
+    hashes = {name: _file_digest(staged / name) for name in names}
+    for name in names:
+        os.replace(staged / name, staged.parent / name)
     return hashes
 
 
@@ -521,11 +503,11 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     products from the inputs, so cached and fresh runs produce identical
     bytes whatever ran in the output directory before.
 
-    Writes are atomic: each write step writes into a temporary directory
-    inside the output directory, and its artifacts replace the old ones
-    (``os.replace``) only after the step returns; the manifest and
-    report.json are replaced the same way. A failed run leaves every file
-    either as it was or complete, and no temporary file behind.
+    Writes are atomic: each write step writes into one temporary directory
+    inside the output directory, opened for the whole run, and its artifacts
+    replace the old ones (``os.replace``) only after the step returns; the
+    manifest and report.json are replaced the same way. A failed run leaves
+    every file either as it was or complete, and no temporary file behind.
     """
     stages = _prefix(subcommand)
     out = Path(config.out)
@@ -536,8 +518,10 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     products: dict = {}
     statuses: dict[str, str] = {}
 
-    with warnings.catch_warnings(record=True) as caught:
+    with (tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out) as tmp,
+          warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
+        staged = Path(tmp)
         for stage in stages:
             started = time.perf_counter()
             view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
@@ -554,22 +538,22 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
             )
             if not cached:
                 write = functools.partial(stage.write, view, products)
-                entry = {"key": key, "artifacts": _publish(out, stage.artifacts, write)}
+                entry = {"key": key, "artifacts": _publish(staged, stage.artifacts, write)}
             recorded[stage.name] = entry
             statuses[stage.name] = "cached" if cached else "computed"
             logger.info("stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
                         time.perf_counter() - started)
 
-    manifest["stages"] = recorded
-    names = sorted(name for stage in stages for name in stage.artifacts)
-    report = _build_report(config, products, names, [str(w.message) for w in caught])
+        manifest["stages"] = recorded
+        names = sorted(name for stage in stages for name in stage.artifacts)
+        report = _build_report(config, products, names, [str(w.message) for w in caught])
 
-    def write_json(staged: Path) -> None:
-        for name, data in ((_MANIFEST, manifest), ("report.json", report)):
-            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-            (staged / name).write_text(text, encoding="utf-8")
+        def write_json(staged: Path) -> None:
+            for name, data in ((_MANIFEST, manifest), ("report.json", report)):
+                text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+                (staged / name).write_text(text, encoding="utf-8")
 
-    _publish(out, (_MANIFEST, "report.json"), write_json)
+        _publish(staged, (_MANIFEST, "report.json"), write_json)
     artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 
@@ -582,7 +566,7 @@ def run(config: PipelineConfig) -> RunResult:
 def _build_report(config: PipelineConfig, products: dict, artifacts: list[str],
                   warning_messages: list[str]) -> dict:
     report: dict = {
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "artifacts": artifacts + ["report.json"],
         "warnings": warning_messages,
     }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import WordDocMatrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_choice
 
 __all__ = [
     "ChiSquareReport",
@@ -94,11 +94,7 @@ class TermScores:
     obs_exp_sum: np.ndarray
 
     def by_criterion(self, criterion: str) -> np.ndarray:
-        if criterion not in CRITERIA:
-            raise ConfigError(
-                f"unknown criterion {criterion!r}; valid values: "
-                + ", ".join(CRITERIA)
-            )
+        check_choice("criterion", criterion, CRITERIA)
         return {
             "freq": self.freq,
             "tfidf": self.tfidf,
@@ -153,8 +149,7 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
 
 def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str):
     """Per-cell chi-square contributions and the Yates flags of ``counts``."""
-    if yates not in ("off", "observed_lt_5"):
-        raise ConfigError(f"unknown yates mode {yates!r}; use off or observed_lt_5")
+    check_choice("yates mode", yates, ("off", "observed_lt_5"))
     deviation = np.abs(counts - expected)
     applied = np.zeros(counts.shape, dtype=bool)
     if yates == "observed_lt_5":

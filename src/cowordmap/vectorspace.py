@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import WordDocMatrix
-from .errors import ConfigError, CowordMapWarning, DataError, capped_ids, check_unique
+from .errors import CowordMapWarning, DataError, capped_ids, check_choice, check_unique
 
 __all__ = [
     "CoocMatrix",
@@ -210,8 +210,7 @@ def cooccurrence(m: WordDocMatrix, mode: str = "words") -> CoocMatrix:
     order, while each term's (``"words"``) or document's sum of squared
     counts, which bounds every partial sum, is below 2^53; else DataError.
     """
-    if mode not in ("words", "documents"):
-        raise ConfigError(f"unknown mode {mode!r}; use words or documents")
+    check_choice("mode", mode, ("words", "documents"))
     a = (m.counts if mode == "words" else m.counts.T).astype(float)
     if np.einsum("ij,ij->j", a, a).max() >= 2.0**53:
         raise DataError("co-occurrence counts reach 2^53, past exact float64 integers")
@@ -237,8 +236,7 @@ def threshold_graph(
         Graph over all labels; isolated nodes are retained. The diagonal is
         ignored. An empty edge set is allowed and reported as a warning.
     """
-    if rule not in ("geq", "gt"):
-        raise ConfigError(f"unknown rule {rule!r}; use geq or gt")
+    check_choice("rule", rule, ("geq", "gt"))
     values = matrix.values
     if values.shape[0] != values.shape[1] or not np.allclose(
         values, values.T, atol=1e-12

@@ -152,6 +152,24 @@ class TestStopwordAndSynonymFiles:
         with pytest.raises(ConfigError, match=":1"):
             load_synonym_file(path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        stop, syn = tmp_path / "stop.txt", tmp_path / "syn.txt"
+        stop.write_text("\ufeffthe\nof\n", encoding="utf-8")
+        syn.write_text("\ufeffcolour\tcolor\n", encoding="utf-8")
+        cfg = TokenizerConfig(stopwords=load_stopword_file(stop),
+                              synonyms=load_synonym_file(syn))
+        assert tokenize("The colour of maps", cfg) == ["color", "maps"]
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_only_newlines_end_a_line(self, tmp_path, sep):
+        stop = tmp_path / "stop.txt"
+        stop.write_text(f"the{sep}of\n", encoding="utf-8")
+        assert load_stopword_file(stop) == frozenset({f"the{sep}of"})
+        syn = tmp_path / "syn.txt"
+        syn.write_text(f"colour\tcolor{sep}grey\tgray\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected 'variant<TAB>canonical'"):
+            load_synonym_file(syn)
+
 
 class TestBuildVocabulary:
     def test_counts_and_tie_break(self):

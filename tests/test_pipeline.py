@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,7 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from cowordmap import corpus, export
+from conftest import make_matrix
+from cowordmap import corpus, export, termstats, vectorspace
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
@@ -118,10 +118,7 @@ class TestPipelineConfig:
             assert parsed == field.default and type(parsed) is type(field.default)
 
     def test_flags_are_fields_offering_the_declared_choices(self):
-        commands = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        flags = [a for a in commands.choices["run"]._actions if a.dest != "help"]
+        flags = [a for a in build_parser()._actions if a.dest not in ("help", "command")]
         assert len(flags) == 16
         for action in flags:
             assert action.dest == "config" or action.dest in PipelineConfig.field_names()
@@ -141,6 +138,27 @@ class TestPipelineConfig:
         path.write_text("input = x\nrotate = perhaps\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="boolean"):
             PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("call, value, choices", [
+    (lambda: corpus.load_corpus(".", format="records"), "records", ("files", "lines")),
+    (lambda: termstats.term_scores(make_matrix([[1, 2], [3, 1]])).by_criterion("idf"),
+     "idf", ("freq", "tfidf", "chi2", "obsexp")),
+    (lambda: termstats.chi_square(make_matrix([[1, 2], [3, 1]]), yates="sometimes"),
+     "sometimes", ("off", "observed_lt_5")),
+    (lambda: vectorspace.cooccurrence(make_matrix([[1]]), mode="phrases"),
+     "phrases", ("words", "documents")),
+    (lambda: vectorspace.threshold_graph(vectorspace.cooccurrence(make_matrix([[1]])), 1.0,
+                                         rule="lt"), "lt", ("geq", "gt")),
+    (lambda: PipelineConfig.build({"input": "x", "layout": "zz"}), "zz", ("fr", "kk")),
+    (lambda: run_stage(PipelineConfig.build({"input": "x"}), "animate"), "animate",
+     ("run", "ingest", "terms", "cooc", "factors", "map", "render")),
+], ids=["corpus_format", "criterion", "yates", "cooc_mode", "threshold_rule", "config",
+        "subcommand"])
+def test_every_choice_check_names_the_value_and_every_valid_one(call, value, choices):
+    with pytest.raises(ConfigError) as excinfo:
+        call()
+    assert str(excinfo.value).endswith(f"{value!r}; valid values: {', '.join(choices)}")
 
 
 class TestRun:
@@ -655,6 +673,8 @@ class TestCli:
         ("cooc_threshold = -inf", "cooc_threshold"),
         ("token_pattern = (", "token_pattern"),
         (r"token_pattern = (\w)(\w+)", "token_pattern"),
+        ("top = 5\x0cseed = 3", "run.cfg:2"),  # only \n, \r\n and \r end a line
+        ("seed = 3\u2028top = 5", "run.cfg:2"),
     ])
     def test_negative_or_non_finite_setting_exits_one_before_writing(
         self, micro_dir, tmp_path, capsys, line, key
@@ -676,6 +696,20 @@ class TestCli:
 
     def test_subcommand_required(self, capsys):
         assert main([]) == 1
+
+    def test_unknown_command_exits_one_listing_the_commands(self, capsys):
+        assert main(["bogus"]) == 1
+        err = capsys.readouterr().err.partition("choose from")[2]
+        assert all(name in err for name in
+                   ("run", "ingest", "terms", "cooc", "factors", "map", "render"))
+
+    def test_flags_may_come_before_the_command(self, micro_dir, tmp_path, capsys):
+        flags = ["--input", str(micro_dir), "--top", "15", "--factors", "4"]
+        assert main([*flags, "--out", str(tmp_path / "before"), "run"]) == 0
+        assert main(["run", *flags, "--out", str(tmp_path / "after")]) == 0
+        before, after = artifact_bytes(tmp_path / "before"), artifact_bytes(tmp_path / "after")
+        before.pop("report.json"), after.pop("report.json")  # it echoes --out
+        assert before == after
 
     def test_factors_flag_accepts_kaiser_and_int(self, micro_dir, tmp_path):
         code = main([
