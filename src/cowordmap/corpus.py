@@ -44,6 +44,8 @@ __all__ = [
     "tokenize",
 ]
 
+FORMATS = ("files", "lines")
+
 
 @dataclass(frozen=True, slots=True)
 class Document:
@@ -259,7 +261,7 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
         OSError: ``source`` does not exist or cannot be read.
     """
     source = Path(source)
-    check_choice("corpus format", format, ("files", "lines"))
+    check_choice("input_format", format, FORMATS)
     if not source.exists():
         raise FileNotFoundError(f"corpus source not found: {source}")
 

@@ -25,6 +25,7 @@ __all__ = [
     "FactorAssignment",
     "FactorSolution",
     "assign_factors",
+    "check_factor_count",
     "factor_analyze",
     "factor_graph",
     "varimax",
@@ -96,6 +97,12 @@ def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -1.0, 1.0)
 
 
+def check_factor_count(k: int | str) -> None:
+    """Raise a ConfigError unless ``k`` is ``"kaiser"`` or a positive integer."""
+    if k != "kaiser" and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+        raise ConfigError(f"factors must be a positive integer or 'kaiser', got {k!r}")
+
+
 def factor_analyze(
     values, labels: list[str] | None = None, k: int | str = "kaiser"
 ) -> FactorSolution:
@@ -105,17 +112,18 @@ def factor_analyze(
         values: Real 2-D array, cases x variables.
         labels: One label per variable (default ``c0, c1, ...``).
         k: Number of factors to retain, or ``"kaiser"`` for all factors with
-            eigenvalue > 1.
+            eigenvalue > 1; a k above the variable count is clamped, with a warning.
 
     Returns:
         Unrotated solution with a deterministic sign convention: in each
         factor the largest-magnitude loading is non-negative.
 
     Raises:
+        ConfigError: ``k`` fails :func:`check_factor_count`, checked first.
         DataError: Fewer than 2 non-constant variables, or Kaiser retains
             nothing.
-        ConfigError: ``k`` is not "kaiser" or a positive integer.
     """
+    check_factor_count(k)
     corr = pearson_matrix(values, labels)
     p = len(corr.labels)
     if p < 2:
@@ -128,26 +136,18 @@ def factor_analyze(
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
 
-    if k == "kaiser":
-        retained = int((eigenvalues > 1.0).sum())
-        if retained == 0:
-            raise DataError(
-                "no eigenvalue exceeds 1; the variables look uncorrelated. "
-                "Pass an explicit factor count instead of the Kaiser rule."
-            )
-    elif isinstance(k, int) and not isinstance(k, bool):
-        if k <= 0:
-            raise ConfigError(f"factor count must be positive, got {k}")
-        retained = k
-        if retained > p:
-            warnings.warn(
-                f"requested {k} factors but only {p} variables; clamping to {p}",
-                CowordMapWarning,
-                stacklevel=2,
-            )
-            retained = p
-    else:
-        raise ConfigError(f"k must be an integer or 'kaiser', got {k!r}")
+    retained = int((eigenvalues > 1.0).sum()) if k == "kaiser" else min(k, p)
+    if retained == 0:  # only Kaiser can retain nothing: k >= 1 and p >= 2
+        raise DataError(
+            "no eigenvalue exceeds 1; the variables look uncorrelated. "
+            "Pass an explicit factor count instead of the Kaiser rule."
+        )
+    if k != "kaiser" and k > p:
+        warnings.warn(
+            f"requested {k} factors but only {p} variables; clamping to {p}",
+            CowordMapWarning,
+            stacklevel=2,
+        )
 
     lam = np.maximum(eigenvalues[:retained], 0.0)  # noise can dip below 0
     vectors = eigenvectors[:, :retained]
@@ -209,7 +209,6 @@ def varimax(
     rotation = np.eye(k)
     history = [varimax_criterion(loadings)]
     converged = False
-    sweeps = 0
     for _ in range(max_iter):
         for f in range(k - 1):
             for g in range(f + 1, k):
@@ -226,7 +225,6 @@ def varimax(
                 for m in (loadings, rotation):  # the right side is built before either store
                     x, y = m[:, f], m[:, g]
                     m[:, f], m[:, g] = c * x + s * y, -s * x + c * y
-        sweeps += 1
         history.append(varimax_criterion(loadings))
         if history[-1] - history[-2] < tol:
             converged = True
@@ -246,7 +244,7 @@ def varimax(
         loadings=loadings * flips,
         rotated=True,
         rotation_matrix=rotation * flips,
-        rotation_sweeps=sweeps,
+        rotation_sweeps=len(history) - 1,
         rotation_converged=converged,
         criterion_history=tuple(history),
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .factors import _apply_sign_convention
 from .vectorspace import Graph
 
@@ -50,8 +50,6 @@ class Layout:
 
 def _normalize(pos: np.ndarray) -> np.ndarray:
     """Fit positions into the unit square, centered, preserving aspect ratio."""
-    if len(pos) == 0:
-        return pos.copy()
     low = pos.min(axis=0)
     high = pos.max(axis=0)
     span = float((high - low).max())
@@ -121,8 +119,11 @@ def fruchterman_reingold(
     Coincident nodes are nudged apart at angles from one ``random.Random(seed)``.
 
     Raises:
+        ConfigError: ``iterations`` is negative.
         DataError: The graph has no nodes.
     """
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
     _, pos, classical = _start(g, seed)
     n = len(g.nodes)
     k = math.sqrt(1.0 / n)

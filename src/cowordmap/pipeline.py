@@ -28,7 +28,6 @@ artifacts, whatever ran in the output directory before.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import logging
@@ -58,9 +57,9 @@ logger = logging.getLogger("cowordmap")
 _MANIFEST = ".coword-cache.json"
 
 _CHOICES = {
-    "input_format": ("files", "lines"),
+    "input_format": corpus_mod.FORMATS,
     "criterion": termstats.CRITERIA,
-    "yates": ("observed_lt_5", "off"),
+    "yates": termstats.YATES,
     "cells": ("counts", "tfidf", "obsexp"),
     "map": ("cosine", "cooc"),
     "mode": ("R", "Q"),
@@ -150,7 +149,7 @@ class PipelineConfig:
             key, value = key.strip(), value.strip()
             if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _parse_value(key, value, f"{path}:{lineno}")
+            values[key] = _parse_value(key, value, f"{path}:{lineno}: {key}")
         return cls.build(values, overrides)
 
     def validate(self) -> None:
@@ -171,10 +170,7 @@ class PipelineConfig:
                          ("kk_max_iter", 0), ("kk_tol", 0)):
             if (value := getattr(self, key)) is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
-        if self.factors != "kaiser" and (isinstance(self.factors, str) or self.factors < 1):
-            raise ConfigError(
-                f"factors must be a positive integer or 'kaiser', got {self.factors!r}"
-            )
+        factors_mod.check_factor_count(self.factors)
         # The tokenizer checks min_token_length and compiles token_pattern.
         corpus_mod.TokenizerConfig(
             token_pattern=self.token_pattern, min_token_length=self.min_token_length
@@ -390,14 +386,9 @@ def _compute_map(view: SimpleNamespace, products: dict) -> None:
     else:
         cooc = vectorspace.cooccurrence(selected, mode="words")
         graph = vectorspace.threshold_graph(cooc, view.cooc_threshold, rule="gt")
+    # Sizes only: the labels stay, so the checks Graph made still hold.
     freq = dict(zip(selected.terms, selected.col_margins))
-    graph = vectorspace.Graph(
-        nodes=[
-            dataclasses.replace(n, size=float(freq.get(n.label, 0)))
-            for n in graph.nodes
-        ],
-        edges=graph.edges,
-    )
+    graph.nodes = [dataclasses.replace(n, size=float(freq[n.label])) for n in graph.nodes]
     products["map_graph"] = graph
     products["map_layout"] = layout_mod.split_and_pack(
         graph, _layout_fn(view), seed=view.seed
@@ -481,13 +472,12 @@ def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
     }
 
 
-def _publish(staged: Path, names: tuple, write: Callable[[Path], None]) -> dict[str, str]:
-    """Run ``write(staged)`` atomically for the files ``names``; return their sha256s.
+def _publish(staged: Path, names: tuple) -> dict[str, str]:
+    """Move the files ``names`` out of ``staged``; return their sha256s.
 
-    ``write`` fills ``staged``, a temporary directory inside the output
-    directory; only when it returns does each file replace its namesake there.
+    ``staged`` is a temporary directory inside the output directory, filled
+    by a write step that has returned; each file replaces its namesake there.
     """
-    write(staged)
     hashes = {name: _file_digest(staged / name) for name in names}
     for name in names:
         os.replace(staged / name, staged.parent / name)
@@ -537,8 +527,8 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
                 and entry.get("artifacts") == _artifact_hashes(out, stage)
             )
             if not cached:
-                write = functools.partial(stage.write, view, products)
-                entry = {"key": key, "artifacts": _publish(staged, stage.artifacts, write)}
+                stage.write(view, products, staged)
+                entry = {"key": key, "artifacts": _publish(staged, stage.artifacts)}
             recorded[stage.name] = entry
             statuses[stage.name] = "cached" if cached else "computed"
             logger.info("stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
@@ -547,13 +537,10 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
         manifest["stages"] = recorded
         names = sorted(name for stage in stages for name in stage.artifacts)
         report = _build_report(config, products, names, [str(w.message) for w in caught])
-
-        def write_json(staged: Path) -> None:
-            for name, data in ((_MANIFEST, manifest), ("report.json", report)):
-                text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-                (staged / name).write_text(text, encoding="utf-8")
-
-        _publish(staged, (_MANIFEST, "report.json"), write_json)
+        for name, data in ((_MANIFEST, manifest), ("report.json", report)):
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            (staged / name).write_text(text, encoding="utf-8")
+        _publish(staged, (_MANIFEST, "report.json"))
     artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 CRITERIA = ("freq", "tfidf", "chi2", "obsexp")
+YATES = ("off", "observed_lt_5")
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
 
 def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str):
     """Per-cell chi-square contributions and the Yates flags of ``counts``."""
-    check_choice("yates mode", yates, ("off", "observed_lt_5"))
+    check_choice("yates", yates, YATES)
     deviation = np.abs(counts - expected)
     applied = np.zeros(counts.shape, dtype=bool)
     if yates == "observed_lt_5":

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cowordmap.errors import DataError
+from cowordmap.errors import ConfigError, DataError
 from cowordmap.layout import (
     _EPS,
     _classical_mds,
@@ -356,6 +356,11 @@ class TestFruchtermanReingold:
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
             fruchterman_reingold(Graph())
+
+    @pytest.mark.parametrize("graph", [chain(4), cycle(5)], ids=["classical", "random"])
+    def test_negative_iterations_rejected(self, graph):
+        with pytest.raises(ConfigError, match=r"^iterations must be >= 0, got -5$"):
+            fruchterman_reingold(graph, iterations=-5)
 
     def test_normalization_preserves_aspect_ratio(self):
         from cowordmap.layout import _normalize

@@ -10,6 +10,7 @@ import itertools
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cowordmap.corpus import (
 )
 from cowordmap.errors import DataError
 from cowordmap.factors import assign_factors, factor_analyze, varimax
-from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run
+from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run, run_stage
 from cowordmap.termstats import obs_exp, term_scores, tfidf_matrix
 from cowordmap.vectorspace import cooccurrence, cosine_matrix, pearson_matrix
 
@@ -157,6 +158,137 @@ def test_binary_counts_change_nothing_when_no_document_repeats_a_token(tmp_path,
             assert counts["report.json"]["config"].pop("binary") is False
         assert binary == counts
         seen.append("error" not in counts)
+
+    check()
+    assert sum(seen) > len(seen) // 2
+
+
+def test_permuting_the_documents_permutes_only_the_rows():
+    """The documents in another order, ids kept: term totals, document
+    frequencies and co-occurrences stay exactly; scores summed over the rows
+    stay within rounding, and every cell matrix is the same rows reordered."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cfg = TokenizerConfig(stopwords=frozenset())
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        texts = data.draw(st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), min_size=3, max_size=10,
+        ))
+        order = list(data.draw(st.permutations(range(len(texts)))))
+        docs = [Document(f"d{i}", " ".join(words)) for i, words in enumerate(texts)]
+        shuffled = [docs[i] for i in order]
+        try:
+            before = analyse(docs, cfg, factors=None)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                analyse(shuffled, cfg, factors=None)
+            return
+        after = analyse(shuffled, cfg, factors=None)
+        assert after["m"].terms == before["m"].terms
+        assert after["m"].doc_ids == [docs[i].id for i in order]
+        a, b = after["scores"], before["scores"]
+        assert np.array_equal(a.freq, b.freq)
+        assert np.array_equal(a.doc_freq, b.doc_freq)
+        assert np.array_equal(after["cooc"], before["cooc"])
+        for key in ("tfidf", "chi2", "obs_exp_sum"):
+            np.testing.assert_allclose(getattr(a, key), getattr(b, key), rtol=1e-12, atol=0)
+        assert np.array_equal(after["m"].counts, before["m"].counts[order])
+        for key in ("obs_exp", "tfidf"):
+            np.testing.assert_allclose(after[key], before[key][order], rtol=1e-12, atol=0)
+
+    check()
+
+
+def test_permuting_the_lines_keeps_the_cooccurrences_and_the_frequency_ranking(tmp_path):
+    """Through the pipeline at criterion = freq, whose integer scores cannot
+    tie by rounding: coocc.dat keeps its bytes and terms.csv its term order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    examples = itertools.count()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), top=st.sampled_from([2, 4, 30]))
+    def check(data, top):
+        texts = data.draw(st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=8), min_size=3, max_size=10,
+        ))
+        order = data.draw(st.permutations(range(len(texts))))
+        example = tmp_path / str(next(examples))
+        example.mkdir()
+        outcomes = []
+        for name, lines in (("before", texts), ("after", [texts[i] for i in order])):
+            corpus = example / f"{name}.txt"
+            corpus.write_text("".join(" ".join(t) + "\n" for t in lines), encoding="utf-8")
+            out = example / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_stage(PipelineConfig.build({
+                    "input": str(corpus), "input_format": "lines", "out": str(out),
+                    "criterion": "freq", "top": top,
+                }), "cooc")
+            terms = (out / "terms.csv").read_text(encoding="utf-8").splitlines()
+            outcomes.append(((out / "coocc.dat").read_bytes(),
+                             [line.partition(",")[0] for line in terms]))
+        assert outcomes[0] == outcomes[1]
+
+    check()
+
+
+# No stopword can be spelled without a vowel, a y, a z or a q, so words over
+# these letters all survive, and none holds the prefix.
+CONSONANTS = "bcdfghjklmnprstvwx"
+PREFIX = "zq"
+
+
+def test_a_common_prefix_on_every_term_changes_no_table_or_network(tmp_path, monkeypatch):
+    """Every CSV and Pajek artifact is byte-identical once the prefix is
+    stripped: terms keep their ranks, ties included, since a common prefix
+    keeps the lexicographic order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    tables = [name for name in ARTIFACTS if name.endswith((".csv", ".dat", ".net"))]
+    examples, seen = itertools.count(), []
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        data=st.data(),
+        top=st.sampled_from([3, 6, 30]),
+        layout=st.sampled_from(["fr", "kk"]),
+    )
+    def check(data, top, layout):
+        vocabulary = data.draw(st.lists(
+            st.text(CONSONANTS, min_size=1, max_size=4), min_size=3, max_size=8, unique=True,
+        ))
+        texts = data.draw(st.lists(
+            st.lists(st.sampled_from(vocabulary), min_size=1, max_size=8),
+            min_size=3, max_size=10,
+        ))
+        example = tmp_path / str(next(examples))
+        outcomes = []
+        for prefix in ("", PREFIX):
+            (example / prefix).mkdir(parents=True, exist_ok=True)
+            monkeypatch.chdir(example / prefix)
+            corpus = Path("corpus.txt")
+            corpus.write_text(
+                "".join(" ".join(prefix + w for w in t) + "\n" for t in texts),
+                encoding="utf-8",
+            )
+            config = PipelineConfig.build({
+                "input": str(corpus), "input_format": "lines", "out": "out",
+                "top": top, "layout": layout,
+            })
+            outcome = run_outcome(config, Path("out"))
+            outcomes.append({
+                name: value.replace(PREFIX.encode(), b"") if isinstance(value, bytes)
+                else value.replace(PREFIX, "")
+                for name, value in outcome.items() if name in tables or name == "error"
+            })
+        plain, prefixed = outcomes
+        assert prefixed == plain
+        seen.append("error" not in plain)
 
     check()
     assert sum(seen) > len(seen) // 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import shutil
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import make_matrix
-from cowordmap import corpus, export, termstats, vectorspace
+from cowordmap import corpus, export, factors, layout, termstats, vectorspace
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
@@ -159,6 +160,49 @@ def test_every_choice_check_names_the_value_and_every_valid_one(call, value, cho
     with pytest.raises(ConfigError) as excinfo:
         call()
     assert str(excinfo.value).endswith(f"{value!r}; valid values: {', '.join(choices)}")
+
+
+@pytest.mark.parametrize("key, value, library", [
+    ("yates", "sometimes",
+     lambda v: termstats.term_scores(make_matrix([[1, 2], [3, 1]]), yates=v)),
+    ("input_format", "records", lambda v: corpus.load_corpus(".", format=v)),
+    ("factors", 0, lambda v: factor_analyze(make_matrix([[1, 2], [3, 1]]).counts, k=v)),
+    ("factors", "many", lambda v: factor_analyze(make_matrix([[1, 2], [3, 1]]).counts, k=v)),
+])
+def test_a_bad_setting_gets_one_message_from_config_and_library(key, value, library):
+    with pytest.raises(ConfigError) as from_config:
+        PipelineConfig.build({"input": "x", key: value})
+    with pytest.raises(ConfigError) as from_library:
+        library(value)
+    assert str(from_config.value) == str(from_library.value)
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+_TOKENIZER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(corpus.TokenizerConfig)}
+
+
+@pytest.mark.parametrize("key, library_default", [
+    ("lowercase", _TOKENIZER_DEFAULTS["lowercase"]),
+    ("token_pattern", _TOKENIZER_DEFAULTS["token_pattern"]),
+    ("min_token_length", _TOKENIZER_DEFAULTS["min_token_length"]),
+    ("yates", _default(termstats.term_scores, "yates")),
+    ("yates", _default(termstats.chi_square, "yates")),
+    ("factors", _default(factors.factor_analyze, "k")),
+    ("kaiser_normalize", _default(factors.varimax, "kaiser_normalize")),
+    ("suppression", _default(factors.assign_factors, "suppression")),
+    ("suppression", _default(factors.factor_graph, "suppression")),
+    ("fr_iterations", _default(layout.fruchterman_reingold, "iterations")),
+    ("kk_tol", _default(layout.kamada_kawai, "tol")),
+    ("kk_max_iter", _default(layout.kamada_kawai, "max_iter")),
+    ("seed", _default(layout.fruchterman_reingold, "seed")),
+    ("seed", _default(layout.kamada_kawai, "seed")),
+    ("seed", _default(layout.split_and_pack, "seed")),
+])
+def test_config_default_equals_the_library_default_it_feeds(key, library_default):
+    assert getattr(PipelineConfig(), key) == library_default
 
 
 class TestRun:
@@ -675,6 +719,8 @@ class TestCli:
         (r"token_pattern = (\w)(\w+)", "token_pattern"),
         ("top = 5\x0cseed = 3", "run.cfg:2"),  # only \n, \r\n and \r end a line
         ("seed = 3\u2028top = 5", "run.cfg:2"),
+        ("top = abc", "run.cfg:2: top"),  # a type error names its key
+        ("seed = 1.5", "run.cfg:2: seed"),
     ])
     def test_negative_or_non_finite_setting_exits_one_before_writing(
         self, micro_dir, tmp_path, capsys, line, key
