@@ -51,7 +51,6 @@ _FLAGS = (
     ("layout", None, "layout algorithm"),
     ("seed", "N", "layout seed"),
     ("out", "DIR", "output directory"),
-    ("threads", "N", "accepted and validated; has no effect"),
     ("binary", None, "count term presence per document instead of occurrences"),
 )
 

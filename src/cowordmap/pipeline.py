@@ -102,7 +102,6 @@ class PipelineConfig:
     kk_max_iter: int = 1000
     seed: int = 42
     out: str = "coword-out"
-    threads: int = 1  # accepted and validated; has no effect
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -166,8 +165,8 @@ class PipelineConfig:
             check_choice(key, getattr(self, key), choices)
         if (self.top is None) == (self.min_score is None):
             raise ConfigError("give exactly one of top and min_score")
-        for key, low in (("top", 1), ("threads", 1), ("seed", 0), ("fr_iterations", 0),
-                         ("kk_max_iter", 0), ("kk_tol", 0)):
+        for key, low in (("top", 1), ("seed", 0), ("fr_iterations", 0), ("kk_max_iter", 0),
+                         ("kk_tol", 0)):
             if (value := getattr(self, key)) is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
         factors_mod.check_factor_count(self.factors)
@@ -189,7 +188,8 @@ def _parse_value(key: str, value: str, where: str):
     """Parse one config-file or flag value into the type its field declares.
 
     The annotation in ``_TYPES`` names the kind: ``bool``, ``int...``,
-    ``float...``, else text. ``factors`` also takes the word ``kaiser``.
+    ``float...``, else text; an ``int | str`` value stays text unless it is
+    a decimal integer, and ``validate`` judges it.
     """
     kind = _TYPES[key]
     try:
@@ -200,7 +200,7 @@ def _parse_value(key: str, value: str, where: str):
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(f"expected a boolean, got {value!r}")
-        if kind.startswith("int") and not (key == "factors" and value == "kaiser"):
+        if kind.startswith("int") and ("str" not in kind or value.isdecimal()):
             return int(value)
         if kind.startswith("float"):
             return float(value)

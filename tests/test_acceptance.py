@@ -9,7 +9,10 @@ line is printed per criterion (run with ``pytest -v -s`` to see them).
 from __future__ import annotations
 
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -300,7 +303,7 @@ def test_criterion_09_threshold_semantics():
     ok("09 cosine >= 0.1 and cooc > 1 defaults; edge count monotone in threshold")
 
 
-def test_criterion_10_layout_checks(micro_dir, tmp_path):
+def test_criterion_10_layout_checks(tmp_path, monkeypatch):
     two = Graph(nodes=[Node("a"), Node("b")], edges=[Edge(0, 1, 1.0)])
     layout = fruchterman_reingold(two, iterations=500, seed=42)
     k = math.sqrt(1.0 / 2)
@@ -343,17 +346,29 @@ def test_criterion_10_layout_checks(micro_dir, tmp_path):
     kk_again = kamada_kawai(triangle, seed=11)
     assert np.array_equal(kk.raw, kk_again.raw)
 
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    config1 = micro_config(micro_dir, out1)
-    config8 = PipelineConfig.build({
-        "input": str(micro_dir), "out": str(out8), "top": 20, "factors": 5,
-        "threads": 8,
-    })
-    run(config1)
-    run(config8)
-    assert (out1 / "map.net").read_bytes() == (out8 / "map.net").read_bytes()
-    assert (out1 / "map.svg").read_bytes() == (out8 / "map.svg").read_bytes()
-    ok("10 FR separation ~k, KK equilateral/stress, bitwise seeds, threads 1 vs 8")
+    # One run in two processes, with one and two OpenBLAS threads, on a corpus
+    # large enough for OpenBLAS to split its products, eigh and pinv.
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import corpusgen
+
+    corpus_file = tmp_path / "zipf.lines"
+    corpus_file.write_text(corpusgen.generate(200, 1000, seed=3).text, encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"input = {corpus_file}\ninput_format = lines\n", encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cowordmap", "run", "--config", str(config),
+             "--out", str(out), "--top", "160", "--factors", "5"],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({n: (out / n).read_bytes() for n in ARTIFACTS if n != "report.json"})
+    assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
+    ok("10 FR separation ~k, KK equilateral/stress, bitwise seeds, OpenBLAS threads 1 vs 2")
 
 
 def test_criterion_11_format_fidelity(micro_dir, tmp_path):

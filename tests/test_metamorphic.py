@@ -26,9 +26,10 @@ from cowordmap.errors import DataError
 from cowordmap.factors import assign_factors, factor_analyze, varimax
 from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run, run_stage
 from cowordmap.termstats import obs_exp, term_scores, tfidf_matrix
-from cowordmap.vectorspace import cooccurrence, cosine_matrix, pearson_matrix
+from cowordmap.vectorspace import cooccurrence, cosine_matrix, pearson_matrix, threshold_graph
 
 WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
+COS_THRESHOLD = PipelineConfig().cos_threshold
 
 
 def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> dict:
@@ -38,12 +39,14 @@ def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> 
         warnings.simplefilter("always")
         m = build_word_doc_matrix(Corpus(tuple(docs)), cfg)
         cells = m.counts.astype(float)
+        cosine = cosine_matrix(cells, m.terms)
         result = {
             "m": m,
             "scores": term_scores(m),
             "obs_exp": obs_exp(m).values,
             "tfidf": tfidf_matrix(m),
-            "cosine": cosine_matrix(cells, m.terms).values,
+            "cosine": cosine.values,
+            "edges": [(e.a, e.b) for e in threshold_graph(cosine, COS_THRESHOLD).edges],
             "pearson": pearson_matrix(cells, m.terms).values,
             "cooc": cooccurrence(m).values,
         }
@@ -57,8 +60,9 @@ def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> 
 
 
 def check_duplication(docs: list[Document], cfg: TokenizerConfig, factors: int | None):
-    """Every document again under a new id: cell ratios, idf, similarities and
-    factors stay; term totals and co-occurrences double."""
+    """Every document again under a new id: cell ratios, idf, similarities,
+    factors and the cosine map's edges stay; term totals and co-occurrences
+    double."""
     doubled = docs + [Document(f"copy-{d.id}", d.text) for d in docs]
     try:
         once = analyse(docs, cfg, factors)
@@ -77,6 +81,8 @@ def check_duplication(docs: list[Document], cfg: TokenizerConfig, factors: int |
         if key in once:
             np.testing.assert_allclose(twice[key], once[key], rtol=0, atol=1e-9)
     assert twice.get("assignment") == once.get("assignment")
+    if not (abs(once["cosine"] - COS_THRESHOLD) < 1e-9).any():  # no tie at the cut
+        assert twice["edges"] == once["edges"]
     assert np.array_equal(twice["cooc"], 2 * once["cooc"])
     a, b = twice["scores"], once["scores"]
     assert np.array_equal(a.freq, 2 * b.freq)

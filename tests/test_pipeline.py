@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -120,11 +121,23 @@ class TestPipelineConfig:
 
     def test_flags_are_fields_offering_the_declared_choices(self):
         flags = [a for a in build_parser()._actions if a.dest not in ("help", "command")]
-        assert len(flags) == 16
+        assert len(flags) == 15
         for action in flags:
             assert action.dest == "config" or action.dest in PipelineConfig.field_names()
             if action.dest in _CHOICES:
                 assert tuple(action.choices) == _CHOICES[action.dest]
+
+    def test_readme_flag_block_lists_the_parser_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.partition("Flags (each sets the config-file key")[2]
+        block = block.partition("```\n")[2].partition("```")[0]
+        options = {s for a in build_parser()._actions for s in a.option_strings}
+        assert set(re.findall(r"--[a-z][a-z-]*", block)) == options - {"-h", "--help"}
+
+    def test_factors_text_stays_text_unless_it_is_a_decimal_integer(self):
+        parsed = [_parse_value("factors", v, "--factors") for v in ("7", "007", "kaiser",
+                                                                      "1.5", "many")]
+        assert parsed == [7, 7, "kaiser", "1.5", "many"]
 
     def test_invalid_choice_lists_valid_values(self):
         with pytest.raises(ConfigError, match="freq, tfidf, chi2, obsexp"):
@@ -258,16 +271,6 @@ class TestRun:
         (corpus / "d1.txt").write_text("impact factor impact factor", encoding="utf-8")
         result = run(micro_config(corpus, out))
         assert result.stages["ingest"] == "computed"
-
-    def test_threads_do_not_change_artifacts(self, micro_dir, tmp_path):
-        out1, out8 = tmp_path / "t1", tmp_path / "t8"
-        run(micro_config(micro_dir, out1, threads=1))
-        run(micro_config(micro_dir, out8, threads=8))
-        a, b = artifact_bytes(out1), artifact_bytes(out8)
-        for name in ARTIFACTS:
-            if name == "report.json":
-                continue  # echoes the differing out/threads settings
-            assert a[name] == b[name], name
 
     def test_ratio_cells_configuration(self, micro_dir, tmp_path):
         config = micro_config(
@@ -546,7 +549,6 @@ INVALIDATION = [
     ("kk_tol", {"kk_tol": 1e-6}, ("map", "render")),
     ("kk_max_iter", {"kk_max_iter": 50}, ("map", "render")),
     ("out", {}, ()),
-    ("threads", {"threads": 8}, ()),
     ("moved input", lambda w: {"input": str(w.moved)}, ()),
 ]
 
@@ -735,6 +737,28 @@ class TestCli:
         assert code == 1
         assert "configuration error" in err and key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, flags, value", [
+        ("factors = many", [], "many"),
+        ("", ["--factors", "many"], "many"),
+        ("", ["--factors", "1.5"], "1.5"),
+    ], ids=["file-word", "flag-word", "flag-fraction"])
+    def test_a_bad_factor_count_gets_the_factor_count_rule_message(
+        self, micro_dir, tmp_path, capsys, line, flags, value
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main([
+            "run", "--config", str(config), "--input", str(micro_dir), "--out", str(out),
+            *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "coword-map: configuration error: factors must be a positive integer or "
+            f"'kaiser', got {value!r}\n"
+        )
         assert not out.exists()
 
     def test_no_input_exits_one(self, capsys):

@@ -186,6 +186,14 @@ class TestExpectedMatrix:
             np.testing.assert_allclose(e.sum(axis=1), m.row_margins, atol=1e-9)
             assert (e > 0).all()
 
+    def test_matches_scipy_expected_freq(self):
+        contingency = pytest.importorskip("scipy.stats.contingency")
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            counts = random_pruned_counts(rng)
+            np.testing.assert_allclose(expected_matrix(make_matrix(counts)).values,
+                                       contingency.expected_freq(counts), rtol=1e-12, atol=0)
+
 
 class TestTfidf:
     def test_power_of_two_logarithm(self):
@@ -241,6 +249,15 @@ class TestChiSquare:
         assert report.total == pytest.approx(total, abs=1e-9)
         np.testing.assert_allclose(report.per_cell, per_cell, atol=1e-9)
         assert report.degrees_of_freedom == 1
+
+    def test_total_matches_scipy_chi2_contingency(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            counts = random_pruned_counts(rng)
+            oracle = stats.chi2_contingency(counts, correction=False).statistic
+            total = chi_square(make_matrix(counts), yates="off").total
+            assert total == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_per_term_column_sums(self):
         m = make_matrix([[10, 20], [30, 40]])

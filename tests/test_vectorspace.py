@@ -50,6 +50,15 @@ class TestCosine:
         sim = cosine_matrix(data)
         np.testing.assert_allclose(sim.values, cosine_oracle(data), atol=1e-12)
 
+    def test_matches_scipy_cdist(self):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            data = random_pruned_counts(rng).astype(float)
+            oracle = 1 - distance.cdist(data.T, data.T, "cosine")
+            np.testing.assert_allclose(cosine_matrix(data).values, oracle,
+                                       rtol=1e-12, atol=1e-12)
+
     def test_exactly_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(4)
         data = rng.random((8, 12))
@@ -101,6 +110,16 @@ class TestPearson:
     def test_anticorrelation(self):
         data = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
         assert pearson_matrix(data).values[0, 1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_matches_numpy_corrcoef(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            data = random_pruned_counts(rng).astype(float)
+            data = data[:, data.std(axis=0) > 0]  # constant columns have no correlation
+            if data.shape[1] < 2:
+                continue
+            np.testing.assert_allclose(pearson_matrix(data).values,
+                                       np.corrcoef(data, rowvar=False), rtol=1e-12, atol=1e-12)
 
     def test_equals_cosine_of_centered_data(self):
         rng = np.random.default_rng(8)
