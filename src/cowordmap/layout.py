@@ -141,15 +141,12 @@ def fruchterman_reingold(
         t = t0 * (1.0 - step / iterations)
         dx, dy, dist = _separate_coincident(pos, nudges, work)
         # Every distance is now >= _EPS (the diagonal is inf), so no floor.
+        pull = edge_weight * dist[a, b] / k  # d^2/k, unit-scaled by another /d
+        sx, sy = dx[a, b] * pull, dy[a, b] * pull  # before the planes are scaled
         np.square(dist, out=dist)
         repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
         dx *= repulse
         dy *= repulse
-        ex = np.take(pos[:, 0], a) - np.take(pos[:, 0], b)
-        ey = np.take(pos[:, 1], a) - np.take(pos[:, 1], b)
-        edist = np.maximum(np.sqrt(ex * ex + ey * ey), _EPS)
-        pull = edge_weight * edist / k  # d^2/k, unit-scaled by another /d
-        sx, sy = ex * pull, ey * pull
         # The planes are antisymmetric, so the negated column sums are the
         # row sums (the pushes on each node); bincount then adds the pulls.
         force = np.bincount(slots, np.concatenate(
@@ -245,6 +242,8 @@ def _start(g: Graph, seed: int):
     """
     if not g.nodes:
         raise DataError("cannot lay out an empty graph")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     hops = graph_distances(g)
     classical = _classical_mds(hops) if np.isfinite(hops).all() else None
     if classical is None:
@@ -262,28 +261,31 @@ def kamada_kawai(
 
     The ideal distance between two nodes is their unweighted shortest-path
     length; the stress is the squared deviation from the ideal, weighted by
-    1/hops^2 (Kamada & Kawai 1989). It is
-    minimized by stress majorization (SMACOF; Gansner, Koren & North 2004):
-    every iteration moves all nodes at once by one Guttman transform,
-    ``pos <- pinv(V) @ B(pos) @ pos``, where ``V`` is the weighted Laplacian
-    and ``B(pos)`` has off-diagonal entries ``-weight * ideal / distance``
-    (distances below 1e-9 count as 1e-9, which keeps it a majorizer). The
-    stress never increases; the loop stops once an iteration lowers it by
-    at most ``tol`` relative to its previous value (their epsilon, 1e-4, by
-    default) or after ``max_iter`` iterations. A candidate whose stress
-    rises through rounding is discarded and ends the loop.
+    1/hops^2 (Kamada & Kawai 1989). It is minimized by stress majorization
+    (SMACOF; Gansner, Koren & North 2004): every iteration moves all nodes at
+    once by one Guttman transform, ``pos <- inv(V + 11ᵀ/n) @ B(pos) @ pos``,
+    with ``V`` the weighted Laplacian and ``B(pos)`` off-diagonal entries
+    ``-weight * ideal / distance`` (distances below 1e-9 count as 1e-9, which
+    keeps it a majorizer). The columns of ``B(pos) @ pos`` sum to 0, and on
+    them that inverse equals ``pinv(V)``. The stress never increases; the loop
+    stops once an iteration lowers it by at most ``tol`` relative to its
+    previous value (their epsilon, 1e-4, by default) or after ``max_iter``
+    iterations. A candidate whose stress rises through rounding ends the loop unused.
 
     It starts from the classical scaling of the ideal distances (Brandes &
     Pich 2008), or from random positions drawn with ``seed`` where that has no
     unique axes; coincident start nodes are nudged apart by ``random.Random(seed)``.
-    The start is rounded, but ``pinv`` and the products vary in their last
+    The start is rounded, but the inverse and the products vary in their last
     bits with the BLAS thread count; that shows in 4 decimals only near a
     rounding boundary, or where a relative decrease is within them of ``tol``.
 
     Raises:
+        ConfigError: ``tol`` is not finite, or ``tol``, ``max_iter`` or ``seed`` is negative.
         DataError: The graph is empty or disconnected (split components
             first, e.g. with :func:`split_and_pack`).
     """
+    if not (0 <= tol < math.inf and max_iter >= 0):  # nan fails the first test
+        raise ConfigError(f"tol must be finite and >= 0 and max_iter >= 0, got {tol}, {max_iter}")
     hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
     if n == 1:
@@ -292,7 +294,7 @@ def kamada_kawai(
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
     weight = _stress_weights(hops)
-    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
+    guttman = np.linalg.inv(np.diag(weight.sum(axis=1)) - weight + 1.0 / n)
     neg_pull = -(weight * hops)
     # Planes 0, 1 and 3 are scratch; plane 2 holds the current distances.
     work = np.empty((4, n, n))
@@ -303,7 +305,7 @@ def kamada_kawai(
     while iterations < max_iter:
         b = np.divide(neg_pull, np.maximum(dist, _EPS, out=work[0]), out=work[0])
         np.fill_diagonal(b, -b.sum(axis=1))
-        candidate = laplacian_pinv @ (b @ pos)
+        candidate = guttman @ (b @ pos)
         dist = _pair_offsets(candidate, work)[2]
         candidate_energy = _energy(dist, hops, weight, work[0])
         if candidate_energy > energy:

@@ -378,14 +378,12 @@ def _write_factors(view: SimpleNamespace, products: dict, out: Path) -> None:
 
 def _compute_map(view: SimpleNamespace, products: dict) -> None:
     selected = _selected_matrix(view, products)
-    if view.map == "cosine":
-        sim = vectorspace.cosine_matrix(
-            _cells_matrix(selected, view.cells), labels=selected.terms
-        )
-        graph = vectorspace.threshold_graph(sim, view.cos_threshold, rule="geq")
+    if view.map == "cosine":  # no name holds the n×n matrix through the layout
+        graph = vectorspace.threshold_graph(vectorspace.cosine_matrix(
+            _cells_matrix(selected, view.cells), labels=selected.terms), view.cos_threshold, "geq")
     else:
-        cooc = vectorspace.cooccurrence(selected, mode="words")
-        graph = vectorspace.threshold_graph(cooc, view.cooc_threshold, rule="gt")
+        graph = vectorspace.threshold_graph(
+            vectorspace.cooccurrence(selected, mode="words"), view.cooc_threshold, "gt")
     # Sizes only: the labels stay, so the checks Graph made still hold.
     freq = dict(zip(selected.terms, selected.col_margins))
     graph.nodes = [dataclasses.replace(n, size=float(freq[n.label])) for n in graph.nodes]

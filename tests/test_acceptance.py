@@ -347,7 +347,7 @@ def test_criterion_10_layout_checks(tmp_path, monkeypatch):
     assert np.array_equal(kk.raw, kk_again.raw)
 
     # One run in two processes, with one and two OpenBLAS threads, on a corpus
-    # large enough for OpenBLAS to split its products, eigh and pinv.
+    # large enough for OpenBLAS to split its products, eigh and inv.
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import corpusgen

@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run
+
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "tests" / "golden" / "matrix.json"
 
@@ -43,7 +45,6 @@ LEFT_OUT = {(3, "binary-obsexp-cooc-top60")}
 def digests() -> dict[str, dict[str, str]]:
     """Run every case into a temporary directory; its digests by case name."""
     generate = runpy.run_path(str(ROOT / "perfbench" / "corpusgen.py"))["generate"]
-    from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run
 
     table = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -18,6 +19,7 @@ from cowordmap.layout import (
     _classical_mds,
     _pair_offsets,
     _separate_coincident,
+    _start,
     fruchterman_reingold,
     graph_distances,
     kamada_kawai,
@@ -160,33 +162,36 @@ def random_connected_graph(rng, n, density):
     )
 
 
+def pinv_smacof(g, pos, tol=1e-4, max_iter=1000):
+    """SMACOF through ``pinv(V)`` from ``pos``, with kamada_kawai's distance
+    floor and stop rule; returns the stress history."""
+    hops = graph_distances(g)
+    weight = 1.0 / np.maximum(hops, 1.0) ** 2
+    np.fill_diagonal(weight, 0.0)
+    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
+    history = [stress(pos, hops)]
+    while len(history) <= max_iter:
+        dist = np.linalg.norm(pos[:, np.newaxis, :] - pos[np.newaxis, :, :], axis=2)
+        b = -weight * hops / np.maximum(dist, _EPS)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        pos = laplacian_pinv @ (b @ pos)
+        energy = stress(pos, hops)
+        if energy > history[-1]:
+            break
+        history.append(energy)
+        if history[-2] - energy <= tol * history[-2]:
+            break
+    return history
+
+
 def random_start_smacof(g, tol=1e-6, max_iter=1000, seed=42):
     """SMACOF from seeded random positions: the start before classical scaling.
 
     Returns the iteration count and the final stress.
     """
-    n = len(g.nodes)
-    pos = np.random.default_rng(seed).random((n, 2))
-    hops = graph_distances(g)
-    weight = 1.0 / np.maximum(hops, 1.0) ** 2
-    np.fill_diagonal(weight, 0.0)
-    laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
-    energy = stress(pos, hops)
-    iterations = 0
-    while iterations < max_iter:
-        dist = np.linalg.norm(pos[:, np.newaxis, :] - pos[np.newaxis, :, :], axis=2)
-        b = np.divide(-weight * hops, dist, out=np.zeros((n, n)), where=dist > 0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        candidate = laplacian_pinv @ (b @ pos)
-        candidate_energy = stress(candidate, hops)
-        if candidate_energy > energy:
-            break
-        converged = energy - candidate_energy <= tol * energy
-        pos, energy = candidate, candidate_energy
-        iterations += 1
-        if converged:
-            break
-    return iterations, energy
+    history = pinv_smacof(g, np.random.default_rng(seed).random((len(g.nodes), 2)),
+                          tol, max_iter)
+    return len(history) - 1, history[-1]
 
 
 def stress_oracle(coords, hops, scale=1.0):
@@ -362,6 +367,11 @@ class TestFruchtermanReingold:
         with pytest.raises(ConfigError, match=r"^iterations must be >= 0, got -5$"):
             fruchterman_reingold(graph, iterations=-5)
 
+    @pytest.mark.parametrize("graph", [chain(4), cycle(5)], ids=["classical", "random"])
+    def test_negative_seed_rejected(self, graph):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            fruchterman_reingold(graph, seed=-1)
+
     def test_normalization_preserves_aspect_ratio(self):
         from cowordmap.layout import _normalize
 
@@ -445,6 +455,35 @@ class TestKamadaKawai:
         g = Graph(nodes=[Node("a"), Node("b"), Node("c")], edges=[Edge(0, 1, 1.0)])
         with pytest.raises(DataError, match="connected"):
             kamada_kawai(g)
+
+    @pytest.mark.parametrize("tol, max_iter", [(-1.0, 1000), (math.nan, 1000),
+                                               (math.inf, 1000), (1e-4, -5)])
+    def test_bad_tol_or_max_iter_rejected(self, tol, max_iter):
+        with pytest.raises(ConfigError, match=r"^tol must be finite and >= 0 and max_iter >= 0"):
+            kamada_kawai(cycle(5), tol=tol, max_iter=max_iter)
+
+    @pytest.mark.parametrize("graph", [chain(4), cycle(5)], ids=["classical", "random"])
+    def test_negative_seed_rejected(self, graph):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            kamada_kawai(graph, seed=-1)
+
+    def test_matches_pinv_reference(self):
+        """``inv(V + 11ᵀ/n)`` acts as ``pinv(V)`` on the zero-sum columns of
+        ``B(pos) @ pos``: the same iterations and stresses from the same start.
+
+        Graphs that embed exactly (every 3-node graph, paths) are left out:
+        near stress 0 the relative stop rule reads rounding noise, and the
+        triangle stops after 56 iterations one way and 53 the other."""
+        cases = itertools.product((5, 8, 12, 25, 50, 100, 200), (0.0, 0.1, 0.5))
+        for graph_seed, (n, density) in enumerate(cases):
+            g = random_connected_graph(np.random.default_rng(graph_seed), n, density)
+            history = kamada_kawai(g, seed=graph_seed).stress_history
+            _, start, _ = _start(g, graph_seed)
+            _separate_coincident(start, random.Random(graph_seed))
+            reference = pinv_smacof(g, start)
+            assert reference[-1] > 0.01, "the case must not embed exactly"
+            assert len(history) == len(reference), (n, density)
+            np.testing.assert_allclose(history, reference, rtol=1e-9, atol=0)
 
     def test_seeded_determinism(self):
         g = complete(4)
@@ -574,7 +613,7 @@ class TestClassicalStart:
         assert proc.stdout.split() == ["False", "True"]
 
     def test_map_coordinates_do_not_depend_on_blas_threads(self, tmp_path):
-        """At about 400 nodes OpenBLAS threads eigh, pinv and the products."""
+        """At about 400 nodes OpenBLAS threads eigh, inv and the products."""
         script = (
             "import sys; import numpy as np\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -653,6 +692,11 @@ class TestSplitAndPack:
         largest = kamada_kawai(g.subgraph([2, 3, 4, 5]), seed=42)
         assert len(largest.stress_history) > 1
         assert packed.stress_history == largest.stress_history
+
+    def test_negative_seed_rejected(self):
+        g = Graph(nodes=[Node(l) for l in "abcd"], edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0)])
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            split_and_pack(g, self.layout_fn, seed=-1)
 
     def test_deterministic(self):
         g = Graph(
