@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import operator
 import re
 from collections.abc import Iterable
@@ -67,10 +66,6 @@ def _quote(label: str) -> str:
     return '"' + label.replace('"', '""') + '"'
 
 
-def _fmt4(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -82,15 +77,19 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
     (0.5 everywhere when no layout is given), followed by ``*Edges`` and
     one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix.
     """
-    xy = [(0.5, 0.5)] * len(g.nodes) if layout is None else layout.coords
-    tails = [f" {_fmt4(x)} {_fmt4(y)} {_fmt4(0.5)}" for x, y in xy]
+    tails = [f" {x:.4f} {y:.4f} 0.5000" for x, y in _positions(g, layout).tolist()]
     lines = _vertex_lines(g.labels, tails) + ["*Edges"]
     for e in g.edges:
-        line = f"{e.a + 1} {e.b + 1} {_fmt4(e.weight)}"
+        line = f"{e.a + 1} {e.b + 1} {e.weight:.4f}"
         if e.dotted:
             line += " p Dots"
         lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _positions(g: Graph, layout: Layout | None) -> np.ndarray:
+    """Vertex positions in the unit square; without a layout, all at its centre."""
+    return np.full((len(g.nodes), 2), 0.5) if layout is None else np.asarray(layout.coords)
 
 
 def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
@@ -304,21 +303,18 @@ def read_csv_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
 
 
 def _radii(g: Graph, r_min: float = 5.0, r_max: float = 18.0) -> list[float]:
-    """Node radii proportional to the square root of node size."""
-    sizes = [n.size for n in g.nodes]
-    known = [s for s in sizes if s is not None and s > 0]
-    if not known:
+    """Node radii proportional to the square root of node size; ``r_min``
+    where the size is None, not positive or NaN."""
+    sizes = np.array([np.nan if n.size is None else n.size for n in g.nodes], dtype=float)
+    known = sizes > 0
+    if not known.any():
         return [r_min + (r_max - r_min) / 3] * len(sizes)
-    lo, hi = math.sqrt(min(known)), math.sqrt(max(known))
-    radii = []
-    for s in sizes:
-        if s is None or s <= 0:
-            radii.append(r_min)
-        elif hi == lo:
-            radii.append((r_min + r_max) / 2)
-        else:
-            radii.append(r_min + (r_max - r_min) * (math.sqrt(s) - lo) / (hi - lo))
-    return radii
+    roots = np.sqrt(sizes[known])
+    lo, hi = roots.min(), roots.max()
+    radii = np.full(len(sizes), r_min)
+    radii[known] = (r_min + (r_max - r_min) * (roots - lo) / (hi - lo) if hi > lo
+                    else (r_min + r_max) / 2)
+    return radii.tolist()
 
 
 def render_svg_map(
@@ -344,35 +340,25 @@ def render_svg_map(
             label: int(f) for label, f in zip(assignment.labels, assignment.factor)
         }
 
-    def px(i: int) -> tuple[float, float]:
-        if layout is None:
-            return size / 2.0, size / 2.0
-        x, y = layout.coords[i]
-        return margin + x * span, margin + (1.0 - y) * span  # SVG y grows downwards
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    weights = [abs(e.weight) for e in g.edges]
-    w_lo, w_hi = (min(weights), max(weights)) if weights else (0.0, 0.0)
-    for e in g.edges:
-        xa, ya = px(e.a)
-        xb, yb = px(e.b)
-        if w_hi > w_lo:
-            width = 0.8 + 2.7 * (abs(e.weight) - w_lo) / (w_hi - w_lo)
-        else:
-            width = 1.5
+    xy = _positions(g, layout)  # drawn with y flipped: SVG y grows downwards
+    pts = np.column_stack((margin + xy[:, 0] * span, margin + (1.0 - xy[:, 1]) * span)).tolist()
+    weights = np.abs([e.weight for e in g.edges])
+    lo, hi = (weights.min(), weights.max()) if len(weights) else (0.0, 0.0)
+    widths = 0.8 + 2.7 * (weights - lo) / (hi - lo) if hi > lo else np.full(len(weights), 1.5)
+    for e, width in zip(g.edges, widths.tolist()):
+        (xa, ya), (xb, yb) = pts[e.a], pts[e.b]
         dash = ' stroke-dasharray="6 4"' if e.dotted else ""
         parts.append(
             f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
             f'stroke="#777777" stroke-width="{width:.2f}"{dash}/>'
         )
-    radii = _radii(g)
-    for i, node in enumerate(g.nodes):
-        x, y = px(i)
+    for node, (x, y), r in zip(g.nodes, pts, _radii(g), strict=True):
         factor = factor_of.get(node.label, UNASSIGNED)
         if factor != UNASSIGNED:
             fill = PALETTE[factor % len(PALETTE)][1]
@@ -381,11 +367,11 @@ def render_svg_map(
             fill = _WHITE
             stroke = "black"
         parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radii[i]:.2f}" '
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{x + radii[i] + 3:.2f}" y="{y + 4:.2f}" '
+            f'<text x="{x + r + 3:.2f}" y="{y + 4:.2f}" '
             f'font-family="sans-serif" font-size="13">{_xml_escape(node.label)}</text>'
         )
     parts.append("</svg>")

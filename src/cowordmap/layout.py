@@ -268,8 +268,9 @@ def kamada_kawai(
     ``-weight * ideal / distance`` (distances below 1e-9 count as 1e-9, which
     keeps it a majorizer). The columns of ``B(pos) @ pos`` sum to 0, and on
     them that inverse equals ``pinv(V)``. The stress never increases; the loop
-    stops once an iteration lowers it by at most ``tol`` relative to its
-    previous value (their epsilon, 1e-4, by default) or after ``max_iter``
+    stops once an iteration lowers it by at most ``tol`` relative to its previous
+    value (their epsilon, 1e-4, by default), once it is at most 1e-20 (an exact
+    embedding, where the relative test reads rounding noise) or after ``max_iter``
     iterations. A candidate whose stress rises through rounding ends the loop unused.
 
     It starts from the classical scaling of the ideal distances (Brandes &
@@ -302,7 +303,7 @@ def kamada_kawai(
     energy = _energy(dist, hops, weight, work[0])
     history = [energy]
     iterations = 0
-    while iterations < max_iter:
+    while iterations < max_iter and energy > 1e-20:
         b = np.divide(neg_pull, np.maximum(dist, _EPS, out=work[0]), out=work[0])
         np.fill_diagonal(b, -b.sum(axis=1))
         candidate = guttman @ (b @ pos)
@@ -352,16 +353,15 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
         side = math.sqrt(len(comp) / n)
         box = sub.coords * side
         box[:, 0] += x_cursor
-        for local, node in enumerate(comp):
-            coords[node] = box[local]
+        coords[comp] = box
         x_cursor += side + gutter
         sublayouts.append(sub)
     main_width = max(x_cursor - gutter, 0.0)
     if isolates:
         row_y = -2 * gutter  # strictly below every packed box
         spacing = main_width / max(len(isolates) - 1, 1) if main_width > 0 else gutter
-        for i, node in enumerate(isolates):
-            coords[node] = (i * spacing, row_y)
+        coords[isolates, 0] = np.arange(len(isolates)) * spacing
+        coords[isolates, 1] = row_y
     return Layout(
         coords=_normalize(coords), labels=g.labels,
         iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ import pytest
 
 from cowordmap.errors import DataError
 from cowordmap.export import (
+    PALETTE,
     _cell,
     _quote,
     _xml_escape,
@@ -83,6 +85,68 @@ def pajek_matrix_reference(values, labels) -> bytes:
     lines.append("*Matrix")
     lines += [" ".join(str(int(v)) for v in row) for row in np.asarray(values)]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, bytes]:
+    """map.net and map.svg as the per-element writers built them: a ``px``
+    call per edge end and node, the width rule per edge and a radius per node."""
+    margin, span = 70.0, size - 2 * 70.0
+
+    def px(i):
+        if layout is None:
+            return size / 2.0, size / 2.0
+        x, y = layout.coords[i]
+        return margin + x * span, margin + (1.0 - y) * span
+
+    xy = [(0.5, 0.5)] * len(g.nodes) if layout is None else layout.coords
+    net = [f"*Vertices {len(g.nodes)}"]
+    net += [f"{i} {_quote(node.label)} {x:.4f} {y:.4f} 0.5000"
+            for i, (node, (x, y)) in enumerate(zip(g.nodes, xy), 1)]
+    net += ["*Edges"] + [f"{e.a + 1} {e.b + 1} {e.weight:.4f}" + (" p Dots" if e.dotted else "")
+                         for e in g.edges]
+
+    svg = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+    ]
+    weights = [abs(e.weight) for e in g.edges]
+    w_lo, w_hi = (min(weights), max(weights)) if weights else (0.0, 0.0)
+    for e in g.edges:
+        (xa, ya), (xb, yb) = px(e.a), px(e.b)
+        if w_hi > w_lo:
+            width = 0.8 + 2.7 * (abs(e.weight) - w_lo) / (w_hi - w_lo)
+        else:
+            width = 1.5
+        dash = ' stroke-dasharray="6 4"' if e.dotted else ""
+        svg.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
+                   f'stroke="#777777" stroke-width="{width:.2f}"{dash}/>')
+    known = [n.size for n in g.nodes if n.size is not None and n.size > 0]
+    factor_of = {} if assignment is None else {
+        label: int(f) for label, f in zip(assignment.labels, assignment.factor)}
+    for i, node in enumerate(g.nodes):
+        if not known:
+            r = 5.0 + 13.0 / 3
+        elif node.size is None or node.size <= 0:
+            r = 5.0
+        elif max(known) == min(known):
+            r = 11.5
+        else:
+            lo, hi = math.sqrt(min(known)), math.sqrt(max(known))
+            r = 5.0 + 13.0 * (math.sqrt(node.size) - lo) / (hi - lo)
+        x, y = px(i)
+        factor = factor_of.get(node.label, UNASSIGNED)
+        if factor != UNASSIGNED:
+            fill, stroke = PALETTE[factor % len(PALETTE)][1], "#333333"
+        else:
+            fill, stroke = "#ffffff", "black"
+        svg.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" '
+                   f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
+        svg.append(f'<text x="{x + r + 3:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
+                   f'font-size="13">{_xml_escape(node.label)}</text>')
+    svg.append("</svg>")
+    return ("\n".join(net) + "\n").encode("utf-8"), ("\n".join(svg) + "\n").encode("utf-8")
 
 
 # Labels csv must quote, or must leave alone, in every awkward way.
@@ -451,3 +515,50 @@ class TestSvg:
         path = tmp_path / "special.svg"
         render_svg_map(g, layout, None, path)
         ET.fromstring(path.read_text())  # parses cleanly
+
+    def test_map_writers_match_per_element_reference(self, tmp_path):
+        """Sizes that are None, 0, negative, equal or distinct; equal and
+        distinct |weights|; dotted edges, no edges, and no layout."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def maps(draw):
+            labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS + ["a<b&c>d"]),
+                                   unique=True, max_size=9))
+            n = len(labels)
+            # a few distinct values per map, so equal sizes and |weights| are common
+            size_pool = draw(st.lists(st.sampled_from([None, 0, 0.0, -2.0, 1.0, 4.0])
+                                      | st.floats(1e-6, 1e6), min_size=1, max_size=4))
+            sizes = draw(st.lists(st.sampled_from(size_pool), min_size=n, max_size=n))
+            weight_pool = draw(st.lists(st.sampled_from([-1.0, 1.0, 0.25])
+                                        | st.floats(-10, 10), min_size=1, max_size=3))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            edges = [Edge(a, b, draw(st.sampled_from(weight_pool)), dotted=draw(st.booleans()))
+                     for a, b in sorted(chosen)]
+            g = Graph(nodes=[Node(label, size=s) for label, s in zip(labels, sizes)],
+                      edges=edges)
+            layout = None
+            if draw(st.booleans()):
+                coords = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0, 1)))
+                layout = Layout(coords=coords, labels=labels, iterations=0, raw=coords)
+            assignment = None
+            if draw(st.booleans()):
+                factor = draw(st.lists(st.integers(UNASSIGNED, 14), min_size=n, max_size=n))
+                assignment = FactorAssignment(labels=labels, factor=np.array(factor, dtype=int),
+                                              sign=np.ones(n, dtype=int), suppression=0.1)
+            return g, layout, assignment
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(maps())
+        def check(drawn):
+            g, layout, assignment = drawn
+            write_pajek_net(g, layout, tmp_path / "map.net")
+            render_svg_map(g, layout, assignment, tmp_path / "map.svg")
+            net, svg = map_writers_reference(g, layout, assignment)
+            assert (tmp_path / "map.net").read_bytes() == net
+            assert (tmp_path / "map.svg").read_bytes() == svg
+
+        check()

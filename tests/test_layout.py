@@ -170,7 +170,7 @@ def pinv_smacof(g, pos, tol=1e-4, max_iter=1000):
     np.fill_diagonal(weight, 0.0)
     laplacian_pinv = np.linalg.pinv(np.diag(weight.sum(axis=1)) - weight)
     history = [stress(pos, hops)]
-    while len(history) <= max_iter:
+    while len(history) <= max_iter and history[-1] > 1e-20:
         dist = np.linalg.norm(pos[:, np.newaxis, :] - pos[np.newaxis, :, :], axis=2)
         b = -weight * hops / np.maximum(dist, _EPS)
         np.fill_diagonal(b, -b.sum(axis=1))
@@ -484,6 +484,23 @@ class TestKamadaKawai:
             assert reference[-1] > 0.01, "the case must not embed exactly"
             assert len(history) == len(reference), (n, density)
             np.testing.assert_allclose(history, reference, rtol=1e-9, atol=0)
+
+    def test_exact_embeddings_match_pinv_reference(self):
+        """Where the stress reaches 0 up to rounding (every 3-node graph,
+        paths), the stress floor, not rounding noise, stops both ways after
+        the same number of iterations."""
+        rng = np.random.default_rng(0)
+        cases = [(complete(3), 0), (chain(2), 0)]
+        cases += [(chain(n), seed) for n in (3, 4, 5, 8, 13) for seed in range(6)]
+        cases += [(random_connected_graph(rng, n, 0.5), seed)
+                  for n in (3, 4) for seed in range(30)]
+        for g, seed in cases:
+            history = kamada_kawai(g, seed=seed).stress_history
+            _, start, _ = _start(g, seed)
+            _separate_coincident(start, random.Random(seed))
+            reference = pinv_smacof(g, start)
+            assert len(history) == len(reference), ([(e.a, e.b) for e in g.edges], seed)
+            np.testing.assert_allclose(history, reference, rtol=1e-9, atol=1e-12)
 
     def test_seeded_determinism(self):
         g = complete(4)
