@@ -12,17 +12,21 @@ that stage, skipping the writes of stages whose inputs, configuration and
 artifacts are unchanged; ``run`` runs every stage.
 
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
-3 I/O error. Progress lines go to stderr; artifacts are deterministic.
+3 I/O error. Progress lines go to stderr; artifacts are deterministic. The
+``coword-map`` script exits right after its last line is flushed, without
+interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from .errors import ConfigError, DataError
-from .pipeline import _CHOICES, STAGE_ORDER, STAGES, PipelineConfig, _parse_value, run_stage
+from .pipeline import (_CHOICES, _TYPES, STAGE_ORDER, STAGES, PipelineConfig, _parse_value,
+                       run_stage)
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -85,7 +89,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     """The config values given as flags, parsed like config-file values."""
     return {
         key: _parse_value(key, value, "--" + key.replace("_", "-"))
-        for key in PipelineConfig.field_names()
+        for key in _TYPES
         if (value := getattr(args, key, None)) is not None
     }
 
@@ -116,7 +120,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run :func:`main` and end the process without interpreter teardown."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()  # the logging handler writes here too
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ class WordDocMatrix:
     these arrays. :attr:`counts` builds the dense matrix on each access, and
     :meth:`rows` one dense row at a time. Rows and columns with a zero margin
     are pruned at construction (ids in ``pruned_docs``), so every expected
-    value from the margins is positive.
+    value from the margins is positive. A repeated document id or term is a
+    DataError.
     """
 
     def __init__(self, counts: np.ndarray | tuple, doc_ids: list[str], terms: list[str]):
@@ -170,6 +171,8 @@ class WordDocMatrix:
             raise DataError("counts must be nonnegative")
         if shape != (len(doc_ids), len(terms)):
             raise DataError("counts shape does not match the labels")
+        check_unique(doc_ids, "document ids")
+        check_unique(terms, "terms")
 
         row_margins = np.diff(np.concatenate([[0], np.cumsum(data)])[indptr])
         col_margins = np.zeros(len(terms), dtype=np.int64)

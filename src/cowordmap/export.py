@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataError
 from .factors import UNASSIGNED, FactorAssignment
 from .layout import Layout
-from .vectorspace import CoocMatrix, Edge, Graph, Node
+from .vectorspace import Edge, Graph, Node, SimilarityMatrix
 
 __all__ = [
     "PALETTE",
@@ -180,7 +180,7 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
     return Graph(nodes=nodes, edges=edges), (coords if have_coords else None)
 
 
-def write_pajek_matrix(m: CoocMatrix, path: str | Path) -> None:
+def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
     """Write a symmetric integer matrix in Pajek matrix format.
 
     Layout: ``*Vertices N``, one ``i "label"`` line per vertex, ``*Matrix``,
@@ -195,7 +195,7 @@ def write_pajek_matrix(m: CoocMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_pajek_matrix(path: str | Path) -> CoocMatrix:
+def read_pajek_matrix(path: str | Path) -> SimilarityMatrix:
     """Parse a Pajek matrix file written by :func:`write_pajek_matrix`."""
     path = Path(path)
     lines, vertices = _vertices(path)
@@ -216,7 +216,7 @@ def read_pajek_matrix(path: str | Path) -> CoocMatrix:
             raise DataError(f"{path.name}:{lineno}: expected {n} values")
         rows.append(row)
     labels = [label for label, _ in vertices]
-    return CoocMatrix(values=np.array(rows, dtype=np.int64), labels=labels, mode="words")
+    return SimilarityMatrix(values=np.array(rows, dtype=np.int64), labels=labels)
 
 
 def _cell(value) -> str:
@@ -302,9 +302,10 @@ def read_csv_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
     return np.array(rows), row_labels, col_labels
 
 
-def _radii(g: Graph, r_min: float = 5.0, r_max: float = 18.0) -> list[float]:
-    """Node radii proportional to the square root of node size; ``r_min``
-    where the size is None, not positive or NaN."""
+def _radii(g: Graph) -> list[float]:
+    """Node radii from 5 to 18 px, proportional to the square root of node
+    size; 5 px where the size is None, not positive or NaN."""
+    r_min, r_max = 5.0, 18.0
     sizes = np.array([np.nan if n.size is None else n.size for n in g.nodes], dtype=float)
     known = sizes > 0
     if not known.any():
@@ -322,9 +323,8 @@ def render_svg_map(
     layout: Layout | None,
     assignment: FactorAssignment | None,
     path: str | Path,
-    size: int = 1000,
 ) -> None:
-    """Render the map as an SVG file.
+    """Render the map as a 1000 x 1000 px SVG file.
 
     Nodes are circles with radius proportional to the square root of their
     size, filled with the color of their assigned factor from the fixed
@@ -332,7 +332,7 @@ def render_svg_map(
     Edge width grows with weight and dotted edges are dashed. An empty
     graph still produces a valid SVG canvas.
     """
-    margin = 70.0
+    size, margin = 1000, 70.0
     span = size - 2 * margin
     factor_of = {}
     if assignment is not None:

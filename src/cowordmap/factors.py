@@ -170,17 +170,12 @@ def varimax_criterion(loadings: np.ndarray) -> float:
     return float((sq**2).mean(axis=0).sum() - (sq.mean(axis=0) ** 2).sum())
 
 
-def varimax(
-    sol: FactorSolution,
-    kaiser_normalize: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> FactorSolution:
+def varimax(sol: FactorSolution, kaiser_normalize: bool = True) -> FactorSolution:
     """Rotate the solution to maximize the varimax criterion.
 
     Sweeps the factor pairs (f, g) in lexicographic order, rotating each
     plane by the analytically optimal angle, until the criterion gain over a
-    full sweep drops below ``tol`` or ``max_iter`` sweeps have run. With
+    full sweep drops below 1e-10 or 100 sweeps have run. With
     ``kaiser_normalize`` the rows are divided by the square roots of their
     communalities before rotation and rescaled afterwards.
 
@@ -209,7 +204,7 @@ def varimax(
     rotation = np.eye(k)
     history = [varimax_criterion(loadings)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(100):
         for f in range(k - 1):
             for g in range(f + 1, k):
                 x, y = loadings[:, f], loadings[:, g]
@@ -226,12 +221,12 @@ def varimax(
                     x, y = m[:, f], m[:, g]
                     m[:, f], m[:, g] = c * x + s * y, -s * x + c * y
         history.append(varimax_criterion(loadings))
-        if history[-1] - history[-2] < tol:
+        if history[-1] - history[-2] < 1e-10:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"varimax did not converge in {max_iter} sweeps",
+            "varimax did not converge in 100 sweeps",
             CowordMapWarning,
             stacklevel=2,
         )

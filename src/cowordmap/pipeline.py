@@ -104,10 +104,6 @@ class PipelineConfig:
     out: str = "coword-out"
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(_TYPES)
-
-    @classmethod
     def build(
         cls,
         file_values: dict | None = None,

@@ -19,7 +19,6 @@ from .corpus import WordDocMatrix
 from .errors import CowordMapWarning, DataError, capped_ids, check_choice, check_unique
 
 __all__ = [
-    "CoocMatrix",
     "Edge",
     "Graph",
     "Node",
@@ -33,20 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric pairwise similarities between labelled vectors."""
+    """A symmetric matrix over labelled vectors: cosines, Pearson correlations
+    or integer co-occurrence counts."""
 
     values: np.ndarray
     labels: list[str]
-    kind: str  # "cosine" or "pearson"
-
-
-@dataclass(frozen=True)
-class CoocMatrix:
-    """Integer co-occurrence counts: ``A'A`` over words or ``AA'`` over documents."""
-
-    values: np.ndarray
-    labels: list[str]
-    mode: str  # "words" or "documents"
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,7 @@ def cosine_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
     """
     values, labels = _unit_gram(*_vectors(values, labels), "all-zero", "cosine")
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, labels=labels, kind="cosine")
+    return SimilarityMatrix(values=values, labels=labels)
 
 
 def pearson_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
@@ -198,10 +188,10 @@ def pearson_matrix(values, labels: list[str] | None = None) -> SimilarityMatrix:
     values, labels = _unit_gram(data - data.mean(axis=0), labels, "constant", "correlation")
     values = np.clip(values, -1.0, 1.0)
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, labels=labels, kind="pearson")
+    return SimilarityMatrix(values=values, labels=labels)
 
 
-def cooccurrence(m: WordDocMatrix, mode: str = "words") -> CoocMatrix:
+def cooccurrence(m: WordDocMatrix, mode: str = "words") -> SimilarityMatrix:
     """Multiply the matrix with its transpose, in exact integer arithmetic.
 
     ``"words"`` gives ``A'A`` (terms x terms, diagonal = sum of squared
@@ -216,14 +206,10 @@ def cooccurrence(m: WordDocMatrix, mode: str = "words") -> CoocMatrix:
         raise DataError("co-occurrence counts reach 2^53, past exact float64 integers")
     values = (a.T @ a).astype(np.int64)
     labels = list(m.terms) if mode == "words" else list(m.doc_ids)
-    return CoocMatrix(values=values, labels=labels, mode=mode)
+    return SimilarityMatrix(values=values, labels=labels)
 
 
-def threshold_graph(
-    matrix: SimilarityMatrix | CoocMatrix,
-    threshold: float,
-    rule: str = "geq",
-) -> Graph:
+def threshold_graph(matrix: SimilarityMatrix, threshold: float, rule: str = "geq") -> Graph:
     """Keep the node set and the edges whose value passes the threshold.
 
     Args:

@@ -41,10 +41,10 @@ from cowordmap.layout import fruchterman_reingold, graph_distances, kamada_kawai
 from cowordmap.pipeline import ARTIFACTS, PipelineConfig, run
 from cowordmap.termstats import chi_square, expected_matrix, obs_exp, tfidf_matrix
 from cowordmap.vectorspace import (
-    CoocMatrix,
     Edge,
     Graph,
     Node,
+    SimilarityMatrix,
     cooccurrence,
     cosine_matrix,
     pearson_matrix,
@@ -277,12 +277,12 @@ def test_criterion_09_threshold_semantics():
     defaults = PipelineConfig.build({"input": "x"})
     assert defaults.cos_threshold == 0.1
     assert defaults.cooc_threshold == 1.0
-    sim = CoocMatrix(
-        values=np.array([[1.0, 0.1], [0.1, 1.0]]), labels=["a", "b"], mode="words"
+    sim = SimilarityMatrix(
+        values=np.array([[1.0, 0.1], [0.1, 1.0]]), labels=["a", "b"]
     )
     assert len(threshold_graph(sim, 0.1, rule="geq").edges) == 1
-    cooc = CoocMatrix(
-        values=np.array([[5, 1], [1, 5]]), labels=["a", "b"], mode="words"
+    cooc = SimilarityMatrix(
+        values=np.array([[5, 1], [1, 5]]), labels=["a", "b"]
     )
     import warnings as _w
 
@@ -292,8 +292,7 @@ def test_criterion_09_threshold_semantics():
         rng = np.random.default_rng(109)
         values = rng.random((9, 9))
         values = (values + values.T) / 2
-        matrix = CoocMatrix(values=values, labels=[f"n{i}" for i in range(9)],
-                            mode="words")
+        matrix = SimilarityMatrix(values=values, labels=[f"n{i}" for i in range(9)])
         previous = None
         for threshold in np.linspace(0.0, 1.1, 23):
             count = len(threshold_graph(matrix, float(threshold), rule="geq").edges)
@@ -396,8 +395,8 @@ def test_criterion_11_format_fidelity(micro_dir, tmp_path):
 
         size = int(rng.integers(1, 8))
         half = rng.integers(0, 40, size=(size, size))
-        cooc = CoocMatrix(
-            values=half + half.T, labels=[f"t{j}" for j in range(size)], mode="words"
+        cooc = SimilarityMatrix(
+            values=half + half.T, labels=[f"t{j}" for j in range(size)]
         )
         dat = tmp_path / f"rt{i}.dat"
         write_pajek_matrix(cooc, dat)

@@ -125,7 +125,9 @@ class TestLoadCorpus:
 @pytest.mark.parametrize("build, what", [
     (lambda ids: Corpus(tuple(Document(i, "") for i in ids)), "document ids"),
     (lambda ids: Graph(nodes=[Node(i) for i in ids]), "node labels"),
-], ids=["Corpus", "Graph"])
+    (lambda ids: WordDocMatrix(np.ones((len(ids), 1)), ids, ["t"]), "document ids"),
+    (lambda ids: WordDocMatrix(np.ones((1, len(ids))), ["d"], ids), "terms"),
+], ids=["Corpus", "Graph", "WordDocMatrix-docs", "WordDocMatrix-terms"])
 def test_duplicate_ids_name_ten_then_the_count(build, what):
     ids = [f"d{i:02d}" for i in range(30)]
     with pytest.raises(DataError) as excinfo:

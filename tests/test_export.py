@@ -30,7 +30,7 @@ from cowordmap.export import (
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.layout import Layout
 from cowordmap.termstats import distinct_expected_cells, expected_matrix
-from cowordmap.vectorspace import CoocMatrix, Edge, Graph, Node
+from cowordmap.vectorspace import Edge, Graph, Node, SimilarityMatrix
 from conftest import make_matrix
 
 
@@ -241,8 +241,8 @@ class TestPajekNet:
 
 class TestPajekMatrix:
     def test_exact_format(self, tmp_path):
-        m = CoocMatrix(
-            values=np.array([[4, 2], [2, 2]]), labels=["a", "b"], mode="words"
+        m = SimilarityMatrix(
+            values=np.array([[4, 2], [2, 2]]), labels=["a", "b"]
         )
         path = tmp_path / "coocc.dat"
         write_pajek_matrix(m, path)
@@ -251,7 +251,7 @@ class TestPajekMatrix:
         )
 
     def test_one_by_one(self, tmp_path):
-        m = CoocMatrix(values=np.array([[7]]), labels=["solo"], mode="words")
+        m = SimilarityMatrix(values=np.array([[7]]), labels=["solo"])
         path = tmp_path / "solo.dat"
         write_pajek_matrix(m, path)
         assert path.read_text() == '*Vertices 1\n1 "solo"\n*Matrix\n7\n'
@@ -262,8 +262,8 @@ class TestPajekMatrix:
             n = int(rng.integers(1, 9))
             half = rng.integers(0, 50, size=(n, n))
             values = half + half.T
-            m = CoocMatrix(
-                values=values, labels=[f"t{j}" for j in range(n)], mode="words"
+            m = SimilarityMatrix(
+                values=values, labels=[f"t{j}" for j in range(n)]
             )
             path = tmp_path / f"m{i}.dat"
             write_pajek_matrix(m, path)
@@ -281,7 +281,7 @@ class TestPajekMatrix:
             values = (half + half.T).astype(dtype)
             labels = (AWKWARD_LABELS * 2)[:n]
             path = tmp_path / f"m{n}.dat"
-            write_pajek_matrix(CoocMatrix(values=values, labels=labels, mode="words"), path)
+            write_pajek_matrix(SimilarityMatrix(values=values, labels=labels), path)
             assert path.read_bytes() == pajek_matrix_reference(values, labels)
 
     @pytest.mark.parametrize(
@@ -315,7 +315,7 @@ class TestPajekMatrix:
             read_pajek_matrix(path)
 
     def test_asymmetric_rejected(self, tmp_path):
-        m = CoocMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"], mode="words")
+        m = SimilarityMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"])
         with pytest.raises(DataError, match="symmetric"):
             write_pajek_matrix(m, tmp_path / "bad.dat")
 

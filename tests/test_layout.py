@@ -515,6 +515,46 @@ class TestKamadaKawai:
         before, after = layout.stress_history[-2:]
         assert before - after <= 1e-6 * before
 
+    @staticmethod
+    def networkx_ratio(nx, edges, n):
+        """Rescaled stress of ``kamada_kawai`` over that of networkx's layout."""
+        g = Graph(nodes=[Node(f"n{i}") for i in range(n)],
+                  edges=[Edge(a, b, 1.0) for a, b in sorted(edges)])
+        hops = graph_distances(g)
+        theirs = nx.kamada_kawai_layout(nx.Graph(list(edges)))
+        theirs = np.array([theirs[i] for i in range(n)])
+        return rescaled_stress(kamada_kawai(g).raw, hops) / rescaled_stress(theirs, hops)
+
+    def test_stress_near_networkx(self):
+        """200 random connected G(n, p) graphs, n 3-40, p 0.05-0.5: the ratio
+        had a median of 0.993, a p99 of 1.07 and a maximum of 1.229 (a
+        10-node graph whose SMACOF run ends in another local minimum, with
+        tol 0 too). Hence a loose per-graph bound and a tight one on the median."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(0)
+        ratios = []
+        while len(ratios) < 200:
+            n, p = int(rng.integers(3, 41)), float(rng.uniform(0.05, 0.5))
+            reference = nx.gnp_random_graph(n, p, seed=int(rng.integers(2**31)))
+            if nx.is_connected(reference):
+                ratios.append(self.networkx_ratio(nx, reference.edges, n))
+        assert max(ratios) <= 1.3
+        assert np.median(ratios) <= 1.01
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "kamada_kawai stops on the saddle of a mirror-symmetric classical start "
+        "after 3 and 5 iterations (FOUND in CHANGES.md); with tol 0 both reach "
+        "networkx's stress"))
+    def test_symmetric_starts_reach_networkx_stress(self):
+        nx = pytest.importorskip("networkx")
+        for edges in (
+            [(0, 6), (1, 5), (1, 7), (1, 8), (2, 4), (3, 5), (4, 7), (4, 9), (6, 8), (7, 8),
+             (7, 9), (7, 10), (9, 10)],
+            [(0, 1), (0, 4), (0, 5), (0, 9), (1, 5), (1, 7), (2, 9), (3, 5), (3, 6), (4, 5),
+             (4, 6), (4, 10), (5, 6), (5, 9), (6, 8)],
+        ):
+            assert self.networkx_ratio(nx, edges, 11) <= 1.3
+
     def test_majorization_properties_on_random_graphs(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")

@@ -24,7 +24,7 @@ from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.factors import factor_analyze
 from cowordmap.pipeline import (
-    _CHOICES, ARTIFACTS, PipelineConfig, _parse_value, run, run_stage,
+    _CHOICES, _TYPES, ARTIFACTS, STAGES, PipelineConfig, _parse_value, run, run_stage,
 )
 
 
@@ -123,7 +123,7 @@ class TestPipelineConfig:
         flags = [a for a in build_parser()._actions if a.dest not in ("help", "command")]
         assert len(flags) == 15
         for action in flags:
-            assert action.dest == "config" or action.dest in PipelineConfig.field_names()
+            assert action.dest == "config" or action.dest in _TYPES
             if action.dest in _CHOICES:
                 assert tuple(action.choices) == _CHOICES[action.dest]
 
@@ -931,3 +931,21 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_module_entry_point_flushes_every_line_before_it_exits(
+        self, micro_dir, micro_cfg, tmp_path
+    ):
+        out = tmp_path / "out"
+        command = [sys.executable, "-m", "cowordmap", "run", "--config", str(micro_cfg),
+                   "--input", str(micro_dir), "--out", str(out)]
+        proc = subprocess.run(command, stderr=subprocess.PIPE, text=True)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert sum(line.startswith("stage ") for line in lines) == len(STAGES)
+        assert [line for line in lines if line.startswith(str(out))] == sorted(
+            str(out / name) for name in ARTIFACTS)
+        proc = subprocess.run(command + ["--factors", "many"], stderr=subprocess.PIPE,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(
+            "factors must be a positive integer or 'kaiser', got 'many'\n")

@@ -11,10 +11,10 @@ import pytest
 from conftest import make_matrix, random_pruned_counts
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.vectorspace import (
-    CoocMatrix,
     Edge,
     Graph,
     Node,
+    SimilarityMatrix,
     cooccurrence,
     cosine_matrix,
     pearson_matrix,
@@ -246,7 +246,7 @@ def threshold_graph_reference(matrix, threshold, rule="geq"):
 
 class TestThresholdGraph:
     def sim(self, values, labels):
-        return CoocMatrix(values=np.array(values), labels=labels, mode="words")
+        return SimilarityMatrix(values=np.array(values), labels=labels)
 
     def test_geq_keeps_boundary(self):
         matrix = self.sim([[9, 1], [1, 9]], ["a", "b"])
