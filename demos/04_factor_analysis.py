@@ -41,5 +41,5 @@ print("unassigned (white):", ", ".join(white) if white else "-")
 # The loading structure as a bipartite graph: dotted edges mark negative
 # loadings.
 graph = factor_graph(rotated, suppression=0.1)
-dotted = sum(1 for e in graph.edges if e.dotted)
+dotted = graph.dotted.sum()
 print(f"factor graph: {len(graph.edges)} edges, {dotted} dotted (negative)")

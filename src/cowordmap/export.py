@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataError
 from .factors import UNASSIGNED, FactorAssignment
 from .layout import Layout
-from .vectorspace import Edge, Graph, Node, SimilarityMatrix
+from .vectorspace import Graph, SimilarityMatrix
 
 __all__ = [
     "PALETTE",
@@ -78,12 +78,9 @@ def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
     one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix.
     """
     tails = [f" {x:.4f} {y:.4f} 0.5000" for x, y in _positions(g, layout).tolist()]
-    lines = _vertex_lines(g.labels, tails) + ["*Edges"]
-    for e in g.edges:
-        line = f"{e.a + 1} {e.b + 1} {e.weight:.4f}"
-        if e.dotted:
-            line += " p Dots"
-        lines.append(line)
+    lines = _vertex_lines(g.nodes, tails) + ["*Edges"]
+    for (a, b), weight, dotted in zip(g.edges.tolist(), g.weights.tolist(), g.dotted.tolist()):
+        lines.append(f"{a + 1} {b + 1} {weight:.4f}" + (" p Dots" if dotted else ""))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -150,14 +147,13 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
     path = Path(path)
     lines, vertices = _vertices(path)
     n = len(vertices)
-    nodes = [Node(label=label) for label, _ in vertices]
     have_coords = any(xy is not None for _, xy in vertices)
     coords = np.array([xy or (0.5, 0.5) for _, xy in vertices], dtype=float).reshape(n, 2)
 
     lineno = n + 2
     if lineno > len(lines) or lines[lineno - 1].lower() != "*edges":
         raise DataError(f"{path.name}:{lineno}: expected '*Edges' header")
-    edges: list[Edge] = []
+    ends, weights, dots = [], [], []
     for raw in lines[lineno:]:
         lineno += 1
         if not raw.strip():
@@ -174,10 +170,11 @@ def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
                 raise DataError(
                     f"{path.name}:{lineno}: edge endpoint {vid} outside 1..{n}"
                 )
-        dotted = len(parts) == 5 and parts[4].lower() == "dots"
-        lo, hi = min(a, b) - 1, max(a, b) - 1
-        edges.append(Edge(a=lo, b=hi, weight=w, dotted=dotted))
-    return Graph(nodes=nodes, edges=edges), (coords if have_coords else None)
+        ends.append((min(a, b) - 1, max(a, b) - 1))
+        weights.append(w)
+        dots.append(len(parts) == 5 and parts[4].lower() == "dots")
+    graph = Graph([label for label, _ in vertices], ends, weights, dots)
+    return graph, (coords if have_coords else None)
 
 
 def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
@@ -304,9 +301,9 @@ def read_csv_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
 
 def _radii(g: Graph) -> list[float]:
     """Node radii from 5 to 18 px, proportional to the square root of node
-    size; 5 px where the size is None, not positive or NaN."""
+    size; 5 px for a NaN or non-positive size, 9.33 px each if none is positive."""
     r_min, r_max = 5.0, 18.0
-    sizes = np.array([np.nan if n.size is None else n.size for n in g.nodes], dtype=float)
+    sizes = np.full(len(g.nodes), np.nan) if g.sizes is None else g.sizes
     known = sizes > 0
     if not known.any():
         return [r_min + (r_max - r_min) / 3] * len(sizes)
@@ -348,18 +345,18 @@ def render_svg_map(
     ]
     xy = _positions(g, layout)  # drawn with y flipped: SVG y grows downwards
     pts = np.column_stack((margin + xy[:, 0] * span, margin + (1.0 - xy[:, 1]) * span)).tolist()
-    weights = np.abs([e.weight for e in g.edges])
+    weights = np.abs(g.weights)
     lo, hi = (weights.min(), weights.max()) if len(weights) else (0.0, 0.0)
     widths = 0.8 + 2.7 * (weights - lo) / (hi - lo) if hi > lo else np.full(len(weights), 1.5)
-    for e, width in zip(g.edges, widths.tolist()):
-        (xa, ya), (xb, yb) = pts[e.a], pts[e.b]
-        dash = ' stroke-dasharray="6 4"' if e.dotted else ""
+    for (a, b), width, dotted in zip(g.edges.tolist(), widths.tolist(), g.dotted.tolist()):
+        (xa, ya), (xb, yb) = pts[a], pts[b]
+        dash = ' stroke-dasharray="6 4"' if dotted else ""
         parts.append(
             f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
             f'stroke="#777777" stroke-width="{width:.2f}"{dash}/>'
         )
-    for node, (x, y), r in zip(g.nodes, pts, _radii(g), strict=True):
-        factor = factor_of.get(node.label, UNASSIGNED)
+    for label, (x, y), r in zip(g.nodes, pts, _radii(g), strict=True):
+        factor = factor_of.get(label, UNASSIGNED)
         if factor != UNASSIGNED:
             fill = PALETTE[factor % len(PALETTE)][1]
             stroke = "#333333"
@@ -372,7 +369,7 @@ def render_svg_map(
         )
         parts.append(
             f'<text x="{x + r + 3:.2f}" y="{y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="13">{_xml_escape(node.label)}</text>'
+            f'font-family="sans-serif" font-size="13">{_xml_escape(label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, CowordMapWarning, DataError
-from .vectorspace import Edge, Graph, Node, pearson_matrix
+from .vectorspace import Graph, pearson_matrix
 
 __all__ = [
     "UNASSIGNED",
@@ -275,11 +275,7 @@ def factor_graph(sol: FactorSolution, suppression: float = 0.1) -> Graph:
     are dotted.
     """
     p, k = sol.loadings.shape
-    nodes = [Node(label=l) for l in sol.variable_labels]
-    nodes += [Node(label=f"Factor {f + 1}") for f in range(k)]
     rows, cols = np.nonzero(np.abs(sol.loadings) > suppression)  # row-major: (j, f) order
-    edges = [
-        Edge(a=j, b=p + f, weight=abs(v), dotted=v < 0)
-        for j, f, v in zip(rows.tolist(), cols.tolist(), sol.loadings[rows, cols].tolist())
-    ]
-    return Graph(nodes=nodes, edges=edges)
+    values = sol.loadings[rows, cols]
+    labels = list(sol.variable_labels) + [f"Factor {f + 1}" for f in range(k)]
+    return Graph(labels, np.column_stack((rows, p + cols)), np.abs(values), values < 0)

@@ -99,13 +99,12 @@ def fruchterman_reingold(
     g: Graph,
     iterations: int = 500,
     seed: int = 42,
-    use_weights: bool = False,
 ) -> Layout:
     """Classic force-directed layout.
 
     Every node pair repels with force k^2/d and every edge attracts with
-    force d^2/k (scaled by the edge weight when ``use_weights``), where
-    k = sqrt(area / n) is the ideal edge length for a unit-square area.
+    force d^2/k times its weight (unit weights give the unweighted layout),
+    where k = sqrt(area / n) is the ideal edge length for a unit-square area.
     Displacements are capped by a temperature that cools linearly from
     0.1 * sqrt(area) towards zero over ``iterations`` steps. Per axis, each
     node's repulsion is the negated column sum of the antisymmetric n×n
@@ -132,8 +131,7 @@ def fruchterman_reingold(
         first = iterations if n == 1 else 0
     else:
         pos, first = classical * k, 4 * iterations // 5
-    a, b = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2).T
-    edge_weight = np.array([e.weight if use_weights else 1.0 for e in g.edges], dtype=float)
+    a, b = g.edges.T
     slots = np.add.outer([0, n], np.concatenate([np.arange(n), a, b])).ravel()  # x, then y
     work = np.empty((4, n, n))
     nudges = random.Random(seed)
@@ -141,7 +139,7 @@ def fruchterman_reingold(
         t = t0 * (1.0 - step / iterations)
         dx, dy, dist = _separate_coincident(pos, nudges, work)
         # Every distance is now >= _EPS (the diagonal is inf), so no floor.
-        pull = edge_weight * dist[a, b] / k  # d^2/k, unit-scaled by another /d
+        pull = g.weights * dist[a, b] / k  # d^2/k, unit-scaled by another /d
         sx, sy = dx[a, b] * pull, dy[a, b] * pull  # before the planes are scaled
         np.square(dist, out=dist)
         repulse = np.divide(k * k, dist, out=dist)  # k^2/d, one more /d unit-scales
@@ -157,7 +155,7 @@ def fruchterman_reingold(
         if not np.isfinite(pos).all():
             raise DataError("layout diverged to non-finite coordinates")
     return Layout(
-        coords=_normalize(pos), labels=g.labels, iterations=iterations - first, raw=pos
+        coords=_normalize(pos), labels=g.nodes, iterations=iterations - first, raw=pos
     )
 
 
@@ -169,9 +167,9 @@ def graph_distances(g: Graph) -> np.ndarray:
     reached before, which lie exactly one hop further out.
     """
     n = len(g.nodes)
-    ends = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2)
+    a, b = g.edges.T
     adj = np.zeros((n, n), dtype=np.float32)
-    adj[ends[:, 0], ends[:, 1]] = adj[ends[:, 1], ends[:, 0]] = 1.0
+    adj[a, b] = adj[b, a] = 1.0
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     reached = frontier = np.eye(n, dtype=bool)
@@ -290,7 +288,7 @@ def kamada_kawai(
     hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
     if n == 1:
-        return Layout(coords=_normalize(pos), labels=g.labels, iterations=0, raw=pos,
+        return Layout(coords=_normalize(pos), labels=g.nodes, iterations=0, raw=pos,
                       stress_history=(0.0,))
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
@@ -317,7 +315,7 @@ def kamada_kawai(
         iterations += 1
         if converged:
             break
-    return Layout(coords=_normalize(pos), labels=g.labels, iterations=iterations, raw=pos,
+    return Layout(coords=_normalize(pos), labels=g.nodes, iterations=iterations, raw=pos,
                   stress_history=tuple(history))
 
 
@@ -363,7 +361,7 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
         coords[isolates, 0] = np.arange(len(isolates)) * spacing
         coords[isolates, 1] = row_y
     return Layout(
-        coords=_normalize(coords), labels=g.labels,
+        coords=_normalize(coords), labels=g.nodes,
         iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,
         # components come largest first
         stress_history=sublayouts[0].stress_history if sublayouts else (),

@@ -17,7 +17,8 @@ One table, :data:`STAGES`, drives every run. Each row names a stage, the
 stages it runs after, the config keys it reads, its artifacts, and a
 compute and a write step; a subcommand runs its stage and everything
 upstream. One cache rule holds: a stage's key hashes its declared reads
-(files by content) plus its upstream keys, and a stage is a hit only
+(files by content), its upstream keys and the package's own sources, so
+a changed program rewrites every artifact, and a stage is a hit only
 when its key matches the manifest and every artifact still has the
 sha256 recorded when it was written. A hit skips the write step; the
 in-memory state later stages and report.json need is always rebuilt from
@@ -162,7 +163,7 @@ class PipelineConfig:
         if (self.top is None) == (self.min_score is None):
             raise ConfigError("give exactly one of top and min_score")
         for key, low in (("top", 1), ("seed", 0), ("fr_iterations", 0), ("kk_max_iter", 0),
-                         ("kk_tol", 0)):
+                         ("kk_tol", 0), ("suppression", 0)):
             if (value := getattr(self, key)) is not None and value < low:
                 raise ConfigError(f"{key} must be >= {low}, got {value}")
         factors_mod.check_factor_count(self.factors)
@@ -278,7 +279,7 @@ def _tokenizer_config(view: SimpleNamespace) -> corpus_mod.TokenizerConfig:
 def _layout_fn(view: SimpleNamespace):
     if view.layout == "fr":
         return lambda g, seed: layout_mod.fruchterman_reingold(
-            g, iterations=view.fr_iterations, seed=seed, use_weights=True
+            g, iterations=view.fr_iterations, seed=seed
         )
     return lambda g, seed: layout_mod.kamada_kawai(
         g, tol=view.kk_tol, max_iter=view.kk_max_iter, seed=seed
@@ -380,9 +381,9 @@ def _compute_map(view: SimpleNamespace, products: dict) -> None:
     else:
         graph = vectorspace.threshold_graph(
             vectorspace.cooccurrence(selected, mode="words"), view.cooc_threshold, "gt")
-    # Sizes only: the labels stay, so the checks Graph made still hold.
-    freq = dict(zip(selected.terms, selected.col_margins))
-    graph.nodes = [dataclasses.replace(n, size=float(freq[n.label])) for n in graph.nodes]
+    # By label: the cosine map drops all-zero terms.
+    freq = dict(zip(selected.terms, selected.col_margins.tolist()))
+    graph = dataclasses.replace(graph, sizes=[freq[label] for label in graph.nodes])
     products["map_graph"] = graph
     products["map_layout"] = layout_mod.split_and_pack(
         graph, _layout_fn(view), seed=view.seed
@@ -499,6 +500,8 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     manifest = _load_manifest(out)
     recorded = manifest.get("stages", {})
     keys: dict[str, str] = {}
+    sources = sorted(Path(__file__).parent.glob("*.py"))  # a changed program misses the cache
+    program = _digest([(path.name, _file_digest(path)) for path in sources])
     products: dict = {}
     statuses: dict[str, str] = {}
 
@@ -511,7 +514,7 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
             view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
             stage.compute(view, products)
             key = keys[stage.name] = _digest([
-                stage.name,
+                stage.name, program,
                 [(read, _key_part(view, read)) for read in stage.reads],
                 [keys[upstream] for upstream in stage.after],
             ])

@@ -11,7 +11,7 @@ matrices yields the undirected graph behind a map.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,7 @@ from .corpus import WordDocMatrix
 from .errors import CowordMapWarning, DataError, capped_ids, check_choice, check_unique
 
 __all__ = [
-    "Edge",
     "Graph",
-    "Node",
     "SimilarityMatrix",
     "cooccurrence",
     "cosine_matrix",
@@ -39,59 +37,50 @@ class SimilarityMatrix:
     labels: list[str]
 
 
-@dataclass(frozen=True)
-class Node:
-    """Graph node: a term, document, or factor.
-
-    ``size`` feeds node radii in rendered maps.
-    """
-
-    label: str
-    size: float | None = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Undirected weighted edge between node indices ``a < b``.
-
-    ``dotted`` marks edges drawn with a dashed stroke (negative factor
-    loadings).
-    """
-
-    a: int
-    b: int
-    weight: float
-    dotted: bool = False
-
-
-@dataclass
+@dataclass(eq=False)
 class Graph:
-    """Undirected weighted graph with unique node labels and no self-loops."""
+    """Undirected weighted graph as index arrays: unique labels, no self-loops.
 
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    ``nodes`` holds the labels in index order and ``edges`` one row of node
+    indices ``a < b`` per edge, with its finite weight in ``weights``;
+    ``dotted`` marks edges drawn dashed (negative factor loadings), none by
+    default. ``sizes`` feeds node radii in rendered maps: one per node, NaN
+    for none, or None for no sizes at all.
+    """
+
+    nodes: list[str]
+    edges: np.ndarray
+    weights: np.ndarray
+    dotted: np.ndarray | None = None
+    sizes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        check_unique([n.label for n in self.nodes], "node labels")
-        n = len(self.nodes)
-        for e in self.edges:
-            if e.a == e.b:
-                raise DataError(f"self-loop on node {e.a}")
-            if not (0 <= e.a < n and 0 <= e.b < n):
-                raise DataError(f"edge ({e.a}, {e.b}) out of range for {n} nodes")
-            if not np.isfinite(e.weight):
-                raise DataError(f"non-finite edge weight on ({e.a}, {e.b})")
-
-    @property
-    def labels(self) -> list[str]:
-        return [n.label for n in self.nodes]
+        self.nodes = list(self.nodes)
+        check_unique(self.nodes, "node labels")
+        n, m = len(self.nodes), len(self.weights)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        self.edges = edges if edges.size else edges.reshape(0, 2)
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.dotted = np.zeros(m, bool) if self.dotted is None else np.asarray(self.dotted, bool)
+        if self.sizes is not None:
+            self.sizes = np.asarray(self.sizes, dtype=float)
+        if (self.edges.shape, self.weights.shape, self.dotted.shape) != ((m, 2), (m,), (m,)) or (
+                self.sizes is not None and self.sizes.shape != (n,)):
+            raise DataError("edges, weights and dotted need one row per edge, sizes one per node")
+        a, b = self.edges.T
+        if len(loops := np.flatnonzero(a == b)):
+            raise DataError(f"self-loop on node {a[loops[0]]}")
+        if len(out := np.flatnonzero(((self.edges < 0) | (self.edges >= n)).any(axis=1))):
+            raise DataError(f"edge ({a[out[0]]}, {b[out[0]]}) out of range for {n} nodes")
+        if len(bad := np.flatnonzero(~np.isfinite(self.weights))):
+            raise DataError(f"non-finite edge weight on ({a[bad[0]]}, {b[bad[0]]})")
 
     def connected_components(self) -> list[list[int]]:
         """Node-index components, each sorted, ordered by first node."""
         adj: list[list[int]] = [[] for _ in self.nodes]
-        for e in self.edges:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
+        for a, b in zip(*self.edges.T.tolist()):
+            adj[a].append(b)
+            adj[b].append(a)
         seen = [False] * len(self.nodes)
         components: list[list[int]] = []
         for start in range(len(self.nodes)):
@@ -112,16 +101,13 @@ class Graph:
 
     def subgraph(self, node_indices: list[int]) -> "Graph":
         """Graph induced on ``node_indices`` (order preserved)."""
-        remap = {v: i for i, v in enumerate(node_indices)}
-        keep = set(node_indices)
-        return Graph(
-            nodes=[self.nodes[v] for v in node_indices],
-            edges=[
-                replace(e, a=remap[e.a], b=remap[e.b])
-                for e in self.edges
-                if e.a in keep and e.b in keep
-            ],
-        )
+        remap = np.full(len(self.nodes), -1)
+        remap[node_indices] = np.arange(len(node_indices))
+        ends = remap[self.edges]
+        keep = (ends >= 0).all(axis=1)
+        sizes = None if self.sizes is None else self.sizes[node_indices]
+        return Graph([self.nodes[v] for v in node_indices], ends[keep], self.weights[keep],
+                     self.dotted[keep], sizes)
 
 
 def _vectors(values, labels: list[str] | None):
@@ -228,19 +214,13 @@ def threshold_graph(matrix: SimilarityMatrix, threshold: float, rule: str = "geq
         values, values.T, atol=1e-12
     ):
         raise DataError("threshold_graph requires a symmetric matrix")
-    nodes = [Node(label=l) for l in matrix.labels]
-    n = len(nodes)
     weights = np.asarray(values, dtype=float)
     keep = weights >= threshold if rule == "geq" else weights > threshold
-    rows, cols = np.nonzero(np.triu(keep, 1))  # row-major: (a, b) order
-    edges = [
-        Edge(a=a, b=b, weight=v)
-        for a, b, v in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist())
-    ]
-    if not edges:
+    edges = np.argwhere(np.triu(keep, 1))  # row-major: (a, b) order
+    if not len(edges):
         warnings.warn(
-            f"no edges at threshold {threshold} ({rule}); the map is {n} isolated nodes",
+            f"no edges at threshold {threshold} ({rule}); the map is {len(keep)} isolated nodes",
             CowordMapWarning,
             stacklevel=2,
         )
-    return Graph(nodes=nodes, edges=edges)
+    return Graph(matrix.labels, edges, weights[edges[:, 0], edges[:, 1]])

@@ -28,6 +28,13 @@ def make_matrix(counts, doc_ids=None, terms=None) -> WordDocMatrix:
     return WordDocMatrix(counts, doc_ids, terms)
 
 
+def same_graph(got, want) -> bool:
+    """Exact equality of two graphs' labels, edges, weights and dotted flags."""
+    return got.nodes == want.nodes and all(
+        getattr(got, field).tolist() == getattr(want, field).tolist()
+        for field in ("edges", "weights", "dotted"))
+
+
 def random_pruned_counts(
     rng: np.random.Generator,
     max_rows: int = 10,

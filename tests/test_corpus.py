@@ -25,7 +25,7 @@ from cowordmap.corpus import (
     tokenize,
 )
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
-from cowordmap.vectorspace import Graph, Node
+from cowordmap.vectorspace import Graph
 
 NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 
@@ -124,7 +124,7 @@ class TestLoadCorpus:
 
 @pytest.mark.parametrize("build, what", [
     (lambda ids: Corpus(tuple(Document(i, "") for i in ids)), "document ids"),
-    (lambda ids: Graph(nodes=[Node(i) for i in ids]), "node labels"),
+    (lambda ids: Graph(ids, [], []), "node labels"),
     (lambda ids: WordDocMatrix(np.ones((len(ids), 1)), ids, ["t"]), "document ids"),
     (lambda ids: WordDocMatrix(np.ones((1, len(ids))), ["d"], ids), "terms"),
 ], ids=["Corpus", "Graph", "WordDocMatrix-docs", "WordDocMatrix-terms"])

@@ -30,29 +30,28 @@ from cowordmap.export import (
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.layout import Layout
 from cowordmap.termstats import distinct_expected_cells, expected_matrix
-from cowordmap.vectorspace import Edge, Graph, Node, SimilarityMatrix
-from conftest import make_matrix
+from cowordmap.vectorspace import Graph, SimilarityMatrix
+from conftest import make_matrix, same_graph
 
 
 def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
     n = int(rng.integers(2, max_nodes + 1))
-    nodes = [Node(label=f"node {i}") for i in range(n)]
-    edges = []
+    edges, weights, dots = [], [], []
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < 0.3:
                 weight = float(rng.integers(1, 10000)) / 1000.0
                 if not quantize:
                     weight = float(rng.random())
-                edges.append(
-                    Edge(a, b, weight, dotted=dotted and rng.random() < 0.5)
-                )
-    return Graph(nodes=nodes, edges=edges)
+                edges.append((a, b))
+                weights.append(weight)
+                dots.append(dotted and rng.random() < 0.5)
+    return Graph([f"node {i}" for i in range(n)], edges, weights, dots)
 
 
 def layout_for(g, rng) -> Layout:
     coords = np.round(rng.random((len(g.nodes), 2)), 4)
-    return Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
+    return Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
 
 
 def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
@@ -100,10 +99,11 @@ def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, byte
 
     xy = [(0.5, 0.5)] * len(g.nodes) if layout is None else layout.coords
     net = [f"*Vertices {len(g.nodes)}"]
-    net += [f"{i} {_quote(node.label)} {x:.4f} {y:.4f} 0.5000"
-            for i, (node, (x, y)) in enumerate(zip(g.nodes, xy), 1)]
-    net += ["*Edges"] + [f"{e.a + 1} {e.b + 1} {e.weight:.4f}" + (" p Dots" if e.dotted else "")
-                         for e in g.edges]
+    net += [f"{i} {_quote(label)} {x:.4f} {y:.4f} 0.5000"
+            for i, (label, (x, y)) in enumerate(zip(g.nodes, xy), 1)]
+    edges = list(zip(g.edges.tolist(), g.weights.tolist(), g.dotted.tolist()))
+    net += ["*Edges"] + [f"{a + 1} {b + 1} {weight:.4f}" + (" p Dots" if dotted else "")
+                         for (a, b), weight, dotted in edges]
 
     svg = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -111,32 +111,33 @@ def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, byte
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    weights = [abs(e.weight) for e in g.edges]
+    weights = [abs(weight) for _, weight, _ in edges]
     w_lo, w_hi = (min(weights), max(weights)) if weights else (0.0, 0.0)
-    for e in g.edges:
-        (xa, ya), (xb, yb) = px(e.a), px(e.b)
+    for (a, b), weight, dotted in edges:
+        (xa, ya), (xb, yb) = px(a), px(b)
         if w_hi > w_lo:
-            width = 0.8 + 2.7 * (abs(e.weight) - w_lo) / (w_hi - w_lo)
+            width = 0.8 + 2.7 * (abs(weight) - w_lo) / (w_hi - w_lo)
         else:
             width = 1.5
-        dash = ' stroke-dasharray="6 4"' if e.dotted else ""
+        dash = ' stroke-dasharray="6 4"' if dotted else ""
         svg.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
                    f'stroke="#777777" stroke-width="{width:.2f}"{dash}/>')
-    known = [n.size for n in g.nodes if n.size is not None and n.size > 0]
+    sizes = [math.nan] * len(g.nodes) if g.sizes is None else g.sizes.tolist()
+    known = [s for s in sizes if s > 0]
     factor_of = {} if assignment is None else {
         label: int(f) for label, f in zip(assignment.labels, assignment.factor)}
-    for i, node in enumerate(g.nodes):
+    for i, (label, node_size) in enumerate(zip(g.nodes, sizes)):
         if not known:
             r = 5.0 + 13.0 / 3
-        elif node.size is None or node.size <= 0:
+        elif not node_size > 0:  # NaN (no size), zero or negative
             r = 5.0
         elif max(known) == min(known):
             r = 11.5
         else:
             lo, hi = math.sqrt(min(known)), math.sqrt(max(known))
-            r = 5.0 + 13.0 * (math.sqrt(node.size) - lo) / (hi - lo)
+            r = 5.0 + 13.0 * (math.sqrt(node_size) - lo) / (hi - lo)
         x, y = px(i)
-        factor = factor_of.get(node.label, UNASSIGNED)
+        factor = factor_of.get(label, UNASSIGNED)
         if factor != UNASSIGNED:
             fill, stroke = PALETTE[factor % len(PALETTE)][1], "#333333"
         else:
@@ -144,7 +145,7 @@ def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, byte
         svg.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" '
                    f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
         svg.append(f'<text x="{x + r + 3:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
-                   f'font-size="13">{_xml_escape(node.label)}</text>')
+                   f'font-size="13">{_xml_escape(label)}</text>')
     svg.append("</svg>")
     return ("\n".join(net) + "\n").encode("utf-8"), ("\n".join(svg) + "\n").encode("utf-8")
 
@@ -163,7 +164,7 @@ SPECIAL_REALS = [
 
 class TestPajekNet:
     def test_exact_bytes_for_k2(self, tmp_path):
-        g = Graph(nodes=[Node("a"), Node("b")], edges=[Edge(0, 1, 0.25)])
+        g = Graph(["a", "b"], [(0, 1)], [0.25])
         path = tmp_path / "k2.net"
         write_pajek_net(g, None, path)
         assert path.read_bytes() == (
@@ -175,7 +176,7 @@ class TestPajekNet:
         )
 
     def test_empty_edge_set_keeps_header(self, tmp_path):
-        g = Graph(nodes=[Node("a")])
+        g = Graph(["a"], [], [])
         path = tmp_path / "single.net"
         write_pajek_net(g, None, path)
         text = path.read_text()
@@ -189,24 +190,24 @@ class TestPajekNet:
             path = tmp_path / f"g{i}.net"
             write_pajek_net(g, layout, path)
             back, coords = read_pajek_net(path)
-            assert back == g
+            assert same_graph(back, g)
             np.testing.assert_allclose(coords, layout.coords, atol=5e-5)
 
     def test_round_trip_without_layout(self, tmp_path):
-        g = Graph(nodes=[Node("x"), Node("y")], edges=[Edge(0, 1, 1.0)])
+        g = Graph(["x", "y"], [(0, 1)], [1.0])
         path = tmp_path / "g.net"
         write_pajek_net(g, None, path)
         back, coords = read_pajek_net(path)
-        assert back == g
+        assert same_graph(back, g)
         np.testing.assert_allclose(coords, 0.5)
 
     def test_quote_escaping(self, tmp_path):
-        g = Graph(nodes=[Node('say "hi"'), Node("plain")], edges=[Edge(0, 1, 2.0)])
+        g = Graph(['say "hi"', "plain"], [(0, 1)], [2.0])
         path = tmp_path / "quotes.net"
         write_pajek_net(g, None, path)
         assert '"say ""hi"""' in path.read_text()
         back, _ = read_pajek_net(path)
-        assert back.nodes[0].label == 'say "hi"'
+        assert back.nodes[0] == 'say "hi"'
 
     def test_missing_vertices_header(self, tmp_path):
         path = tmp_path / "bad.net"
@@ -449,14 +450,11 @@ class TestCsv:
 
 class TestSvg:
     def graph(self):
-        return Graph(
-            nodes=[Node("hot", size=9.0), Node("cold", size=1.0)],
-            edges=[Edge(0, 1, 0.5, dotted=True)],
-        )
+        return Graph(["hot", "cold"], [(0, 1)], [0.5], [True], [9.0, 1.0])
 
     def layout(self, g):
         coords = np.array([[0.2, 0.2], [0.8, 0.8]])
-        return Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
+        return Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
 
     def test_unassigned_node_is_white(self, tmp_path):
         g = self.graph()
@@ -490,7 +488,7 @@ class TestSvg:
 
     def test_empty_graph_valid_svg(self, tmp_path):
         path = tmp_path / "empty.svg"
-        render_svg_map(Graph(), None, None, path)
+        render_svg_map(Graph([], [], []), None, None, path)
         root = ET.fromstring(path.read_text())
         assert root.tag.endswith("svg")
 
@@ -509,15 +507,15 @@ class TestSvg:
         assert proc.stdout.strip() == "[]"
 
     def test_well_formed_xml_with_special_labels(self, tmp_path):
-        g = Graph(nodes=[Node("a<b&c", size=2.0)])
+        g = Graph(["a<b&c"], [], [], sizes=[2.0])
         coords = np.array([[0.5, 0.5]])
-        layout = Layout(coords=coords, labels=g.labels, iterations=0, raw=coords)
+        layout = Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
         path = tmp_path / "special.svg"
         render_svg_map(g, layout, None, path)
         ET.fromstring(path.read_text())  # parses cleanly
 
     def test_map_writers_match_per_element_reference(self, tmp_path):
-        """Sizes that are None, 0, negative, equal or distinct; equal and
+        """Sizes that are NaN, 0, negative, equal or distinct; equal and
         distinct |weights|; dotted edges, no edges, and no layout."""
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -536,10 +534,9 @@ class TestSvg:
                                         | st.floats(-10, 10), min_size=1, max_size=3))
             pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
             chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-            edges = [Edge(a, b, draw(st.sampled_from(weight_pool)), dotted=draw(st.booleans()))
-                     for a, b in sorted(chosen)]
-            g = Graph(nodes=[Node(label, size=s) for label, s in zip(labels, sizes)],
-                      edges=edges)
+            drawn = [(draw(st.sampled_from(weight_pool)), draw(st.booleans())) for _ in chosen]
+            g = Graph(labels, sorted(chosen), [w for w, _ in drawn], [d for _, d in drawn],
+                      [math.nan if s is None else s for s in sizes])
             layout = None
             if draw(st.booleans()):
                 coords = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0, 1)))

@@ -286,26 +286,25 @@ class TestAssignFactors:
 class TestFactorGraph:
     def test_negative_loading_dotted(self):
         g = factor_graph(solution_from_loadings([[-0.5, 0.0]]))
-        assert len(g.edges) == 1
-        edge = g.edges[0]
-        assert edge.dotted and edge.weight == pytest.approx(0.5)
+        assert g.edges.tolist() == [[0, 1]]
+        assert g.dotted.tolist() == [True] and g.weights[0] == pytest.approx(0.5)
 
     def test_boundary_loading_suppressed(self):
         g = factor_graph(solution_from_loadings([[0.1, -0.1]]))
-        assert g.edges == []
+        assert g.edges.shape == (0, 2)
 
     def test_all_suppressed_keeps_nodes(self):
         g = factor_graph(solution_from_loadings([[0.05, 0.0], [0.0, -0.08]]))
         assert len(g.nodes) == 4  # 2 variables + 2 factor nodes
-        assert [n.label for n in g.nodes[2:]] == ["Factor 1", "Factor 2"]
-        assert g.edges == []
+        assert g.nodes[2:] == ["Factor 1", "Factor 2"]
+        assert g.edges.shape == (0, 2)
 
     def test_bipartite_structure_and_weights(self):
         g = factor_graph(solution_from_loadings([[0.9, 0.0], [0.3, -0.4]]))
         p = 2
-        for edge in g.edges:
-            assert edge.a < p <= edge.b
-            assert edge.weight > 0.1
-        weights = {(e.a, e.b): e.weight for e in g.edges}
+        for (a, b), weight in zip(g.edges.tolist(), g.weights.tolist()):
+            assert a < p <= b
+            assert weight > 0.1
+        weights = dict(zip(map(tuple, g.edges.tolist()), g.weights.tolist()))
         assert weights[(0, 2)] == pytest.approx(0.9)
         assert weights[(1, 3)] == pytest.approx(0.4)

@@ -26,37 +26,35 @@ from cowordmap.layout import (
     split_and_pack,
     stress,
 )
-from cowordmap.vectorspace import Edge, Graph, Node
+from cowordmap.vectorspace import Graph
 
 
-def chain(n, weight=1.0):
-    return Graph(
-        nodes=[Node(f"n{i}") for i in range(n)],
-        edges=[Edge(i, i + 1, weight) for i in range(n - 1)],
-    )
+def unit_graph(labels, pairs=()):
+    """Graph over ``labels`` with an edge of weight 1 for each index pair."""
+    return Graph(list(labels), list(pairs), np.ones(len(pairs)))
+
+
+def chain(n):
+    return unit_graph([f"n{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n):
-    return Graph(
-        nodes=[Node(f"n{i}") for i in range(n)],
-        edges=[Edge(a, b, 1.0) for a in range(n) for b in range(a + 1, n)],
-    )
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return unit_graph([f"n{i}" for i in range(n)], pairs)
 
 
 def cycle(n):
-    return Graph(
-        nodes=[Node(f"n{i}") for i in range(n)],
-        edges=[Edge(i, i + 1, 1.0) for i in range(n - 1)] + [Edge(0, n - 1, 1.0)],
-    )
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    return unit_graph([f"n{i}" for i in range(n)], pairs)
 
 
 def twin_leaf_grid():
     """A 6 x 4 grid with two leaves on a corner: its classical scaling has
     unique axes and puts the two leaves on one point."""
-    edges = [Edge(r * 6 + c, r * 6 + c + 1, 1.0) for r in range(4) for c in range(5)]
-    edges += [Edge(r * 6 + c, (r + 1) * 6 + c, 1.0) for r in range(3) for c in range(6)]
-    edges += [Edge(0, 24, 1.0), Edge(0, 25, 1.0)]
-    return Graph(nodes=[Node(f"n{i}") for i in range(26)], edges=edges)
+    edges = [(r * 6 + c, r * 6 + c + 1) for r in range(4) for c in range(5)]
+    edges += [(r * 6 + c, (r + 1) * 6 + c) for r in range(3) for c in range(6)]
+    edges += [(0, 24), (0, 25)]
+    return unit_graph([f"n{i}" for i in range(26)], edges)
 
 
 def _separate_coincident_reference(pos, rng):
@@ -73,7 +71,7 @@ def _separate_coincident_reference(pos, rng):
         pos[j] = pos[j] + _EPS * np.array([math.cos(angle), math.sin(angle)])
 
 
-def _fr_reference(g, iterations=500, seed=42, use_weights=False, start=None, first=0):
+def _fr_reference(g, iterations=500, seed=42, start=None, first=0):
     """The n×n×2 Fruchterman-Reingold kernel the plane kernel replaced.
 
     Kept verbatim (returning the raw positions) as the oracle: the plane
@@ -90,10 +88,7 @@ def _fr_reference(g, iterations=500, seed=42, use_weights=False, start=None, fir
         return pos
     k = math.sqrt(1.0 / n)
     t0 = 0.1
-    edge_index = np.array([(e.a, e.b) for e in g.edges], dtype=np.int64).reshape(-1, 2)
-    edge_weight = np.array(
-        [e.weight if use_weights else 1.0 for e in g.edges], dtype=float
-    )
+    edge_index, edge_weight = g.edges, g.weights
     for step in range(first, iterations):
         t = t0 * (1.0 - step / iterations)
         delta = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
@@ -142,24 +137,23 @@ def rescaled_stress(coords, hops):
     return stress(scale * coords, hops)
 
 
-def random_graph(rng, n, density):
-    """Graph on n nodes with each pair an edge with probability ``density``."""
-    edges = [
-        Edge(a, b, float(rng.uniform(-1.0, 3.0)))
-        for a in range(n) for b in range(a + 1, n)
-        if rng.random() < density
-    ]
-    return Graph(nodes=[Node(f"n{i}") for i in range(n)], edges=edges)
+def random_graph(rng, n, density, weighted=True):
+    """Graph on n nodes with each pair an edge with probability ``density``,
+    weighted uniformly in [-1, 3), or 1 each where not ``weighted``."""
+    edges, weights = [], []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                edges.append((a, b))
+                weights.append(float(rng.uniform(-1.0, 3.0)))
+    return Graph([f"n{i}" for i in range(n)], edges, weights if weighted else np.ones(len(edges)))
 
 
 def random_connected_graph(rng, n, density):
     """A random spanning tree plus each other pair with probability ``density``."""
     pairs = {(int(rng.integers(b)), b) for b in range(1, n)}
     pairs |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density}
-    return Graph(
-        nodes=[Node(f"n{i}") for i in range(n)],
-        edges=[Edge(a, b, 1.0) for a, b in sorted(pairs)],
-    )
+    return unit_graph([f"n{i}" for i in range(n)], sorted(pairs))
 
 
 def pinv_smacof(g, pos, tol=1e-4, max_iter=1000):
@@ -207,12 +201,12 @@ def stress_oracle(coords, hops, scale=1.0):
 
 class TestFruchtermanReingold:
     def test_single_node_centered(self):
-        layout = fruchterman_reingold(Graph(nodes=[Node("only")]), seed=1)
+        layout = fruchterman_reingold(unit_graph(["only"]), seed=1)
         np.testing.assert_allclose(layout.coords, [[0.5, 0.5]])
 
     @pytest.mark.parametrize("layout_fn", [fruchterman_reingold, kamada_kawai])
     def test_single_node_runs_no_steps(self, layout_fn):
-        assert layout_fn(Graph(nodes=[Node("a")])).iterations == 0
+        assert layout_fn(unit_graph(["a"])).iterations == 0
 
     def test_two_connected_nodes_settle_near_ideal_length(self):
         layout = fruchterman_reingold(chain(2), iterations=500, seed=42)
@@ -253,13 +247,12 @@ class TestFruchtermanReingold:
         spread = np.linalg.norm(layout.raw - layout.raw[0], axis=1)[1:]
         assert (spread > 1e-6).all()
 
-    @pytest.mark.parametrize("n,use_weights", [(30, False), (160, True)])
-    def test_matches_reference_kernel_bitwise(self, n, use_weights):
-        g = random_graph(np.random.default_rng(n), n, density=0.1)
+    @pytest.mark.parametrize("n,weighted", [(30, False), (160, True)])
+    def test_matches_reference_kernel_bitwise(self, n, weighted):
+        g = random_graph(np.random.default_rng(n), n, density=0.1, weighted=weighted)
         start, first = scaled_start(g, 25)
-        layout = fruchterman_reingold(g, iterations=25, seed=3, use_weights=use_weights)
-        reference = _fr_reference(g, iterations=25, seed=3, use_weights=use_weights,
-                                  start=start, first=first)
+        layout = fruchterman_reingold(g, iterations=25, seed=3)
+        reference = _fr_reference(g, iterations=25, seed=3, start=start, first=first)
         assert np.array_equal(layout.raw, reference)
         assert layout.iterations == 25 - first
 
@@ -273,8 +266,7 @@ class TestFruchtermanReingold:
 
     @pytest.mark.parametrize("g", [
         chain(2),
-        Graph(nodes=[Node(f"n{i}") for i in range(8)],
-              edges=[Edge(i, i + 1, 1.0) for i in (0, 1, 2, 4, 5, 6)]),
+        unit_graph([f"n{i}" for i in range(8)], [(i, i + 1) for i in (0, 1, 2, 4, 5, 6)]),
         cycle(12),
         complete(6),
     ], ids=["edge", "two-paths", "C12", "K6"])
@@ -294,19 +286,16 @@ class TestFruchtermanReingold:
             n=st.integers(2, 40),
             density=st.floats(0.0, 1.0),
             graph_seed=st.integers(0, 2**32 - 1),
-            use_weights=st.booleans(),
+            weighted=st.booleans(),
             iterations=st.integers(1, 60),
             seed=st.integers(0, 2**32 - 1),
         )
-        def check(n, density, graph_seed, use_weights, iterations, seed):
-            g = random_graph(np.random.default_rng(graph_seed), n, density)
+        def check(n, density, graph_seed, weighted, iterations, seed):
+            g = random_graph(np.random.default_rng(graph_seed), n, density, weighted)
             start, first = scaled_start(g, iterations)
-            layout = fruchterman_reingold(
-                g, iterations=iterations, seed=seed, use_weights=use_weights
-            )
+            layout = fruchterman_reingold(g, iterations=iterations, seed=seed)
             reference = _fr_reference(
-                g, iterations=iterations, seed=seed, use_weights=use_weights,
-                start=start, first=first,
+                g, iterations=iterations, seed=seed, start=start, first=first,
             )
             assert np.array_equal(layout.raw, reference)
             starts.add(start is None)
@@ -349,18 +338,18 @@ class TestFruchtermanReingold:
         assert np.median(ratios) <= 1.05
 
     def test_weights_shorten_edges(self):
-        nodes = [Node(l) for l in "abcd"]
-        light = Graph(nodes=nodes, edges=[Edge(0, 1, 0.2), Edge(2, 3, 0.2)])
-        heavy = Graph(nodes=nodes, edges=[Edge(0, 1, 5.0), Edge(2, 3, 0.2)])
-        l1 = fruchterman_reingold(light, iterations=300, seed=11, use_weights=True)
-        l2 = fruchterman_reingold(heavy, iterations=300, seed=11, use_weights=True)
+        nodes = "abcd"
+        light = Graph(nodes, [(0, 1), (2, 3)], [0.2, 0.2])
+        heavy = Graph(nodes, [(0, 1), (2, 3)], [5.0, 0.2])
+        l1 = fruchterman_reingold(light, iterations=300, seed=11)
+        l2 = fruchterman_reingold(heavy, iterations=300, seed=11)
         d1 = np.linalg.norm(l1.raw[0] - l1.raw[1])
         d2 = np.linalg.norm(l2.raw[0] - l2.raw[1])
         assert d2 < d1
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
-            fruchterman_reingold(Graph())
+            fruchterman_reingold(unit_graph([]))
 
     @pytest.mark.parametrize("graph", [chain(4), cycle(5)], ids=["classical", "random"])
     def test_negative_iterations_rejected(self, graph):
@@ -392,7 +381,7 @@ class TestGraphDistances:
         assert hops[3, 0] == 3
 
     def test_disconnected_infinite(self):
-        g = Graph(nodes=[Node("a"), Node("b")])
+        g = unit_graph("ab")
         assert not np.isfinite(graph_distances(g)[0, 1])
 
     def test_matches_networkx_shortest_paths(self):
@@ -404,7 +393,7 @@ class TestGraphDistances:
                 g = random_graph(rng, n, density)
                 reference = nx.Graph()
                 reference.add_nodes_from(range(n))
-                reference.add_edges_from((e.a, e.b) for e in g.edges)
+                reference.add_edges_from(g.edges.tolist())
                 want = np.full((n, n), np.inf)
                 for a, lengths in nx.all_pairs_shortest_path_length(reference):
                     for b, hops in lengths.items():
@@ -452,7 +441,7 @@ class TestKamadaKawai:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_disconnected_rejected(self):
-        g = Graph(nodes=[Node("a"), Node("b"), Node("c")], edges=[Edge(0, 1, 1.0)])
+        g = unit_graph("abc", [(0, 1)])
         with pytest.raises(DataError, match="connected"):
             kamada_kawai(g)
 
@@ -499,7 +488,7 @@ class TestKamadaKawai:
             _, start, _ = _start(g, seed)
             _separate_coincident(start, random.Random(seed))
             reference = pinv_smacof(g, start)
-            assert len(history) == len(reference), ([(e.a, e.b) for e in g.edges], seed)
+            assert len(history) == len(reference), (g.edges.tolist(), seed)
             np.testing.assert_allclose(history, reference, rtol=1e-9, atol=1e-12)
 
     def test_seeded_determinism(self):
@@ -518,8 +507,7 @@ class TestKamadaKawai:
     @staticmethod
     def networkx_ratio(nx, edges, n):
         """Rescaled stress of ``kamada_kawai`` over that of networkx's layout."""
-        g = Graph(nodes=[Node(f"n{i}") for i in range(n)],
-                  edges=[Edge(a, b, 1.0) for a, b in sorted(edges)])
+        g = unit_graph([f"n{i}" for i in range(n)], sorted(edges))
         hops = graph_distances(g)
         theirs = nx.kamada_kawai_layout(nx.Graph(list(edges)))
         theirs = np.array([theirs[i] for i in range(n)])
@@ -703,30 +691,21 @@ class TestSplitAndPack:
         assert np.array_equal(direct.coords, packed.coords)
 
     def test_two_components_disjoint_boxes(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcdef"],
-            edges=[Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(3, 4, 1.0)],
-        )
+        g = unit_graph("abcdef", [(0, 1), (1, 2), (3, 4)])
         layout = split_and_pack(g, self.layout_fn, seed=42)
         first = layout.coords[[0, 1, 2]]
         second = layout.coords[[3, 4]]
         assert first[:, 0].max() < second[:, 0].min() or second[:, 0].max() < first[:, 0].min()
 
     def test_larger_component_packed_first(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcde"],
-            edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0)],
-        )
+        g = unit_graph("abcde", [(0, 1), (2, 3), (3, 4)])
         layout = split_and_pack(g, self.layout_fn, seed=42)
         big = layout.coords[[2, 3, 4], 0]
         small = layout.coords[[0, 1], 0]
         assert big.max() < small.min()  # big component occupies the left band
 
     def test_isolates_in_trailing_row(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcd"],
-            edges=[Edge(0, 1, 1.0)],
-        )
+        g = unit_graph("abcd", [(0, 1)])
         layout = split_and_pack(g, self.layout_fn, seed=42)
         isolate_y = layout.coords[[2, 3], 1]
         component_y = layout.coords[[0, 1], 1]
@@ -734,32 +713,25 @@ class TestSplitAndPack:
         assert (isolate_y < component_y.min()).all()
 
     def test_all_isolates(self):
-        g = Graph(nodes=[Node(l) for l in "abc"])
+        g = unit_graph("abc")
         layout = split_and_pack(g, self.layout_fn, seed=42)
         assert np.isfinite(layout.coords).all()
         assert len(np.unique(layout.coords[:, 0])) == 3
 
     def test_keeps_the_largest_components_stress_history(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcdefg"],
-            edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(3, 4, 1.0), Edge(4, 5, 1.0),
-                   Edge(2, 4, 1.0)],
-        )
+        g = unit_graph("abcdefg", [(0, 1), (2, 3), (3, 4), (4, 5), (2, 4)])
         packed = split_and_pack(g, lambda sub, s: kamada_kawai(sub, seed=s), seed=42)
         largest = kamada_kawai(g.subgraph([2, 3, 4, 5]), seed=42)
         assert len(largest.stress_history) > 1
         assert packed.stress_history == largest.stress_history
 
     def test_negative_seed_rejected(self):
-        g = Graph(nodes=[Node(l) for l in "abcd"], edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0)])
+        g = unit_graph("abcd", [(0, 1), (2, 3)])
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             split_and_pack(g, self.layout_fn, seed=-1)
 
     def test_deterministic(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcdef"],
-            edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0), Edge(4, 5, 1.0)],
-        )
+        g = unit_graph("abcdef", [(0, 1), (2, 3), (4, 5)])
         a = split_and_pack(g, self.layout_fn, seed=9)
         b = split_and_pack(g, self.layout_fn, seed=9)
         assert np.array_equal(a.coords, b.coords)

@@ -46,7 +46,7 @@ def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> 
             "obs_exp": obs_exp(m).values,
             "tfidf": tfidf_matrix(m),
             "cosine": cosine.values,
-            "edges": [(e.a, e.b) for e in threshold_graph(cosine, COS_THRESHOLD).edges],
+            "edges": threshold_graph(cosine, COS_THRESHOLD).edges.tolist(),
             "pearson": pearson_matrix(cells, m.terms).values,
             "cooc": cooccurrence(m).values,
         }

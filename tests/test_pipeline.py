@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -494,6 +495,40 @@ class TestCache:
         assert artifact_bytes(out) == golden
 
 
+    def test_a_changed_program_misses_the_cache_of_a_used_directory(self, micro_dir, tmp_path):
+        """A copy of the package whose Pajek writer prints 5 decimals reruns
+        into a directory the package filled: no stage is a hit, and every
+        artifact gets the copy's fresh-run bytes."""
+        package = Path(export.__file__).parent
+        copy = tmp_path / "src" / "cowordmap"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        writer = copy / "export.py"
+        source = writer.read_text(encoding="utf-8")
+        assert source.count("weight:.4f}") == 1
+        writer.write_text(source.replace("weight:.4f}", "weight:.5f}"), encoding="utf-8")
+
+        def statuses(src, out):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cowordmap", "run", "--input", str(micro_dir),
+                 "--out", str(out), "--top", "20", "--factors", "5"],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return [line.split()[2] for line in proc.stderr.splitlines()
+                    if line.startswith("stage ")]
+
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert statuses(package.parent, out) == ["computed"] * len(STAGES)
+        assert statuses(copy.parent, out) == ["computed"] * len(STAGES)
+        assert statuses(copy.parent, fresh) == ["computed"] * len(STAGES)
+        written = [name for name in ARTIFACTS if name != "report.json"]  # it echoes out
+        assert {name: (out / name).read_bytes() for name in written} == {
+            name: (fresh / name).read_bytes() for name in written}
+        first_edge = (out / "map.net").read_text(encoding="utf-8").split("*Edges\n")[1]
+        assert re.fullmatch(r"\d+ \d+ \d\.\d{5}", first_edge.splitlines()[0])
+
+
 @pytest.fixture(scope="module")
 def cache_workspace(tmp_path_factory):
     """Inputs for the invalidation table plus one finished base run."""
@@ -716,6 +751,7 @@ class TestCli:
         ("min_score = nan", "min_score"),
         ("cos_threshold = nan", "cos_threshold"),
         ("suppression = nan", "suppression"),
+        ("suppression = -0.5", "suppression"),
         ("cooc_threshold = -inf", "cooc_threshold"),
         ("token_pattern = (", "token_pattern"),
         (r"token_pattern = (\w)(\w+)", "token_pattern"),

@@ -11,9 +11,7 @@ import pytest
 from conftest import make_matrix, random_pruned_counts
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
 from cowordmap.vectorspace import (
-    Edge,
     Graph,
-    Node,
     SimilarityMatrix,
     cooccurrence,
     cosine_matrix,
@@ -233,15 +231,15 @@ def threshold_graph_reference(matrix, threshold, rule="geq"):
         values, values.T, atol=1e-12
     ):
         raise DataError("threshold_graph requires a symmetric matrix")
-    nodes = [Node(label=l) for l in matrix.labels]
-    edges = []
-    n = len(nodes)
+    edges, weights = [], []
+    n = len(matrix.labels)
     for a in range(n):
         for b in range(a + 1, n):
             v = float(values[a, b])
             if v >= threshold if rule == "geq" else v > threshold:
-                edges.append(Edge(a=a, b=b, weight=v))
-    return Graph(nodes=nodes, edges=edges)
+                edges.append((a, b))
+                weights.append(v)
+    return Graph(matrix.labels, edges, weights)
 
 
 class TestThresholdGraph:
@@ -251,20 +249,20 @@ class TestThresholdGraph:
     def test_geq_keeps_boundary(self):
         matrix = self.sim([[9, 1], [1, 9]], ["a", "b"])
         g = threshold_graph(matrix, 1.0, rule="geq")
-        assert len(g.edges) == 1 and g.edges[0].weight == 1.0
+        assert g.edges.tolist() == [[0, 1]] and g.weights.tolist() == [1.0]
 
     def test_gt_drops_boundary(self):
         matrix = self.sim([[9, 1], [1, 9]], ["a", "b"])
         with pytest.warns(CowordMapWarning, match="no edges"):
             g = threshold_graph(matrix, 1.0, rule="gt")
-        assert g.edges == []
-        assert [n.label for n in g.nodes] == ["a", "b"]  # isolates retained
+        assert g.edges.shape == (0, 2)
+        assert g.nodes == ["a", "b"]  # isolates retained
 
     def test_zero_offdiagonal_no_edges(self):
         matrix = self.sim(np.diag([3, 3, 3]), ["a", "b", "c"])
         with pytest.warns(CowordMapWarning):
             g = threshold_graph(matrix, 0.5, rule="geq")
-        assert len(g.nodes) == 3 and not g.edges
+        assert len(g.nodes) == 3 and not len(g.edges)
 
     def test_edge_count_monotone_in_threshold(self):
         rng = np.random.default_rng(20)
@@ -288,7 +286,7 @@ class TestThresholdGraph:
         matrix = self.sim([[9, 0], [0, 9]], ["a", "b"])
         with pytest.warns(CowordMapWarning):
             g = threshold_graph(matrix, 1.0, rule="geq")
-        assert not g.edges  # no self-loops from the diagonal
+        assert not len(g.edges)  # no self-loops from the diagonal
 
 
     @pytest.mark.parametrize("rule", ["geq", "gt"])
@@ -310,11 +308,10 @@ class TestThresholdGraph:
             for threshold in thresholds:
                 got = threshold_graph(matrix, threshold, rule=rule)
                 want = threshold_graph_reference(matrix, threshold, rule=rule)
-                assert got.edges == want.edges
-                assert got.nodes == want.nodes
-                for e in got.edges:
-                    assert type(e.a) is int and type(e.b) is int
-                    assert type(e.weight) is float
+                assert got.edges.tolist() == want.edges.tolist()
+                assert got.weights.tolist() == want.weights.tolist()
+                assert got.nodes == want.nodes and not got.dotted.any()
+                assert got.edges.dtype == np.int64 and got.weights.dtype == np.float64
 
     @pytest.mark.parametrize("rule", ["geq", "gt"])
     def test_nan_cell_rejected_like_reference(self, rule):
@@ -328,25 +325,41 @@ class TestThresholdGraph:
 class TestGraph:
     def test_rejects_self_loops(self):
         with pytest.raises(DataError, match="self-loop"):
-            Graph(nodes=[Node("a"), Node("b")], edges=[Edge(0, 0, 1.0)])
+            Graph(["a", "b"], [(0, 1), (1, 1)], [1.0, 1.0])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(DataError, match="duplicate"):
-            Graph(nodes=[Node("a"), Node("a")])
+            Graph(["a", "a"], [], [])
 
     def test_rejects_out_of_range_edges(self):
+        with pytest.raises(DataError, match=r"edge \(0, 1\) out of range for 1 nodes"):
+            Graph(["a"], [(0, 1)], [1.0])
         with pytest.raises(DataError, match="out of range"):
-            Graph(nodes=[Node("a")], edges=[Edge(0, 1, 1.0)])
+            Graph(["a", "b"], [(-1, 1)], [1.0])
+
+    def test_rejects_non_finite_weights(self):
+        with pytest.raises(DataError, match=r"non-finite edge weight on \(1, 2\)"):
+            Graph(["a", "b", "c"], [(0, 1), (1, 2)], [1.0, math.nan])
+
+    @pytest.mark.parametrize("edges, weights, dotted, sizes", [
+        ([(0, 1)], [1.0, 2.0], None, None),
+        ([(0, 1)], [1.0], [True, False], None),
+        ([(0, 1)], [1.0], None, [1.0]),
+        ([0, 1, 2], [1.0], None, None),
+    ])
+    def test_rejects_arrays_of_other_lengths(self, edges, weights, dotted, sizes):
+        with pytest.raises(DataError, match="one row per edge"):
+            Graph(["a", "b"], edges, weights, dotted, sizes)
 
     def test_components_and_subgraph(self):
-        g = Graph(
-            nodes=[Node(l) for l in "abcde"],
-            edges=[Edge(0, 1, 1.0), Edge(2, 3, 1.0)],
-        )
+        g = Graph(list("abcde"), [(0, 1), (2, 3)], [1.0, 2.0], [False, True],
+                  [1.0, 2.0, 3.0, np.nan, 5.0])
         assert g.connected_components() == [[0, 1], [2, 3], [4]]
         sub = g.subgraph([2, 3])
-        assert sub.labels == ["c", "d"]
-        assert sub.edges == [Edge(0, 1, 1.0)]
+        assert sub.nodes == ["c", "d"]
+        assert sub.edges.tolist() == [[0, 1]] and sub.weights.tolist() == [2.0]
+        assert sub.dotted.tolist() == [True]
+        assert np.array_equal(sub.sizes, [3.0, np.nan], equal_nan=True)
 
     def test_components_match_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -357,10 +370,8 @@ class TestGraph:
                 pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
                          if rng.random() < density]
                 order = rng.permutation(len(pairs))  # edge order must not matter
-                g = Graph(
-                    nodes=[Node(f"n{i}") for i in range(n)],
-                    edges=[Edge(*pairs[k], 1.0) for k in order],
-                )
+                g = Graph([f"n{i}" for i in range(n)],
+                          [pairs[k] for k in order], np.ones(len(pairs)))
                 reference = nx.Graph()
                 reference.add_nodes_from(range(n))
                 reference.add_edges_from(pairs)
