@@ -36,7 +36,7 @@ print(f"closest pair by cosine: {cos.labels[pair[0]]} / {cos.labels[pair[1]]}"
       f" = {cos.values[pair]:.3f} (pearson {pea.values[pair]:.3f})")
 
 # The same similarity can also be computed on obs/exp cells.
-cos_ratio = cosine_matrix(obs_exp(sub).values, sub.terms)
+cos_ratio = cosine_matrix(obs_exp(sub), sub.terms)
 print("cosine on counts vs on obs/exp cells differ:",
       not np.allclose(cos.values, cos_ratio.values))
 

@@ -20,7 +20,7 @@ corpus = load_corpus(micro_corpus_dir())
 m = build_word_doc_matrix(corpus, cfg)
 sub = m.select_terms(select_terms(term_scores(m), "obsexp", top_n=20))
 
-# Five factors over the counts, terms as variables; obs_exp(sub).values gives
+# Five factors over the counts, terms as variables; obs_exp(sub) gives
 # ratio cells, and sub.counts.T with sub.doc_ids makes documents the variables.
 solution = factor_analyze(sub.counts, sub.terms, k=5)
 print("eigenvalues:", np.round(solution.eigenvalues, 3))

@@ -28,7 +28,7 @@ fr = split_and_pack(graph, lambda g, s: fruchterman_reingold(g, seed=s), seed=42
 fr_again = split_and_pack(graph, lambda g, s: fruchterman_reingold(g, seed=s), seed=42)
 print("fruchterman-reingold deterministic:", np.array_equal(fr.coords, fr_again.coords))
 print("three node positions:")
-for label, (x, y) in list(zip(fr.labels, fr.coords))[:3]:
+for label, (x, y) in list(zip(graph.nodes, fr.coords))[:3]:
     print(f"  {label:<12} ({x:.3f}, {y:.3f})")
 
 # Kamada-Kawai needs connected input, which split_and_pack guarantees.

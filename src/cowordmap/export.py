@@ -95,10 +95,8 @@ def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
     return [f"*Vertices {len(labels)}"] + [f"{i} {_quote(s)}{t}" for i, (s, t) in pairs]
 
 
-_VERTEX_RE = re.compile(
-    r'^(\d+)\s+"((?:[^"]|"")*)"'
-    r"(?:\s+(-?[\d.]+)\s+(-?[\d.]+)\s+(-?[\d.]+))?\s*$"
-)
+_COORD = r"\s+(-?(?:\d+\.?\d*|\.\d+))"  # a decimal that float() accepts
+_VERTEX_RE = re.compile(r'^(\d+)\s+"((?:[^"]|"")*)"(?:' + _COORD * 3 + r")?\s*$")
 
 
 def _line(path: Path, lines: list[str], lineno: int, what: str) -> str:
@@ -186,6 +184,8 @@ def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
     values = np.asarray(m.values)
     if values.shape[0] != values.shape[1] or (values != values.T).any():
         raise DataError("Pajek matrix output requires a symmetric matrix")
+    if not np.isfinite(values).all() or (np.trunc(values) != values).any():
+        raise DataError("Pajek matrix output requires whole-number values")
     lines = _vertex_lines(m.labels, [""] * len(m.labels)) + ["*Matrix"]
     row_format = " ".join(["%d"] * values.shape[1])
     lines += [row_format % tuple(row.tolist()) for row in values]

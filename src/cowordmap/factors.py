@@ -80,15 +80,14 @@ class FactorAssignment:
     """Which factor each variable belongs to, if any.
 
     ``factor[j]`` is the 0-based index of the factor with the largest
-    absolute loading for variable ``j``, or :data:`UNASSIGNED` when that
-    loading sits inside the closed suppression interval. ``sign[j]`` is the
-    sign of the decisive loading (0 when unassigned).
+    absolute loading for variable ``labels[j]``, or :data:`UNASSIGNED` when
+    that loading sits inside the closed interval of :func:`assign_factors`.
+    ``sign[j]`` is the sign of the decisive loading (0 when unassigned).
     """
 
     labels: list[str]
     factor: np.ndarray
     sign: np.ndarray
-    suppression: float
 
 
 def _apply_sign_convention(loadings: np.ndarray) -> np.ndarray:
@@ -263,7 +262,6 @@ def assign_factors(sol: FactorSolution, suppression: float = 0.1) -> FactorAssig
         labels=list(sol.variable_labels),
         factor=factor.astype(np.int64),
         sign=sign.astype(np.int64),
-        suppression=suppression,
     )
 
 

@@ -32,7 +32,7 @@ _EPS = 1e-9  # minimum inter-node distance before forces blow up
 
 @dataclass(frozen=True)
 class Layout:
-    """Node coordinates in the unit square, one row per label.
+    """Node coordinates in the unit square; row ``i`` places ``g.nodes[i]``.
 
     ``raw`` keeps the pre-normalization coordinates, where geometric
     quantities such as the ideal Fruchterman-Reingold edge length are
@@ -42,7 +42,6 @@ class Layout:
     """
 
     coords: np.ndarray
-    labels: list[str]
     iterations: int
     raw: np.ndarray
     stress_history: tuple[float, ...] = ()
@@ -154,9 +153,7 @@ def fruchterman_reingold(
         pos += disp / length[:, np.newaxis] * np.minimum(length, t)[:, np.newaxis]
         if not np.isfinite(pos).all():
             raise DataError("layout diverged to non-finite coordinates")
-    return Layout(
-        coords=_normalize(pos), labels=g.nodes, iterations=iterations - first, raw=pos
-    )
+    return Layout(coords=_normalize(pos), iterations=iterations - first, raw=pos)
 
 
 def graph_distances(g: Graph) -> np.ndarray:
@@ -288,8 +285,7 @@ def kamada_kawai(
     hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
     if n == 1:
-        return Layout(coords=_normalize(pos), labels=g.nodes, iterations=0, raw=pos,
-                      stress_history=(0.0,))
+        return Layout(coords=_normalize(pos), iterations=0, raw=pos, stress_history=(0.0,))
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
     weight = _stress_weights(hops)
@@ -315,7 +311,7 @@ def kamada_kawai(
         iterations += 1
         if converged:
             break
-    return Layout(coords=_normalize(pos), labels=g.nodes, iterations=iterations, raw=pos,
+    return Layout(coords=_normalize(pos), iterations=iterations, raw=pos,
                   stress_history=tuple(history))
 
 
@@ -361,7 +357,7 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
         coords[isolates, 0] = np.arange(len(isolates)) * spacing
         coords[isolates, 1] = row_y
     return Layout(
-        coords=_normalize(coords), labels=g.nodes,
+        coords=_normalize(coords),
         iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,
         # components come largest first
         stress_history=sublayouts[0].stress_history if sublayouts else (),

@@ -291,7 +291,7 @@ def _cells_matrix(m: corpus_mod.WordDocMatrix, which: str) -> np.ndarray:
         return m.counts.astype(float)
     if which == "tfidf":
         return termstats.tfidf_matrix(m)
-    return termstats.obs_exp(m).values
+    return termstats.obs_exp(m)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +453,14 @@ def _prefix(subcommand: str) -> tuple[Stage, ...]:
     return tuple(stage for stage in STAGES if stage.name in needed)
 
 
-def _load_manifest(out: Path) -> dict:
+def _recorded_stages(out: Path) -> dict:
+    """The manifest's stage entries, or ``{}`` when it is missing or malformed."""
     try:
-        return json.loads((out / _MANIFEST).read_text(encoding="utf-8"))
-    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+        stages = json.loads((out / _MANIFEST).read_text(encoding="utf-8"))["stages"]
+    except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
         return {}
+    ok = isinstance(stages, dict) and all(isinstance(e, dict) for e in stages.values())
+    return stages if ok else {}
 
 
 def _artifact_hashes(out: Path, stage: Stage) -> dict[str, str | None]:
@@ -497,8 +500,7 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     stages = _prefix(subcommand)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(out)
-    recorded = manifest.get("stages", {})
+    recorded = _recorded_stages(out)
     keys: dict[str, str] = {}
     sources = sorted(Path(__file__).parent.glob("*.py"))  # a changed program misses the cache
     program = _digest([(path.name, _file_digest(path)) for path in sources])
@@ -531,10 +533,9 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
             logger.info("stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
                         time.perf_counter() - started)
 
-        manifest["stages"] = recorded
         names = sorted(name for stage in stages for name in stage.artifacts)
         report = _build_report(config, products, names, [str(w.message) for w in caught])
-        for name, data in ((_MANIFEST, manifest), ("report.json", report)):
+        for name, data in ((_MANIFEST, {"stages": recorded}), ("report.json", report)):
             text = json.dumps(data, indent=2, sort_keys=True) + "\n"
             (staged / name).write_text(text, encoding="utf-8")
         _publish(staged, (_MANIFEST, "report.json"))

@@ -23,10 +23,7 @@ from .corpus import WordDocMatrix
 from .errors import ConfigError, DataError, check_choice
 
 __all__ = [
-    "ChiSquareReport",
     "CRITERIA",
-    "ExpectedMatrix",
-    "ObsExpMatrix",
     "TermScores",
     "chi_square",
     "distinct_expected_cells",
@@ -39,48 +36,6 @@ __all__ = [
 
 CRITERIA = ("freq", "tfidf", "chi2", "obsexp")
 YATES = ("off", "observed_lt_5")
-
-
-@dataclass(frozen=True)
-class ExpectedMatrix:
-    """Cell values expected from the margins alone (independence model)."""
-
-    values: np.ndarray
-    doc_ids: list[str]
-    terms: list[str]
-
-
-@dataclass(frozen=True)
-class ObsExpMatrix:
-    """Per-cell observed/expected ratios, with column sums per term.
-
-    A cell is 0 exactly where the observed count is 0; ``term_sums[k]``
-    says how far term ``k`` occurs above (``> n_docs``) or below
-    expectation over the whole document set.
-    """
-
-    values: np.ndarray
-    doc_ids: list[str]
-    terms: list[str]
-    term_sums: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChiSquareReport:
-    """Chi-square decomposition of a count matrix.
-
-    Attributes:
-        total: Sum of all per-cell contributions.
-        degrees_of_freedom: ``(rows - 1) * (cols - 1)``.
-        per_cell: Contribution of each cell.
-        yates_applied: True where the small-count correction was used.
-    """
-
-    total: float
-    degrees_of_freedom: int
-    per_cell: np.ndarray
-    yates_applied: np.ndarray
-    terms: list[str]
 
 
 @dataclass(frozen=True)
@@ -115,15 +70,13 @@ def _expected(m: WordDocMatrix, row_margins, col_margins=None) -> np.ndarray:
     return np.multiply.outer(row_margins, cols) / m.total
 
 
-def expected_matrix(m: WordDocMatrix) -> ExpectedMatrix:
+def expected_matrix(m: WordDocMatrix) -> np.ndarray:
     """Compute expected cell values from the margin totals.
 
     Row and column sums of the result equal those of the observed matrix;
     all entries are positive because the input is pruned.
     """
-    return ExpectedMatrix(
-        values=_expected(m, m.row_margins), doc_ids=list(m.doc_ids), terms=list(m.terms)
-    )
+    return _expected(m, m.row_margins)
 
 
 def distinct_expected_cells(m: WordDocMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,19 +101,17 @@ def tfidf_matrix(m: WordDocMatrix) -> np.ndarray:
     return m.counts * idf[np.newaxis, :]
 
 
-def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str):
-    """Per-cell chi-square contributions and the Yates flags of ``counts``."""
+def _chi_cells(counts: np.ndarray, expected: np.ndarray, yates: str) -> np.ndarray:
+    """Per-cell chi-square contributions of ``counts``."""
     check_choice("yates", yates, YATES)
     deviation = np.abs(counts - expected)
-    applied = np.zeros(counts.shape, dtype=bool)
     if yates == "observed_lt_5":
-        applied = counts < 5
-        deviation = np.where(applied, np.maximum(deviation - 0.5, 0.0), deviation)
-    return deviation**2 / expected, applied
+        deviation = np.where(counts < 5, np.maximum(deviation - 0.5, 0.0), deviation)
+    return deviation**2 / expected
 
 
-def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareReport:
-    """Decompose the matrix chi-square into per-cell contributions.
+def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> np.ndarray:
+    """Decompose the matrix chi-square into per-cell contributions; the statistic is their sum.
 
     Args:
         m: Pruned count matrix.
@@ -170,34 +121,23 @@ def chi_square(m: WordDocMatrix, yates: str = "observed_lt_5") -> ChiSquareRepor
             correction. The corrected contribution is never larger than the
             uncorrected one.
     """
-    per_cell, applied = _chi_cells(m.counts, _expected(m, m.row_margins), yates)
-    dof = (m.n_docs - 1) * (m.n_terms - 1)
-    return ChiSquareReport(
-        total=float(per_cell.sum()),
-        degrees_of_freedom=max(dof, 1),
-        per_cell=per_cell,
-        yates_applied=applied,
-        terms=list(m.terms),
-    )
+    return _chi_cells(m.counts, _expected(m, m.row_margins), yates)
 
 
-def obs_exp(m: WordDocMatrix) -> ObsExpMatrix:
+def obs_exp(m: WordDocMatrix) -> np.ndarray:
     """Divide each observed count by its expected value.
 
-    On a uniform matrix every cell is 1 and every column sums to the number
-    of documents.
+    A cell is 0 exactly where the observed count is 0. On a uniform matrix
+    every cell is 1 and every column sums to the number of documents.
     """
-    values = m.counts / _expected(m, m.row_margins)
-    return ObsExpMatrix(
-        values=values,
-        doc_ids=list(m.doc_ids),
-        terms=list(m.terms),
-        term_sums=values.sum(axis=0),
-    )
+    return m.counts / _expected(m, m.row_margins)
 
 
 def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     """Compute all four selection scores for every term of the matrix.
+
+    ``obs_exp_sum[k]`` says how far term ``k`` occurs above (``> n_docs``)
+    or below expectation over the whole document set.
 
     Each dense row of :meth:`~cowordmap.corpus.WordDocMatrix.rows` adds its
     chi-square, obs/exp and tf-idf cells to three running column sums; no
@@ -210,7 +150,7 @@ def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     chi2, ratio, tfidf = np.zeros((3, m.n_terms))
     for margin, counts in zip(m.row_margins, m.rows()):
         expected = _expected(m, margin)
-        chi2 += _chi_cells(counts, expected, yates)[0]
+        chi2 += _chi_cells(counts, expected, yates)
         ratio += counts / expected
         tfidf += counts * idf
     return TermScores(

@@ -210,9 +210,7 @@ def threshold_graph(matrix: SimilarityMatrix, threshold: float, rule: str = "geq
     """
     check_choice("rule", rule, ("geq", "gt"))
     values = matrix.values
-    if values.shape[0] != values.shape[1] or not np.allclose(
-        values, values.T, atol=1e-12
-    ):
+    if values.shape[0] != values.shape[1] or not np.allclose(values, values.T, rtol=0, atol=1e-12):
         raise DataError("threshold_graph requires a symmetric matrix")
     weights = np.asarray(values, dtype=float)
     keep = weights >= threshold if rule == "geq" else weights > threshold

@@ -113,14 +113,14 @@ def test_criterion_02_chi_square_oracle():
         on = chi_square(m, yates="observed_lt_5")
         total_off, cells_off = _chi2_oracle(counts.tolist(), yates=False)
         total_on, cells_on = _chi2_oracle(counts.tolist(), yates=True)
-        assert abs(off.total - total_off) < 1e-9
-        assert abs(on.total - total_on) < 1e-9
-        np.testing.assert_allclose(off.per_cell, cells_off, atol=1e-9)
-        np.testing.assert_allclose(on.per_cell, cells_on, atol=1e-9)
-        assert on.total <= off.total + 1e-12
+        assert abs(off.sum() - total_off) < 1e-9
+        assert abs(on.sum() - total_on) < 1e-9
+        np.testing.assert_allclose(off, cells_off, atol=1e-9)
+        np.testing.assert_allclose(on, cells_on, atol=1e-9)
+        assert on.sum() <= off.sum() + 1e-12
     reference_total, _ = _chi2_oracle([[10, 20], [30, 40]], yates=False)
     report = chi_square(make_matrix([[10, 20], [30, 40]]), yates="off")
-    assert abs(report.total - reference_total) < 1e-9
+    assert abs(report.sum() - reference_total) < 1e-9
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"chi-square oracle took {elapsed:.2f}s"
     ok("02 chi-square contingency oracle (200 matrices, 1e-9, <1s)")
@@ -130,11 +130,11 @@ def test_criterion_03_margin_property():
     rng = np.random.default_rng(103)
     for _ in range(200):
         m = make_matrix(random_pruned_counts(rng, 8, 12))
-        e = expected_matrix(m).values
+        e = expected_matrix(m)
         np.testing.assert_allclose(e.sum(axis=0), m.col_margins, atol=1e-9)
         np.testing.assert_allclose(e.sum(axis=1), m.row_margins, atol=1e-9)
     uniform = make_matrix(np.full((5, 7), 3))
-    np.testing.assert_allclose(obs_exp(uniform).values, 1.0, atol=1e-12)
+    np.testing.assert_allclose(obs_exp(uniform), 1.0, atol=1e-12)
     ok("03 expected-matrix margins preserved; uniform obs/exp all ones")
 
 
@@ -260,8 +260,7 @@ def test_criterion_08_suppression_behavior(tmp_path):
     coords = np.linspace(0.1, 0.9, 4)[:, None] * np.ones((1, 2))
     from cowordmap.layout import Layout
 
-    layout = Layout(coords=coords, labels=[f"v{j}" for j in range(4)],
-                    iterations=0, raw=coords)
+    layout = Layout(coords=coords, iterations=0, raw=coords)
     node_graph = Graph([f"v{j}" for j in range(4)], [], [])
     svg = tmp_path / "suppression.svg"
     render_svg_map(node_graph, layout, assignment, svg)

@@ -51,7 +51,7 @@ def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
 
 def layout_for(g, rng) -> Layout:
     coords = np.round(rng.random((len(g.nodes), 2)), 4)
-    return Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
+    return Layout(coords=coords, iterations=0, raw=coords)
 
 
 def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
@@ -233,6 +233,16 @@ class TestPajekNet:
         with pytest.raises(DataError, match=":2"):
             read_pajek_net(path)
 
+    @pytest.mark.parametrize(
+        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
+    )
+    @pytest.mark.parametrize("coord", ["1.2.3", "."])
+    def test_malformed_vertex_coordinate_reports_lineno(self, tmp_path, reader, name, coord):
+        path = tmp_path / name
+        path.write_text(f'*Vertices 1\n1 "a" {coord} 0.5 0.5\n*Edges\n*Matrix\n1\n')
+        with pytest.raises(DataError, match=rf"{name}:2: malformed vertex line"):
+            reader(path)
+
     def test_missing_edges_header(self, tmp_path):
         path = tmp_path / "bad.net"
         path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n')
@@ -320,6 +330,13 @@ class TestPajekMatrix:
         with pytest.raises(DataError, match="symmetric"):
             write_pajek_matrix(m, tmp_path / "bad.dat")
 
+    @pytest.mark.parametrize("off", [0.7, math.inf])
+    def test_non_integer_values_rejected(self, tmp_path, off):
+        m = SimilarityMatrix(values=np.array([[1, off], [off, 1]]), labels=["a", "b"])
+        with pytest.raises(DataError, match="whole-number"):
+            write_pajek_matrix(m, tmp_path / "bad.dat")
+        assert not (tmp_path / "bad.dat").exists()
+
 
 class TestCsv:
     def test_exact_count_matrix(self, tmp_path):
@@ -328,9 +345,9 @@ class TestCsv:
         assert path.read_text() == "doc,a,b\nd1,2,1\nd2,0,1\n"
 
     def test_expected_matrix_cells(self, tmp_path):
-        e = expected_matrix(make_matrix([[10, 20], [30, 40]]))
+        m = make_matrix([[10, 20], [30, 40]])
         path = tmp_path / "expected.csv"
-        write_csv(e.values, path, e.doc_ids, e.terms)
+        write_csv(expected_matrix(m), path, m.doc_ids, m.terms)
         assert path.read_text() == "doc,t1,t2\nd1,12,18\nd2,28,42\n"
 
     def test_round_trip_six_significant_digits(self, tmp_path):
@@ -438,8 +455,7 @@ class TestCsv:
         m = make_matrix([[3, 0, 1, 1], [1, 1, 2, 2], [3, 0, 1, 1], [0, 5, 0, 2]])
         cells, rows, cols = distinct_expected_cells(m)
         write_csv(cells, tmp_path / "distinct.csv", m.doc_ids, m.terms, index=(rows, cols))
-        e = expected_matrix(m)
-        write_csv_oracle(e.values, tmp_path / "oracle.csv", e.doc_ids, e.terms)
+        write_csv_oracle(expected_matrix(m), tmp_path / "oracle.csv", m.doc_ids, m.terms)
         assert (tmp_path / "distinct.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_table_writer(self, tmp_path):
@@ -454,7 +470,7 @@ class TestSvg:
 
     def layout(self, g):
         coords = np.array([[0.2, 0.2], [0.8, 0.8]])
-        return Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
+        return Layout(coords=coords, iterations=0, raw=coords)
 
     def test_unassigned_node_is_white(self, tmp_path):
         g = self.graph()
@@ -462,7 +478,6 @@ class TestSvg:
             labels=["hot", "cold"],
             factor=np.array([0, UNASSIGNED]),
             sign=np.array([1, 0]),
-            suppression=0.1,
         )
         path = tmp_path / "map.svg"
         render_svg_map(g, self.layout(g), assignment, path)
@@ -509,7 +524,7 @@ class TestSvg:
     def test_well_formed_xml_with_special_labels(self, tmp_path):
         g = Graph(["a<b&c"], [], [], sizes=[2.0])
         coords = np.array([[0.5, 0.5]])
-        layout = Layout(coords=coords, labels=g.nodes, iterations=0, raw=coords)
+        layout = Layout(coords=coords, iterations=0, raw=coords)
         path = tmp_path / "special.svg"
         render_svg_map(g, layout, None, path)
         ET.fromstring(path.read_text())  # parses cleanly
@@ -540,12 +555,12 @@ class TestSvg:
             layout = None
             if draw(st.booleans()):
                 coords = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0, 1)))
-                layout = Layout(coords=coords, labels=labels, iterations=0, raw=coords)
+                layout = Layout(coords=coords, iterations=0, raw=coords)
             assignment = None
             if draw(st.booleans()):
                 factor = draw(st.lists(st.integers(UNASSIGNED, 14), min_size=n, max_size=n))
                 assignment = FactorAssignment(labels=labels, factor=np.array(factor, dtype=int),
-                                              sign=np.ones(n, dtype=int), suppression=0.1)
+                                              sign=np.ones(n, dtype=int))
             return g, layout, assignment
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)

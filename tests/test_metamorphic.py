@@ -43,7 +43,7 @@ def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> 
         result = {
             "m": m,
             "scores": term_scores(m),
-            "obs_exp": obs_exp(m).values,
+            "obs_exp": obs_exp(m),
             "tfidf": tfidf_matrix(m),
             "cosine": cosine.values,
             "edges": threshold_graph(cosine, COS_THRESHOLD).edges.tolist(),

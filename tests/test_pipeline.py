@@ -477,6 +477,21 @@ class TestCache:
         assert set(result.stages.values()) == {"computed"}
         assert artifact_bytes(out) == golden
 
+    @pytest.mark.parametrize("manifest", [
+        "[]", '{"stages": []}', '{"stages": {"ingest": "x"}}',
+    ])
+    def test_malformed_manifest_counts_as_absent(self, micro_dir, tmp_path, capsys, manifest):
+        out = tmp_path / "out"
+        argv = ["run", "--input", str(micro_dir), "--out", str(out), "--top", "20",
+                "--factors", "5"]
+        assert main(argv) == 0
+        (out / ".coword-cache.json").write_text(manifest, encoding="utf-8")
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        golden = Path(__file__).parent / "golden" / "micro"
+        for name in sorted(golden.iterdir()):
+            assert (out / name.name).read_bytes() == name.read_bytes(), name.name
+
     @pytest.mark.parametrize("tampered, owners", [
         (("expected.csv",), {"ingest"}),
         (("loadings.csv",), {"factors"}),

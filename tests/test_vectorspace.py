@@ -282,6 +282,12 @@ class TestThresholdGraph:
         with pytest.raises(DataError, match="symmetric"):
             threshold_graph(matrix, 0.5)
 
+    def test_symmetry_tolerance_is_absolute(self):
+        """Large values that differ by 1 are not symmetric, whatever their size."""
+        matrix = self.sim([[1, 100000], [100001, 1]], ["a", "b"])
+        with pytest.raises(DataError, match="symmetric"):
+            threshold_graph(matrix, 0.5)
+
     def test_diagonal_ignored(self):
         matrix = self.sim([[9, 0], [0, 9]], ["a", "b"])
         with pytest.warns(CowordMapWarning):
