@@ -10,13 +10,14 @@ eight-document micro corpus.
 from cowordmap.corpus import TokenizerConfig, build_word_doc_matrix, load_corpus, tokenize
 from cowordmap.data import micro_corpus_dir
 
-# Load one document per .txt file (lines of a single file work too).
+# Load one document per .txt file (lines of a single file work too): an
+# ordered dict from document id (here the filename) to its text.
 corpus = load_corpus(micro_corpus_dir(), format="files")
 print(f"documents: {len(corpus)}")
 
 # Tokens are maximal letter/digit runs, lowercased, with stopwords removed.
 cfg = TokenizerConfig()
-print("first document tokens:", tokenize(corpus.documents[0], cfg)[:8], "...")
+print("first document tokens:", tokenize(next(iter(corpus.values())), cfg)[:8], "...")
 
 # One tokenizing pass fills the count matrix. It prunes all-zero rows and
 # columns, so margin-based statistics are always well defined.
@@ -26,6 +27,5 @@ print("row margins:", m.row_margins.tolist())
 
 # The columns are the vocabulary, ordered by descending total frequency
 # (ties: alphabetical).
-doc_freq = (m.counts > 0).sum(axis=0)
-for term, tf, df in list(zip(m.terms, m.col_margins, doc_freq))[:5]:
+for term, tf, df in list(zip(m.terms, m.col_margins, m.doc_freq))[:5]:
     print(f"  {term:<12} total={tf}  in {df} documents")

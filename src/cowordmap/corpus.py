@@ -1,11 +1,12 @@
 """Load documents, tokenize, and build the word-document count matrix.
 
 The pipeline starts here: a directory of ``.txt`` files (or a file with one
-document per line) becomes a :class:`Corpus`, and one tokenizing pass turns
-that into a :class:`WordDocMatrix` of occurrence counts with documents as
-rows and terms as columns, kept as compressed sparse rows. Everything
-downstream consumes the matrix: term statistics and ``matrix.csv`` read it
-one dense row at a time, similarity and factors a selected submatrix whole.
+document per line) becomes a corpus, an ordered ``{id: text}`` dict, and one
+tokenizing pass turns that into a :class:`WordDocMatrix` of occurrence counts
+with documents as rows and terms as columns, kept as compressed sparse rows.
+Everything downstream consumes the matrix: term statistics and ``matrix.csv``
+read it one dense row at a time, similarity and factors a selected submatrix
+whole.
 
 Example:
     >>> corpus = load_corpus("texts/", format="files")
@@ -29,8 +30,6 @@ from .errors import ConfigError, CowordMapWarning, DataError, capped_ids
 from .errors import check_choice, check_unique
 
 __all__ = [
-    "Corpus",
-    "Document",
     "TokenizerConfig",
     "Vocabulary",
     "WordDocMatrix",
@@ -45,35 +44,6 @@ __all__ = [
 ]
 
 FORMATS = ("files", "lines")
-
-
-@dataclass(frozen=True, slots=True)
-class Document:
-    """One unit of analysis: a row of the word-document matrix.
-
-    Attributes:
-        id: Unique identifier within the corpus (filename or line number).
-        text: Raw text content.
-    """
-
-    id: str
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    """An ordered collection of documents with unique ids."""
-
-    documents: tuple[Document, ...]
-
-    def __post_init__(self) -> None:
-        check_unique([d.id for d in self.documents], "document ids")
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
 
 
 @dataclass(frozen=True)
@@ -245,7 +215,7 @@ def _warn_pruned(what: str, ids: list[str]) -> None:
         warnings.warn(message, CowordMapWarning, stacklevel=3)
 
 
-def load_corpus(source: str | Path, format: str = "files") -> Corpus:
+def load_corpus(source: str | Path, format: str = "files") -> dict[str, str]:
     """Read documents from a directory of text files or a one-doc-per-line file.
 
     Args:
@@ -255,8 +225,9 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
             ``\n``, ``\r\n`` or ``\r``).
 
     Returns:
-        The loaded corpus. Document ids are filenames for ``"files"`` and
-        1-based line numbers for ``"lines"``.
+        The corpus: each document's id mapped to its text, in document order.
+        Ids are filenames for ``"files"`` and 1-based line numbers for
+        ``"lines"``.
 
     Raises:
         ConfigError: Unknown ``format`` value.
@@ -268,28 +239,24 @@ def load_corpus(source: str | Path, format: str = "files") -> Corpus:
     if not source.exists():
         raise FileNotFoundError(f"corpus source not found: {source}")
 
-    docs: list[Document] = []
     if format == "files":
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
-        for path in text_files(source):
-            docs.append(Document(id=path.name, text=_read_utf8(path)))
+        docs = {path.name: _read_utf8(path) for path in text_files(source)}
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")
-        for lineno, line in enumerate(read_lines(source), start=1):
-            if not line.strip():
-                continue
-            docs.append(Document(id=str(lineno), text=line))
+        lines = enumerate(read_lines(source), start=1)
+        docs = {str(lineno): line for lineno, line in lines if line.strip()}
 
     if not docs:
         raise DataError(f"empty corpus: no documents found in {source}")
-    return Corpus(tuple(docs))
+    return docs
 
 
 def text_files(directory: Path) -> list[Path]:
-    """The ``.txt`` files of a ``files`` corpus, in document order (by name)."""
-    return sorted(directory.glob("*.txt"))
+    """The regular ``.txt`` files of a ``files`` corpus, in document order (by name)."""
+    return sorted(path for path in directory.glob("*.txt") if path.is_file())
 
 
 def _read_utf8(path: Path, error: type[Exception] = DataError) -> str:
@@ -333,11 +300,11 @@ def load_synonym_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
-    """Split a document into filtered terms, preserving text order.
+def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
+    """Split a document's text into filtered terms, preserving text order.
 
     Args:
-        doc: A :class:`Document` or a raw string.
+        text: The raw text.
         cfg: Tokenizer settings.
 
     Returns:
@@ -345,7 +312,6 @@ def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
         mapping, length filtering, and stopword removal. Empty text yields
         an empty list.
     """
-    text = doc.text if isinstance(doc, Document) else doc
     pattern = re.compile(cfg.token_pattern, re.UNICODE)
     out: list[str] = []
     for raw in pattern.findall(text):
@@ -359,7 +325,7 @@ def tokenize(doc: Document | str, cfg: TokenizerConfig) -> list[str]:
     return out
 
 
-def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], tuple]:
+def _count_terms(corpus: dict[str, str], cfg: TokenizerConfig) -> tuple[list[str], tuple]:
     """Tokenize each document once into the CSR documents x terms counts.
 
     Each term gets an id when it first appears; the columns are then put in
@@ -371,8 +337,8 @@ def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], tuple
     ids: dict[str, int] = {}
     cols: list[int] = []
     lengths: list[int] = []
-    for doc in corpus:
-        tokens = tokenize(doc, cfg)
+    for text in corpus.values():
+        tokens = tokenize(text, cfg)
         cols.extend([ids.setdefault(tok, len(ids)) for tok in tokens])
         lengths.append(len(tokens))
     if not ids:
@@ -390,7 +356,7 @@ def _count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], tuple
     return [terms[k] for k in order], (indptr, keys % len(terms), data)
 
 
-def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
+def build_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> Vocabulary:
     """Count every surviving term across the corpus.
 
     Returns:
@@ -407,12 +373,12 @@ def build_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
 
 
 def build_word_doc_matrix(
-    corpus: Corpus, cfg: TokenizerConfig, binary: bool = False
+    corpus: dict[str, str], cfg: TokenizerConfig, binary: bool = False
 ) -> WordDocMatrix:
     """Tokenize the corpus once and fill the documents x terms count matrix.
 
     Args:
-        corpus: The documents; each becomes a row.
+        corpus: Each document's id mapped to its text; each becomes a row.
         cfg: Tokenizer settings.
         binary: Record presence (0/1) instead of occurrence counts.
 
@@ -427,4 +393,4 @@ def build_word_doc_matrix(
     terms, (indptr, indices, data) = _count_terms(corpus, cfg)
     if binary:
         np.minimum(data, 1, out=data)
-    return WordDocMatrix((indptr, indices, data), [d.id for d in corpus], terms)
+    return WordDocMatrix((indptr, indices, data), list(corpus), terms)

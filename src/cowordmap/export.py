@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .corpus import read_lines
+from .errors import DataError, capped_ids
 from .factors import UNASSIGNED, FactorAssignment
 from .layout import Layout
 from .vectorspace import Graph, SimilarityMatrix
@@ -90,7 +91,12 @@ def _positions(g: Graph, layout: Layout | None) -> np.ndarray:
 
 
 def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
-    """The ``*Vertices N`` header, then ``i "label"`` and its tail for each vertex."""
+    """The ``*Vertices N`` header, then ``i "label"`` and its tail for each vertex.
+
+    A label holding a line break would split its vertex line: a DataError.
+    """
+    if broken := [repr(s) for s in labels if "\n" in s or "\r" in s]:
+        raise DataError(f"Pajek labels must not contain line breaks: {capped_ids(broken)}")
     pairs = enumerate(zip(labels, tails, strict=True), 1)
     return [f"*Vertices {len(labels)}"] + [f"{i} {_quote(s)}{t}" for i, (s, t) in pairs]
 
@@ -112,7 +118,9 @@ def _vertices(path: Path) -> tuple[list[str], list[tuple[str, tuple[float, float
     N must be an integer >= 0, and vertex line ``i`` (file line ``i + 1``)
     must match ``_VERTEX_RE`` with id ``i``; else a DataError.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
+    if lines[-1] == "":  # the split after the final newline
+        lines.pop()
     try:
         n = int(lines[0].split()[1]) if lines[0].lower().startswith("*vertices") else -1
     except (IndexError, ValueError):

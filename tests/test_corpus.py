@@ -12,8 +12,6 @@ import pytest
 
 from conftest import make_matrix
 from cowordmap.corpus import (
-    Corpus,
-    Document,
     TokenizerConfig,
     Vocabulary,
     WordDocMatrix,
@@ -30,13 +28,8 @@ from cowordmap.vectorspace import Graph
 NO_STOPWORDS = TokenizerConfig(stopwords=frozenset())
 
 
-def corpus_of(*texts: str) -> Corpus:
-    return Corpus(
-        tuple(
-            Document(id=f"d{i + 1}", text=t)
-            for i, t in enumerate(texts)
-        )
-    )
+def corpus_of(*texts: str) -> dict[str, str]:
+    return {f"d{i + 1}": t for i, t in enumerate(texts)}
 
 
 class TestTokenize:
@@ -87,21 +80,19 @@ class TestLoadCorpus:
         (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
         (tmp_path / "b.txt").write_text("beta", encoding="utf-8")
         corpus = load_corpus(tmp_path, format="files")
-        assert [d.id for d in corpus] == ["a.txt", "b.txt"]
-        assert [d.text for d in corpus] == ["alpha", "beta"]
+        assert corpus == {"a.txt": "alpha", "b.txt": "beta"}
 
     def test_one_doc_per_line(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_text("one\n\ntwo\nthree\n", encoding="utf-8")
         corpus = load_corpus(path, format="lines")
-        assert len(corpus) == 3
-        assert [d.id for d in corpus] == ["1", "3", "4"]
+        assert list(corpus.items()) == [("1", "one"), ("3", "two"), ("4", "three")]
 
     def test_lines_end_only_at_newlines(self, tmp_path):
         path = tmp_path / "docs.txt"
         path.write_bytes("map\x0cone\nmap\u2028two\n".encode("utf-8"))
         corpus = load_corpus(path, format="lines")
-        assert [(d.id, d.text) for d in corpus] == [("1", "map\x0cone"), ("2", "map\u2028two")]
+        assert list(corpus.items()) == [("1", "map\x0cone"), ("2", "map\u2028two")]
         crlf = tmp_path / "crlf.txt"
         crlf.write_bytes(b"one\r\n\r\ntwo\r\n")
         lf = tmp_path / "lf.txt"
@@ -123,11 +114,10 @@ class TestLoadCorpus:
 
 
 @pytest.mark.parametrize("build, what", [
-    (lambda ids: Corpus(tuple(Document(i, "") for i in ids)), "document ids"),
     (lambda ids: Graph(ids, [], []), "node labels"),
     (lambda ids: WordDocMatrix(np.ones((len(ids), 1)), ids, ["t"]), "document ids"),
     (lambda ids: WordDocMatrix(np.ones((1, len(ids))), ["d"], ids), "terms"),
-], ids=["Corpus", "Graph", "WordDocMatrix-docs", "WordDocMatrix-terms"])
+], ids=["Graph", "WordDocMatrix-docs", "WordDocMatrix-terms"])
 def test_duplicate_ids_name_ten_then_the_count(build, what):
     ids = [f"d{i:02d}" for i in range(30)]
     with pytest.raises(DataError) as excinfo:
@@ -187,7 +177,7 @@ class TestBuildVocabulary:
 
     def test_empty_corpus_is_fatal(self):
         with pytest.raises(DataError):
-            build_vocabulary(Corpus(()), NO_STOPWORDS)
+            build_vocabulary({}, NO_STOPWORDS)
 
     def test_matches_single_pass_counting_oracle(self):
         rng = np.random.default_rng(7)
@@ -211,14 +201,14 @@ class TestBuildVocabulary:
         assert list(vocab.terms) == ordered
 
 
-def two_pass_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
+def two_pass_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> Vocabulary:
     """The former first ingest pass, kept verbatim as the oracle."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
     totals: dict[str, int] = {}
     docfreq: dict[str, int] = {}
-    for doc in corpus:
-        tokens = tokenize(doc, cfg)
+    for text in corpus.values():
+        tokens = tokenize(text, cfg)
         for tok in tokens:
             totals[tok] = totals.get(tok, 0) + 1
         for tok in set(tokens):
@@ -234,19 +224,19 @@ def two_pass_vocabulary(corpus: Corpus, cfg: TokenizerConfig) -> Vocabulary:
 
 
 def two_pass_matrix(
-    corpus: Corpus, vocab: Vocabulary, cfg: TokenizerConfig, binary: bool = False
+    corpus: dict[str, str], vocab: Vocabulary, cfg: TokenizerConfig, binary: bool = False
 ) -> WordDocMatrix:
     """The former second ingest pass, kept verbatim as the oracle."""
     index = {t: i for i, t in enumerate(vocab.terms)}
     counts = np.zeros((len(corpus), len(vocab)), dtype=np.int64)
-    for i, doc in enumerate(corpus):
-        for tok in tokenize(doc, cfg):
+    for i, text in enumerate(corpus.values()):
+        for tok in tokenize(text, cfg):
             k = index.get(tok)
             if k is not None:
                 counts[i, k] += 1
     if binary:
         counts = (counts > 0).astype(np.int64)
-    return WordDocMatrix(counts, [d.id for d in corpus], list(vocab.terms))
+    return WordDocMatrix(counts, list(corpus), list(vocab.terms))
 
 
 def outcome(build):
@@ -337,11 +327,11 @@ class TestBuildWordDocMatrix:
         ]
         corpus = corpus_of(*texts)
         m = build_word_doc_matrix(corpus, NO_STOPWORDS)
-        for i, doc in enumerate(corpus):
-            tokens = doc.text.split()
+        for i, text in enumerate(corpus.values()):
+            tokens = text.split()
             for k, term in enumerate(m.terms):
                 assert m.counts[i, k] == tokens.count(term)
-        assert m.total == sum(len(d.text.split()) for d in corpus)
+        assert m.total == sum(len(text.split()) for text in corpus.values())
 
     def test_doc_freq_equals_nonzero_rows(self):
         rng = np.random.default_rng(3)
@@ -439,15 +429,17 @@ class TestBuildWordDocMatrix:
         assert m.doc_ids == [f"d{i + 1}" for i in range(25, 30)]
 
 
-def dense_count_terms(corpus: Corpus, cfg: TokenizerConfig) -> tuple[list[str], np.ndarray]:
+def dense_count_terms(
+    corpus: dict[str, str], cfg: TokenizerConfig
+) -> tuple[list[str], np.ndarray]:
     """The dense one-pass ingest the CSR one replaced, kept verbatim as the oracle."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
     ids: dict[str, int] = {}
     cols: list[int] = []
     lengths: list[int] = []
-    for doc in corpus:
-        tokens = tokenize(doc, cfg)
+    for text in corpus.values():
+        tokens = tokenize(text, cfg)
         cols.extend([ids.setdefault(tok, len(ids)) for tok in tokens])
         lengths.append(len(tokens))
     if not ids:
@@ -537,7 +529,7 @@ def test_csr_matrix_matches_dense_builder():
             return
         if binary:
             np.minimum(counts, 1, out=counts)
-        want, want_warnings = dense_matrix(counts, [d.id for d in corpus], terms)
+        want, want_warnings = dense_matrix(counts, list(corpus), terms)
         assert got_warnings == want_warnings
         assert_same_matrix(got, want)
         if isinstance(want, str):

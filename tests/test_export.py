@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -156,6 +157,8 @@ AWKWARD_LABELS = [
     "trailing space ", "", "naïve", "'single'", "tab\there", '"', ",",
 ]
 
+PAJEK_LABELS = [s for s in AWKWARD_LABELS if "\n" not in s and "\r" not in s]
+
 SPECIAL_REALS = [
     np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300,
     5e-324, 123456.5, 1234567.0, 0.1, 2.0 / 3.0, -1.5e-7,
@@ -290,7 +293,7 @@ class TestPajekMatrix:
             if dtype is np.uint8 or dtype is bool:
                 half = np.abs(half) % 2
             values = (half + half.T).astype(dtype)
-            labels = (AWKWARD_LABELS * 2)[:n]
+            labels = (PAJEK_LABELS * 2)[:n]
             path = tmp_path / f"m{n}.dat"
             write_pajek_matrix(SimilarityMatrix(values=values, labels=labels), path)
             assert path.read_bytes() == pajek_matrix_reference(values, labels)
@@ -336,6 +339,46 @@ class TestPajekMatrix:
         with pytest.raises(DataError, match="whole-number"):
             write_pajek_matrix(m, tmp_path / "bad.dat")
         assert not (tmp_path / "bad.dat").exists()
+
+
+class TestPajekLines:
+    """Pajek files are line files: only ``\\n``, ``\\r\\n`` or ``\\r`` ends a line."""
+
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_labels_with_other_line_separators_round_trip(self, tmp_path, sep):
+        labels = [f"a{sep}b", "c"]
+        g = Graph(labels, [(0, 1)], [1.0])
+        write_pajek_net(g, None, tmp_path / "x.net")
+        assert same_graph(read_pajek_net(tmp_path / "x.net")[0], g)
+        m = SimilarityMatrix(values=np.array([[2, 1], [1, 2]]), labels=labels)
+        write_pajek_matrix(m, tmp_path / "x.dat")
+        back = read_pajek_matrix(tmp_path / "x.dat")
+        assert back.labels == labels and np.array_equal(back.values, m.values)
+
+    @pytest.mark.parametrize(
+        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
+    )
+    def test_undecodable_bytes_name_the_file(self, tmp_path, reader, name):
+        path = tmp_path / name
+        path.write_bytes(b'*Vertices 1\n1 "caf\xe9"\n*Edges\n*Matrix\n1\n')
+        with pytest.raises(DataError, match=rf"{re.escape(name)}: not valid UTF-8"):
+            reader(path)
+
+    @pytest.mark.parametrize("write, name", [
+        (lambda labels, path: write_pajek_net(Graph(labels, [], []), None, path), "x.net"),
+        (lambda labels, path: write_pajek_matrix(
+            SimilarityMatrix(np.eye(len(labels), dtype=int), labels), path), "x.dat"),
+    ], ids=["net", "dat"])
+    def test_writers_reject_labels_with_line_breaks(self, tmp_path, write, name):
+        labels = ["plain", "two\nlines", "cr\rlf", "crlf\r\n", "tab\there"]
+        with pytest.raises(DataError) as excinfo:
+            write(labels, tmp_path / name)
+        assert str(excinfo.value) == (
+            "Pajek labels must not contain line breaks: 'two\\nlines', 'cr\\rlf', 'crlf\\r\\n'"
+        )
+        assert not (tmp_path / name).exists()
 
 
 class TestCsv:
@@ -567,10 +610,14 @@ class TestSvg:
         @hypothesis.given(maps())
         def check(drawn):
             g, layout, assignment = drawn
-            write_pajek_net(g, layout, tmp_path / "map.net")
             render_svg_map(g, layout, assignment, tmp_path / "map.svg")
             net, svg = map_writers_reference(g, layout, assignment)
-            assert (tmp_path / "map.net").read_bytes() == net
             assert (tmp_path / "map.svg").read_bytes() == svg
+            if not any("\n" in s or "\r" in s for s in g.nodes):
+                write_pajek_net(g, layout, tmp_path / "map.net")
+                assert (tmp_path / "map.net").read_bytes() == net
+            else:
+                with pytest.raises(DataError, match="line breaks"):
+                    write_pajek_net(g, layout, tmp_path / "map.net")
 
         check()

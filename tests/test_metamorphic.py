@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from cowordmap.corpus import (
-    Corpus,
-    Document,
     TokenizerConfig,
     build_word_doc_matrix,
     load_corpus,
@@ -32,12 +30,12 @@ WORDS = ("alpha", "beta", "gamma", "delta", "eps", "zeta", "eta")
 COS_THRESHOLD = PipelineConfig().cos_threshold
 
 
-def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> dict:
+def analyse(docs: dict[str, str], cfg: TokenizerConfig, factors: int | None) -> dict:
     """The products of every stage on the counts cells, with their warnings;
     ``factors`` retained and varimax-rotated unless None."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        m = build_word_doc_matrix(Corpus(tuple(docs)), cfg)
+        m = build_word_doc_matrix(docs, cfg)
         cells = m.counts.astype(float)
         cosine = cosine_matrix(cells, m.terms)
         result = {
@@ -59,11 +57,11 @@ def analyse(docs: list[Document], cfg: TokenizerConfig, factors: int | None) -> 
     return result
 
 
-def check_duplication(docs: list[Document], cfg: TokenizerConfig, factors: int | None):
+def check_duplication(docs: dict[str, str], cfg: TokenizerConfig, factors: int | None):
     """Every document again under a new id: cell ratios, idf, similarities,
     factors and the cosine map's edges stay; term totals and co-occurrences
     double."""
-    doubled = docs + [Document(f"copy-{d.id}", d.text) for d in docs]
+    doubled = {**docs, **{f"copy-{k}": v for k, v in docs.items()}}
     try:
         once = analyse(docs, cfg, factors)
     except DataError as exc:  # e.g. every term constant: no correlation matrix
@@ -103,14 +101,14 @@ def test_duplicating_every_document_on_random_corpora():
         st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), min_size=3, max_size=10,
     ))
     def check(texts):
-        docs = [Document(f"d{i}", " ".join(words)) for i, words in enumerate(texts)]
+        docs = {f"d{i}": " ".join(words) for i, words in enumerate(texts)}
         check_duplication(docs, TokenizerConfig(stopwords=frozenset()), factors=None)
 
     check()
 
 
 def test_duplicating_every_micro_document_keeps_the_factors(micro_dir):
-    check_duplication(list(load_corpus(micro_dir)), TokenizerConfig(), factors=5)
+    check_duplication(load_corpus(micro_dir), TokenizerConfig(), factors=5)
 
 
 def run_outcome(config: PipelineConfig, out) -> dict:
@@ -184,8 +182,9 @@ def test_permuting_the_documents_permutes_only_the_rows():
             st.lists(st.sampled_from(WORDS), min_size=1, max_size=12), min_size=3, max_size=10,
         ))
         order = list(data.draw(st.permutations(range(len(texts)))))
-        docs = [Document(f"d{i}", " ".join(words)) for i, words in enumerate(texts)]
-        shuffled = [docs[i] for i in order]
+        docs = {f"d{i}": " ".join(words) for i, words in enumerate(texts)}
+        ids = [f"d{i}" for i in order]
+        shuffled = {i: docs[i] for i in ids}
         try:
             before = analyse(docs, cfg, factors=None)
         except DataError as exc:
@@ -194,7 +193,7 @@ def test_permuting_the_documents_permutes_only_the_rows():
             return
         after = analyse(shuffled, cfg, factors=None)
         assert after["m"].terms == before["m"].terms
-        assert after["m"].doc_ids == [docs[i].id for i in order]
+        assert after["m"].doc_ids == ids
         a, b = after["scores"], before["scores"]
         assert np.array_equal(a.freq, b.freq)
         assert np.array_equal(a.doc_freq, b.doc_freq)

@@ -354,11 +354,13 @@ class TestRun:
         calls = []
         tokenize = corpus.tokenize
         monkeypatch.setattr(
-            corpus, "tokenize", lambda doc, cfg: calls.append(doc.id) or tokenize(doc, cfg)
+            corpus, "tokenize", lambda text, cfg: calls.append(text) or tokenize(text, cfg)
         )
         run_stage(micro_config(micro_dir, tmp_path / "out"), "ingest")
         assert len(calls) == 8
-        assert sorted(calls) == sorted(path.name for path in micro_dir.glob("*.txt"))
+        assert sorted(calls) == sorted(
+            path.read_text(encoding="utf-8-sig") for path in micro_dir.glob("*.txt")
+        )
 
 
 class TestSubcommands:
@@ -691,6 +693,37 @@ class TestCli:
         code = main(["run", "--input", str(empty), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "empty corpus" in capsys.readouterr().err
+
+    def test_files_corpus_skips_a_directory_named_like_a_text_file(
+        self, micro_dir, tmp_path, capsys
+    ):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        shutil.copytree(micro_dir, corpus)
+        assert main(["run", "--input", str(corpus), "--out", str(out)]) == 0
+        plain = artifact_bytes(out)
+        shutil.rmtree(out)
+        (corpus / "sub.txt").mkdir()
+        (corpus / "sub.txt" / "inner.txt").write_text("hidden words\n", encoding="utf-8")
+        code = main(["run", "--input", str(corpus), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert artifact_bytes(out) == plain
+
+    def test_term_with_a_line_break_exits_two_before_a_pajek_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in [("a.txt", "alpha beta\ngamma alpha\nbeta gamma\n"),
+                           ("b.txt", "gamma\nalpha\nbeta delta\nalpha beta\n"),
+                           ("c.txt", "beta gamma\nalpha delta\ngamma\n")]:
+            (corpus / name).write_text(text, encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("token_pattern = [^ ]+\n", encoding="utf-8")
+        code = main(["run", "--config", str(config), "--input", str(corpus),
+                     "--out", str(tmp_path / "out"), "--top", "10", "--factors", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "data error: Pajek labels must not contain line breaks: " in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "out").glob("*.net")) + list((tmp_path / "out").glob("*.dat"))
 
     @pytest.mark.parametrize("bad, code", [
         ("corpus_file", 2), ("lines_file", 2), ("stopword_file", 2),
