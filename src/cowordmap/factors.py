@@ -41,12 +41,8 @@ class FactorSolution:
     Attributes:
         loadings: (variables x factors) matrix; rotated when ``rotated``.
         eigenvalues: Extraction-stage eigenvalues of the retained factors.
-        explained_variance_pct: 100 * eigenvalue / n_variables, per factor,
-            before rotation.
         rotated: Whether a rotation has been applied.
         variable_labels: One label per loading row.
-        correlation: The correlation matrix that was decomposed.
-        eigenvectors: Unit eigenvectors of the retained factors (columns).
         rotation_matrix: Orthogonal matrix T with rotated = unrotated @ T,
             or None before rotation.
         rotation_sweeps: Rotation sweeps performed.
@@ -56,11 +52,8 @@ class FactorSolution:
 
     loadings: np.ndarray
     eigenvalues: np.ndarray
-    explained_variance_pct: np.ndarray
     rotated: bool
     variable_labels: list[str]
-    correlation: np.ndarray
-    eigenvectors: np.ndarray
     rotation_matrix: np.ndarray | None = None
     rotation_sweeps: int = 0
     rotation_converged: bool = True
@@ -69,6 +62,11 @@ class FactorSolution:
     @property
     def n_factors(self) -> int:
         return self.loadings.shape[1]
+
+    @property
+    def explained_variance_pct(self) -> np.ndarray:
+        """100 * eigenvalue / n_variables, per factor, before rotation."""
+        return 100.0 * self.eigenvalues / len(self.variable_labels)
 
     def communalities(self) -> np.ndarray:
         """Squared loadings summed per variable."""
@@ -149,17 +147,13 @@ def factor_analyze(
         )
 
     lam = np.maximum(eigenvalues[:retained], 0.0)  # noise can dip below 0
-    vectors = eigenvectors[:, :retained]
-    loadings = vectors * np.sqrt(lam)[np.newaxis, :]
+    loadings = eigenvectors[:, :retained] * np.sqrt(lam)
     flips = _apply_sign_convention(loadings)
     return FactorSolution(
         loadings=loadings * flips,
         eigenvalues=eigenvalues[:retained],
-        explained_variance_pct=100.0 * eigenvalues[:retained] / p,
         rotated=False,
         variable_labels=list(corr.labels),
-        correlation=corr.values,
-        eigenvectors=vectors * flips,
     )
 
 

@@ -183,14 +183,11 @@ def test_criterion_06_factor_reconstruction():
     for _ in range(50):
         data = rng.normal(size=(20, 8))
         sol = factor_analyze(data, k=8)
-        np.testing.assert_allclose(
-            sol.loadings @ sol.loadings.T, sol.correlation, atol=1e-8
-        )
+        corr = np.corrcoef(data, rowvar=False)
+        np.testing.assert_allclose(sol.loadings @ sol.loadings.T, corr, atol=1e-8)
         for f in range(sol.n_factors):
-            residual = (
-                sol.correlation @ sol.eigenvectors[:, f]
-                - sol.eigenvalues[f] * sol.eigenvectors[:, f]
-            )
+            v = sol.loadings[:, f] / math.sqrt(sol.eigenvalues[f])
+            residual = corr @ v - sol.eigenvalues[f] * v
             assert np.linalg.norm(residual) < 1e-8
     ok("06 full-retention reconstruction and eigen residuals (50 x 20x8, 1e-8)")
 
@@ -199,10 +196,8 @@ def _hand_solution(loadings) -> FactorSolution:
     loadings = np.asarray(loadings, dtype=float)
     p, k = loadings.shape
     return FactorSolution(
-        loadings=loadings, eigenvalues=np.zeros(k),
-        explained_variance_pct=np.zeros(k), rotated=False,
+        loadings=loadings, eigenvalues=np.zeros(k), rotated=False,
         variable_labels=[f"v{j}" for j in range(p)],
-        correlation=np.eye(p), eigenvectors=np.zeros((p, k)),
     )
 
 

@@ -411,6 +411,24 @@ class TestCsv:
         back, rows, _ = read_csv_matrix(path)
         assert rows == ["a,b"]
 
+    @pytest.mark.parametrize("content, message", [
+        (b"doc,a\nd1,\xff\n", r"m\.csv: not valid UTF-8 \(invalid start byte at byte 9\)"),
+        (b"", r"^m\.csv:1: expected a header row$"),
+        (b"\ndoc,a\n", r"^m\.csv:1: expected a header row$"),
+        (b"doc,a\nd1,1\nd2,x\n", r"^m\.csv:3: malformed CSV row$"),
+        (b'doc,a\nd1,1\n"' + b"x" * 200_000 + b'",1\n', r"^m\.csv:3: malformed CSV row$"),
+        (b"doc,a,b\nd1,1\n", r"^m\.csv:2: expected 2 values$"),
+        (b"doc,a\nd1,1,2\n", r"^m\.csv:2: expected 1 values$"),
+        (b"doc,a\nd1,1\n\n", r"^m\.csv:3: expected 1 values$"),
+        (b'doc,a\n"d\n1",1\nd2\n', r"^m\.csv:4: expected 1 values$"),
+    ], ids=["bad-utf8", "empty", "blank-header", "not-a-number", "huge-field", "short-row",
+            "long-row", "blank-row", "after-a-quoted-line-break"])
+    def test_malformed_input_is_a_data_error(self, tmp_path, content, message):
+        path = tmp_path / "m.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            read_csv_matrix(path)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, bool, np.float64, np.float32])
     def test_matches_cell_by_cell_reference(self, tmp_path, dtype):
         rng = np.random.default_rng(74)
@@ -438,6 +456,8 @@ class TestCsv:
         path = tmp_path / "m.csv"
         write_csv(values, path, rows, cols)
         assert path.read_bytes() == csv_reference(values, rows, cols)
+        back, back_rows, back_cols = read_csv_matrix(path)
+        assert back.shape == shape and (back_rows, back_cols) == (rows, cols)
 
     def test_random_matrices_match_printf_oracle(self, tmp_path):
         """Count, bool and real matrices, repeated rows, empty shapes: oracle bytes."""

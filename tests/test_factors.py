@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,11 +28,8 @@ def solution_from_loadings(loadings, rotated=False) -> FactorSolution:
     return FactorSolution(
         loadings=loadings,
         eigenvalues=np.zeros(k),
-        explained_variance_pct=np.zeros(k),
         rotated=rotated,
         variable_labels=[f"v{j + 1}" for j in range(p)],
-        correlation=np.eye(p),
-        eigenvectors=np.zeros((p, k)),
     )
 
 
@@ -74,18 +72,17 @@ class TestFactorAnalyze:
             data = rng.normal(size=(20, 8))
             sol = factor_analyze(data, k=8)
             np.testing.assert_allclose(
-                sol.loadings @ sol.loadings.T, sol.correlation, atol=1e-8
+                sol.loadings @ sol.loadings.T, np.corrcoef(data, rowvar=False), atol=1e-8
             )
 
     def test_eigen_residuals(self):
         rng = np.random.default_rng(43)
         data = rng.normal(size=(20, 8))
         sol = factor_analyze(data, k=8)
+        corr = np.corrcoef(data, rowvar=False)
         for f in range(sol.n_factors):
-            residual = (
-                sol.correlation @ sol.eigenvectors[:, f]
-                - sol.eigenvalues[f] * sol.eigenvectors[:, f]
-            )
+            v = sol.loadings[:, f] / math.sqrt(sol.eigenvalues[f])
+            residual = corr @ v - sol.eigenvalues[f] * v
             assert np.linalg.norm(residual) < 1e-8
 
     @pytest.mark.parametrize("n, p, k", [(30, 6, 6), (50, 12, 4), (25, 9, "kaiser")])
@@ -96,7 +93,8 @@ class TestFactorAnalyze:
             data = rng.normal(size=(n, p)) @ rng.normal(size=(p, p))
             sol = factor_analyze(data, k=k)
             corr = np.corrcoef(data, rowvar=False)
-            np.testing.assert_allclose(sol.correlation, corr, atol=1e-12)
+            if sol.n_factors == p:  # full retention reconstructs the correlation
+                np.testing.assert_allclose(sol.loadings @ sol.loadings.T, corr, atol=1e-12)
             values, vectors = linalg.eigh(corr)
             values, vectors = values[::-1], vectors[:, ::-1]
             retained = sol.n_factors
@@ -104,7 +102,9 @@ class TestFactorAnalyze:
             for f in range(retained):  # the package's sign rule: largest |entry| >= 0
                 v = vectors[:, f]
                 v = v if v[np.argmax(np.abs(v))] >= 0 else -v
-                np.testing.assert_allclose(sol.eigenvectors[:, f], v, atol=1e-8)
+                np.testing.assert_allclose(
+                    sol.loadings[:, f], v * math.sqrt(values[f]), atol=1e-8
+                )
 
     def test_eigenvalues_non_increasing_and_communality_bounded(self):
         rng = np.random.default_rng(44)
@@ -119,6 +119,14 @@ class TestFactorAnalyze:
         for f in range(sol.n_factors):
             column = sol.loadings[:, f]
             assert column[np.argmax(np.abs(column))] >= 0
+
+    def test_solution_holds_no_variable_by_variable_array(self):
+        rng = np.random.default_rng(46)
+        sol = factor_analyze(rng.normal(size=(40, 30)), k=3)
+        for result in (sol, varimax(sol)):
+            for field in dataclasses.fields(result):
+                value = getattr(result, field.name)
+                assert not (isinstance(value, np.ndarray) and value.shape == (30, 30)), field.name
 
     def test_sign_convention_ties_go_to_the_first_maximum(self):
         loadings = np.array([[0.5, -0.7, 0.0], [-0.5, 0.7, 0.0], [0.1, -0.2, 0.0]])
