@@ -61,6 +61,8 @@ PALETTE: tuple[tuple[str, str], ...] = (
 )
 
 _WHITE = "#ffffff"
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # a CSV field holding one of these is quoted
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # not even as &#...;
 
 
 def _quote(label: str) -> str:
@@ -232,6 +234,13 @@ def _cell(value) -> str:
     return f"{float(value):.6g}"
 
 
+def _csv_line(fields: Iterable[str], body: str = "") -> str:
+    """``fields`` quoted by RFC 4180 (one holding ``,``, ``"``, CR or LF is quoted, each
+    ``"`` doubled), then the formatted ``body`` and LF; a blank line is written ``""``."""
+    line = ",".join(_quote(f) if _CSV_SPECIAL.search(f) else f for f in fields) + body
+    return (line or '""') + "\n"
+
+
 def _row_body(row: np.ndarray) -> str:
     """``,cell`` for each cell of ``row``: ``%d`` for integers, else ``%.6g``."""
     if row.dtype.kind in "biu":
@@ -262,8 +271,8 @@ def write_csv(
     (booleans as 0/1), every other dtype with ``%.6g`` (6 significant
     digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line endings.
 
-    Only labels go through :mod:`csv` quoting: a formatted number never
-    needs it. Integer rows are built from their nonzeros and runs of ``,0``.
+    Only labels are quoted (see :func:`_csv_line`): a formatted number
+    never needs it. Integer rows are built from their nonzeros and runs of ``,0``.
     """
     bodies = map(_row_body, values)
     if index is not None:
@@ -273,24 +282,15 @@ def write_csv(
         pick = operator.itemgetter(*index[1]) if len(index[1]) else lambda row: ()
         bodies = ("".join(pick(cells[k])) for k in index[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([corner, *col_labels])
-        for row_label, body in zip(row_labels, bodies):
-            if not body:  # an empty row
-                writer.writerow([row_label])
-                continue
-            quoted = io.StringIO()  # receives the csv-quoted label, then ",\n"
-            csv.writer(quoted, lineterminator="\n").writerow([row_label, ""])
-            fh.write(quoted.getvalue()[:-2] + body + "\n")
+        fh.write(_csv_line([corner, *col_labels]))
+        fh.writelines(_csv_line([label], body) for label, body in zip(row_labels, bodies))
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
     """Write a generic table (e.g. per-term scores) as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(_csv_line(header))
+        fh.writelines(_csv_line(map(_cell, row)) for row in rows)
 
 
 def read_csv_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
@@ -352,8 +352,12 @@ def render_svg_map(
     size, filled with the color of their assigned factor from the fixed
     12-color palette; unassigned nodes are left white with a black stroke.
     Edge width grows with weight and dotted edges are dashed. An empty
-    graph still produces a valid SVG canvas.
+    graph still produces a valid SVG canvas. A label holding a character
+    that XML 1.0 cannot hold is a DataError, raised before anything is written.
     """
+    if bad := [repr(s) for s in g.nodes if _NOT_XML.search(s)]:
+        raise DataError(f"SVG labels must not contain characters XML 1.0 forbids: "
+                        f"{capped_ids(bad)}")
     size, margin = 1000, 70.0
     span = size - 2 * margin
     factor_of = {}

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,7 @@ def test_criterion_11_format_fidelity(micro_dir, tmp_path):
     for name in sorted(GOLDEN.iterdir()):
         produced = (out / name.name).read_bytes()
         assert produced == name.read_bytes(), f"{name.name} deviates from golden bytes"
+    assert ET.parse(out / "map.svg").getroot().tag == "{http://www.w3.org/2000/svg}svg"
 
     rng = np.random.default_rng(111)
     for i in range(100):

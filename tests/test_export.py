@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 import subprocess
@@ -16,7 +14,6 @@ import pytest
 from cowordmap.errors import DataError
 from cowordmap.export import (
     PALETTE,
-    _cell,
     _quote,
     _xml_escape,
     read_csv_matrix,
@@ -55,27 +52,47 @@ def layout_for(g, rng) -> Layout:
     return Layout(coords=coords, iterations=0, raw=coords)
 
 
+def rfc4180_line(fields) -> str:
+    """One CSV line quoted by RFC 4180, character by character: a field that
+    holds a comma, a double quote, CR or LF goes in quotes, each quote doubled;
+    a line that would be blank is a lone empty quoted field."""
+    out = []
+    for field in fields:
+        quoted = False
+        text = ""
+        for char in field:
+            quoted = quoted or char in (",", '"', "\r", "\n")
+            text += char * 2 if char == '"' else char
+        out.append('"' + text + '"' if quoted else text)
+    line = ",".join(out)
+    return ('""' if line == "" else line) + "\n"
+
+
+def csv_number(value) -> str:
+    """A cell as the CSV writers format it: bools and integers with %d, else %.6g."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d" % value
+    return "%.6g" % value
+
+
 def csv_reference(values, row_labels, col_labels, corner="doc") -> bytes:
-    """write_csv's bytes built cell by cell: csv.writer over ``_cell`` strings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner, *col_labels])
+    """write_csv's bytes built cell by cell: the RFC 4180 line of each row's strings."""
+    lines = [rfc4180_line([corner, *col_labels])]
     for label, row in zip(row_labels, np.asarray(values)):
-        writer.writerow([label, *(_cell(v) for v in row)])
-    return buf.getvalue().encode("utf-8")
+        lines.append(rfc4180_line([label, *(csv_number(v) for v in row)]))
+    return "".join(lines).encode("utf-8")
 
 
 def write_csv_oracle(values, path, row_labels, col_labels, corner="doc") -> None:
-    """The printf writer that formatted every row and re-split it for csv.writer."""
+    """The printf writer that formatted every row and re-split it into RFC 4180 lines."""
     values = np.asarray(values)
     cell = "%d" if values.dtype.kind in "biu" else "%.6g"
     row_format = ",".join([cell] * values.shape[1])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([corner, *col_labels])
+        fh.write(rfc4180_line([corner, *col_labels]))
         for label, row in zip(row_labels, values):
             cells = (row_format % tuple(row.tolist())).split(",") if len(row) else []
-            writer.writerow([label, *cells])
+            fh.write(rfc4180_line([label, *cells]))
 
 
 def pajek_matrix_reference(values, labels) -> bytes:
@@ -411,6 +428,31 @@ class TestCsv:
         back, rows, _ = read_csv_matrix(path)
         assert rows == ["a,b"]
 
+    @pytest.mark.parametrize("label, n_cols, text", [
+        ("cr\rlf", 1, 'doc,c\n"cr\rlf",1\n'),
+        ("nul\x00here", 1, "doc,c\nnul\x00here,1\n"),
+        ("a,b", 1, 'doc,c\n"a,b",1\n'),
+        ('say "hi"', 1, 'doc,c\n"say ""hi""",1\n'),
+        ("", 0, 'doc\n""\n'),
+        ("", 1, "doc,c\n,1\n"),
+    ], ids=["cr", "nul", "comma", "quotes", "empty-no-columns", "empty-with-body"])
+    def test_label_quoting_literal_bytes(self, tmp_path, label, n_cols, text):
+        path = tmp_path / "m.csv"
+        cols, cells = ["c"] * n_cols, [1] * n_cols
+        write_csv(np.array([cells], dtype=np.int64).reshape(1, n_cols), path, [label], cols)
+        assert path.read_bytes() == text.encode("utf-8")
+        write_table_csv(path, ["doc", *cols], [(label, *cells)])  # the same line by line
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_awkward_labels_round_trip(self, tmp_path):
+        n = len(AWKWARD_LABELS)
+        values = np.arange(n * n, dtype=float).reshape(n, n) / 8
+        path = tmp_path / "m.csv"
+        write_csv(values, path, AWKWARD_LABELS, AWKWARD_LABELS)
+        back, rows, cols = read_csv_matrix(path)
+        assert (rows, cols) == (AWKWARD_LABELS, AWKWARD_LABELS)
+        assert np.array_equal(back, values)
+
     @pytest.mark.parametrize("content, message", [
         (b"doc,a\nd1,\xff\n", r"m\.csv: not valid UTF-8 \(invalid start byte at byte 9\)"),
         (b"", r"^m\.csv:1: expected a header row$"),
@@ -585,12 +627,41 @@ class TestSvg:
         assert proc.stdout.strip() == "[]"
 
     def test_well_formed_xml_with_special_labels(self, tmp_path):
-        g = Graph(["a<b&c"], [], [], sizes=[2.0])
-        coords = np.array([[0.5, 0.5]])
-        layout = Layout(coords=coords, iterations=0, raw=coords)
+        labels = ["a<b&c", "x>y", 'say "hi"', "&amp;", "tab\there", "cr\rlf"]
+        g = Graph(labels, [(0, 1)], [1.0], sizes=[2.0] * len(labels))
+        coords = np.linspace(0, 1, 2 * len(labels)).reshape(-1, 2)
         path = tmp_path / "special.svg"
-        render_svg_map(g, layout, None, path)
-        ET.fromstring(path.read_text())  # parses cleanly
+        render_svg_map(g, Layout(coords=coords, iterations=0, raw=coords), None, path)
+        texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == [s.replace("\r", "\n") for s in labels]  # XML reads CR as LF
+
+    def test_labels_xml_cannot_hold_are_a_data_error(self, tmp_path):
+        """Each character below U+0020, U+FFFE and U+FFFF: rejected exactly when
+        expat rejects it even as a character reference."""
+        for char in [*map(chr, range(0x20)), "\x7f", "\x85", "\ufffd", "\ufffe", "\uffff"]:
+            try:
+                ET.fromstring(f"<t>&#{ord(char)};</t>")
+                xml_ok = True
+            except ET.ParseError:
+                xml_ok = False
+            path = tmp_path / "map.svg"
+            g = Graph(["plain", f"a{char}b"], [(0, 1)], [1.0])
+            if xml_ok:
+                render_svg_map(g, None, None, path)
+                ET.parse(path)
+                path.unlink()
+                continue
+            with pytest.raises(DataError) as excinfo:
+                render_svg_map(g, None, None, path)
+            assert str(excinfo.value) == (
+                f"SVG labels must not contain characters XML 1.0 forbids: {f'a{char}b'!r}"
+            )
+            assert not path.exists()
+
+    def test_rejected_svg_labels_are_capped(self, tmp_path):
+        labels = [f"bad{i}\x0b" for i in range(12)] + ["fine"]
+        with pytest.raises(DataError, match=r"'bad9\\x0b', \.\.\. \(12 in all\)$"):
+            render_svg_map(Graph(labels, [], []), None, None, tmp_path / "map.svg")
 
     def test_map_writers_match_per_element_reference(self, tmp_path):
         """Sizes that are NaN, 0, negative, equal or distinct; equal and

@@ -725,6 +725,25 @@ class TestCli:
         assert "Traceback" not in err
         assert not list((tmp_path / "out").glob("*.net")) + list((tmp_path / "out").glob("*.dat"))
 
+    def test_term_xml_cannot_hold_exits_two_before_the_svg(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in [("a.txt", "alpha\x0bbeta gamma\ngamma alpha\x0bbeta delta\n"),
+                           ("b.txt", "gamma delta\nalpha\x0bbeta epsilon\ndelta\n"),
+                           ("c.txt", "epsilon gamma\nalpha\x0bbeta delta\ngamma zeta\n"),
+                           ("d.txt", "zeta epsilon\ndelta zeta gamma\n")]:
+            (corpus / name).write_text(text, encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("token_pattern = [^ \\n]+\n", encoding="utf-8")
+        code = main(["run", "--config", str(config), "--input", str(corpus),
+                     "--out", str(tmp_path / "out"), "--top", "5", "--factors", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert ("data error: SVG labels must not contain characters XML 1.0 forbids: "
+                "'alpha\\x0bbeta'") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "map.svg").exists()
+
     @pytest.mark.parametrize("bad, code", [
         ("corpus_file", 2), ("lines_file", 2), ("stopword_file", 2),
         ("synonym_file", 2), ("config_file", 1),
