@@ -39,8 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # One row per flag: config key, metavar, help. Types come from the
-# PipelineConfig fields, choices from pipeline._CHOICES and the "(default ...)"
-# text from PipelineConfig(); a bool key is a switch that flips its default.
+# PipelineConfig fields, the "{a,b}" metavar of a key with choices from
+# pipeline._CHOICES and the "(default ...)" text from PipelineConfig(); a bool
+# key is a switch that flips its default. PipelineConfig.validate checks every
+# value, so a flag and a config-file line get the same message.
 _FLAGS = (
     ("input", "PATH", "corpus directory or lines file"),
     ("criterion", None, "term-selection score"),
@@ -80,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         if default not in (None, ""):
             help_text += f" (default {default})"
+        metavar = metavar or "{" + ",".join(_CHOICES[key]) + "}"
         parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar,
-                            choices=_CHOICES.get(key), help=help_text)
+                            help=help_text)
     return parser
 
 

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 FORMATS = ("files", "lines")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ def load_corpus(source: str | Path, format: str = "files") -> dict[str, str]:
 
     Raises:
         ConfigError: Unknown ``format`` value.
-        DataError: The corpus is empty, or a file is not valid UTF-8.
+        DataError: The corpus is empty, or a file or file name is not valid UTF-8.
         OSError: ``source`` does not exist or cannot be read.
     """
     source = Path(source)
@@ -242,7 +243,11 @@ def load_corpus(source: str | Path, format: str = "files") -> dict[str, str]:
     if format == "files":
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
-        docs = {path.name: _read_utf8(path) for path in text_files(source)}
+        paths = text_files(source)
+        # Undecodable name bytes arrive as lone surrogates (surrogateescape).
+        if bad := [repr(p.name) for p in paths if _SURROGATE.search(p.name)]:
+            raise DataError(f"document ids must be valid UTF-8: {capped_ids(bad)}")
+        docs = {path.name: _read_utf8(path) for path in paths}
     else:
         if not source.is_file():
             raise FileNotFoundError(f"not a file: {source}")

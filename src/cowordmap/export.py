@@ -29,7 +29,6 @@ import numpy as np
 from .corpus import read_lines
 from .errors import DataError, capped_ids
 from .factors import UNASSIGNED, FactorAssignment
-from .layout import Layout
 from .vectorspace import Graph, SimilarityMatrix
 
 __all__ = [
@@ -44,20 +43,10 @@ __all__ = [
     "write_table_csv",
 ]
 
-# (Pajek color name, SVG hex) pairs; factor f uses entry f modulo 12.
-PALETTE: tuple[tuple[str, str], ...] = (
-    ("Red", "#e41a1c"),
-    ("Blue", "#377eb8"),
-    ("Green", "#4daf4a"),
-    ("Purple", "#984ea3"),
-    ("Orange", "#ff7f00"),
-    ("Yellow", "#ffd92f"),
-    ("Brown", "#a65628"),
-    ("Pink", "#f781bf"),
-    ("Gray", "#999999"),
-    ("Cyan", "#17becf"),
-    ("Magenta", "#d62728"),
-    ("GreenYellow", "#bcbd22"),
+# SVG fill colours; factor f uses entry f modulo 12.
+PALETTE: tuple[str, ...] = (
+    "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#ffd92f",
+    "#a65628", "#f781bf", "#999999", "#17becf", "#d62728", "#bcbd22",
 )
 
 _WHITE = "#ffffff"
@@ -73,23 +62,25 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_pajek_net(g: Graph, layout: Layout | None, path: str | Path) -> None:
+def write_pajek_net(g: Graph, coords: np.ndarray | None, path: str | Path) -> None:
     """Write a graph as a Pajek network file.
 
-    Vertex lines are ``i "label" x y 0.5000`` with 4-decimal coordinates
-    (0.5 everywhere when no layout is given), followed by ``*Edges`` and
-    one ``a b weight`` line per edge. Dotted edges get a ``p Dots`` suffix.
+    ``coords`` is an (n, 2) array placing ``g.nodes`` in the unit square, as
+    :func:`~cowordmap.layout.split_and_pack` returns, or None. Vertex lines are
+    ``i "label" x y 0.5000`` with 4-decimal coordinates (0.5 everywhere when
+    ``coords`` is None), followed by ``*Edges`` and one ``a b weight`` line per
+    edge. Dotted edges get a ``p Dots`` suffix.
     """
-    tails = [f" {x:.4f} {y:.4f} 0.5000" for x, y in _positions(g, layout).tolist()]
+    tails = [f" {x:.4f} {y:.4f} 0.5000" for x, y in _positions(g, coords).tolist()]
     lines = _vertex_lines(g.nodes, tails) + ["*Edges"]
     for (a, b), weight, dotted in zip(g.edges.tolist(), g.weights.tolist(), g.dotted.tolist()):
         lines.append(f"{a + 1} {b + 1} {weight:.4f}" + (" p Dots" if dotted else ""))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _positions(g: Graph, layout: Layout | None) -> np.ndarray:
-    """Vertex positions in the unit square; without a layout, all at its centre."""
-    return np.full((len(g.nodes), 2), 0.5) if layout is None else np.asarray(layout.coords)
+def _positions(g: Graph, coords: np.ndarray | None) -> np.ndarray:
+    """Vertex positions in the unit square; without coordinates, all at its centre."""
+    return np.full((len(g.nodes), 2), 0.5) if coords is None else np.asarray(coords)
 
 
 def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
@@ -342,18 +333,20 @@ def _radii(g: Graph) -> list[float]:
 
 def render_svg_map(
     g: Graph,
-    layout: Layout | None,
+    coords: np.ndarray | None,
     assignment: FactorAssignment | None,
     path: str | Path,
 ) -> None:
     """Render the map as a 1000 x 1000 px SVG file.
 
-    Nodes are circles with radius proportional to the square root of their
-    size, filled with the color of their assigned factor from the fixed
-    12-color palette; unassigned nodes are left white with a black stroke.
-    Edge width grows with weight and dotted edges are dashed. An empty
-    graph still produces a valid SVG canvas. A label holding a character
-    that XML 1.0 cannot hold is a DataError, raised before anything is written.
+    ``coords`` places the nodes as in :func:`write_pajek_net` (the page
+    centre for every node when None). Nodes are circles with radius
+    proportional to the square root of their size, filled with the color of
+    their assigned factor from the fixed 12-color ``PALETTE``; unassigned
+    nodes are left white with a black stroke. Edge width grows with weight
+    and dotted edges are dashed. An empty graph still produces a valid SVG
+    canvas. A label holding a character that XML 1.0 cannot hold is a
+    DataError, raised before anything is written.
     """
     if bad := [repr(s) for s in g.nodes if _NOT_XML.search(s)]:
         raise DataError(f"SVG labels must not contain characters XML 1.0 forbids: "
@@ -372,7 +365,7 @@ def render_svg_map(
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    xy = _positions(g, layout)  # drawn with y flipped: SVG y grows downwards
+    xy = _positions(g, coords)  # drawn with y flipped: SVG y grows downwards
     pts = np.column_stack((margin + xy[:, 0] * span, margin + (1.0 - xy[:, 1]) * span)).tolist()
     weights = np.abs(g.weights)
     lo, hi = (weights.min(), weights.max()) if len(weights) else (0.0, 0.0)
@@ -387,7 +380,7 @@ def render_svg_map(
     for label, (x, y), r in zip(g.nodes, pts, _radii(g), strict=True):
         factor = factor_of.get(label, UNASSIGNED)
         if factor != UNASSIGNED:
-            fill = PALETTE[factor % len(PALETTE)][1]
+            fill = PALETTE[factor % len(PALETTE)]
             stroke = "#333333"
         else:
             fill = _WHITE

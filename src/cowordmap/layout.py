@@ -2,8 +2,9 @@
 
 Both start from the classical scaling of the graph distances where it has
 unique axes, and from seeded random positions otherwise. Both run in a
-fixed node order, then fit the drawing into the unit square with a uniform
-(aspect-preserving) transform, so a seed and graph fix the coordinates.
+fixed node order, so a seed and graph fix the positions. ``split_and_pack``
+lays out each component and fits the map into the unit square with a
+uniform (aspect-preserving) transform.
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ _EPS = 1e-9  # minimum inter-node distance before forces blow up
 
 @dataclass(frozen=True)
 class Layout:
-    """Node coordinates in the unit square; row ``i`` places ``g.nodes[i]``.
+    """Node positions as the algorithm left them; row ``i`` places ``g.nodes[i]``.
 
-    ``raw`` keeps the pre-normalization coordinates, where geometric
-    quantities such as the ideal Fruchterman-Reingold edge length are
-    meaningful; ``iterations`` counts the steps run, 0 for one node.
-    ``stress_history`` is filled by the Kamada-Kawai algorithm: the stress of
-    the start positions, then the stress after each majorization iteration.
+    ``raw`` is not fitted to the page, so geometric quantities such as the
+    ideal Fruchterman-Reingold edge length are meaningful in it;
+    :func:`split_and_pack` fits it into the unit square. ``iterations``
+    counts the steps run, 0 for one node. ``stress_history`` is filled by the
+    Kamada-Kawai algorithm: the stress of the start positions, then the
+    stress after each majorization iteration.
     """
 
-    coords: np.ndarray
-    iterations: int
     raw: np.ndarray
+    iterations: int
     stress_history: tuple[float, ...] = ()
 
 
@@ -153,7 +154,7 @@ def fruchterman_reingold(
         pos += disp / length[:, np.newaxis] * np.minimum(length, t)[:, np.newaxis]
         if not np.isfinite(pos).all():
             raise DataError("layout diverged to non-finite coordinates")
-    return Layout(coords=_normalize(pos), iterations=iterations - first, raw=pos)
+    return Layout(pos, iterations - first)
 
 
 def graph_distances(g: Graph) -> np.ndarray:
@@ -285,7 +286,7 @@ def kamada_kawai(
     hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
     if n == 1:
-        return Layout(coords=_normalize(pos), iterations=0, raw=pos, stress_history=(0.0,))
+        return Layout(pos, 0, stress_history=(0.0,))
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
     weight = _stress_weights(hops)
@@ -311,28 +312,27 @@ def kamada_kawai(
         iterations += 1
         if converged:
             break
-    return Layout(coords=_normalize(pos), iterations=iterations, raw=pos,
-                  stress_history=tuple(history))
+    return Layout(pos, iterations, tuple(history))
 
 
-def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
-    """Lay out each connected component separately and pack the boxes.
+def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> np.ndarray:
+    """Lay out each connected component, pack the boxes, and fit the map to the page.
 
-    Components with two or more nodes are laid out by
-    ``layout_fn(component_graph, seed + index)`` in descending node-count
-    order and packed left to right with 5% gutters, each in a box whose
-    side grows with the square root of its node share. Isolated nodes go
-    into a trailing row underneath. The combined drawing is normalized to
-    the unit square. A connected graph is returned exactly as ``layout_fn``
-    laid it out; otherwise the result keeps the largest component's
-    ``stress_history`` and the largest iteration count.
+    Returns the (n, 2) coordinates of ``g``'s nodes in the unit square. A
+    connected graph is ``layout_fn(g, seed)``'s drawing fitted there with a
+    uniform (aspect-preserving) transform, centred. Otherwise components with
+    two or more nodes are laid out by ``layout_fn(component_graph, seed + index)``
+    in descending node-count order, each fitted the same way into a box whose
+    side grows with the square root of its node share, and packed left to
+    right with 5% gutters. Isolated nodes go into a trailing row underneath,
+    and the whole drawing is fitted once more.
     """
     n = len(g.nodes)
     if n == 0:
         raise DataError("cannot lay out an empty graph")
     components = g.connected_components()
     if len(components) == 1:
-        return layout_fn(g, seed)
+        return _normalize(layout_fn(g, seed).raw)
     multi = sorted(
         (c for c in components if len(c) > 1), key=lambda c: (-len(c), c[0])
     )
@@ -341,24 +341,16 @@ def split_and_pack(g: Graph, layout_fn, seed: int = 42) -> Layout:
     coords = np.zeros((n, 2))
     gutter = 0.05
     x_cursor = 0.0
-    sublayouts = []
     for index, comp in enumerate(multi):
-        sub = layout_fn(g.subgraph(comp), seed + index)
         side = math.sqrt(len(comp) / n)
-        box = sub.coords * side
+        box = _normalize(layout_fn(g.subgraph(comp), seed + index).raw) * side
         box[:, 0] += x_cursor
         coords[comp] = box
         x_cursor += side + gutter
-        sublayouts.append(sub)
     main_width = max(x_cursor - gutter, 0.0)
     if isolates:
         row_y = -2 * gutter  # strictly below every packed box
         spacing = main_width / max(len(isolates) - 1, 1) if main_width > 0 else gutter
         coords[isolates, 0] = np.arange(len(isolates)) * spacing
         coords[isolates, 1] = row_y
-    return Layout(
-        coords=_normalize(coords),
-        iterations=max((s.iterations for s in sublayouts), default=0), raw=coords,
-        # components come largest first
-        stress_history=sublayouts[0].stress_history if sublayouts else (),
-    )
+    return _normalize(coords)

@@ -385,20 +385,20 @@ def _compute_map(view: SimpleNamespace, products: dict) -> None:
     freq = dict(zip(selected.terms, selected.col_margins.tolist()))
     graph = dataclasses.replace(graph, sizes=[freq[label] for label in graph.nodes])
     products["map_graph"] = graph
-    products["map_layout"] = layout_mod.split_and_pack(
+    products["map_coords"] = layout_mod.split_and_pack(
         graph, _layout_fn(view), seed=view.seed
     )
 
 
 def _write_map(view: SimpleNamespace, products: dict, out: Path) -> None:
-    export.write_pajek_net(products["map_graph"], products["map_layout"], out / "map.net")
+    export.write_pajek_net(products["map_graph"], products["map_coords"], out / "map.net")
 
 
 def _write_render(view: SimpleNamespace, products: dict, out: Path) -> None:
     # Q-mode assigns documents, not the mapped terms, so maps stay uncolored.
     assignment = products["assignment"] if view.mode == "R" else None
     export.render_svg_map(
-        products["map_graph"], products["map_layout"], assignment, out / "map.svg"
+        products["map_graph"], products["map_coords"], assignment, out / "map.svg"
     )
 
 

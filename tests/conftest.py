@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,18 @@ def make_matrix(counts, doc_ids=None, terms=None) -> WordDocMatrix:
     doc_ids = doc_ids or [f"d{i + 1}" for i in range(n)]
     terms = terms or [f"t{j + 1}" for j in range(k)]
     return WordDocMatrix(counts, doc_ids, terms)
+
+
+def write_bytes_name(directory, name: bytes, text: str) -> bool:
+    """Write ``text`` as UTF-8 to the file named by the raw bytes ``name`` in
+    ``directory``; False where the file system refuses or renames it."""
+    directory = os.fsencode(directory)
+    try:
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    except OSError:
+        return False
+    return name in os.listdir(directory)
 
 
 def same_graph(got, want) -> bool:

@@ -254,12 +254,9 @@ def test_criterion_08_suppression_behavior(tmp_path):
     assert assignment.factor[3] == 1 and assignment.sign[3] == 1
 
     coords = np.linspace(0.1, 0.9, 4)[:, None] * np.ones((1, 2))
-    from cowordmap.layout import Layout
-
-    layout = Layout(coords=coords, iterations=0, raw=coords)
     node_graph = Graph([f"v{j}" for j in range(4)], [], [])
     svg = tmp_path / "suppression.svg"
-    render_svg_map(node_graph, layout, assignment, svg)
+    render_svg_map(node_graph, coords, assignment, svg)
     text = svg.read_text()
     assert text.count('fill="#ffffff"') == 2  # both suppressed nodes white
     ok("08 closed [-0.1, 0.1] suppression: no edges, white nodes, dotted negatives")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 import warnings
 from collections import Counter
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_matrix
+from conftest import make_matrix, write_bytes_name
 from cowordmap.corpus import (
     TokenizerConfig,
     Vocabulary,
@@ -111,6 +112,19 @@ class TestLoadCorpus:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             load_corpus(tmp_path, format="records")
+
+    def test_file_names_that_are_not_utf8_are_a_data_error(self, tmp_path):
+        """Undecodable name bytes arrive as lone surrogates, which no writer can
+        encode; the message lists the names as reprs, ten then the count."""
+        names = [b"caf\xe9%02d.txt" % i for i in range(12)]
+        if not all(write_bytes_name(tmp_path, name, "word") for name in names):
+            pytest.skip("the file system refuses file names that are not UTF-8")
+        (tmp_path / "fine.txt").write_text("word", encoding="utf-8")
+        with pytest.raises(DataError) as excinfo:
+            load_corpus(tmp_path, format="files")
+        ids = [repr(os.fsdecode(name)) for name in names[:10]]
+        assert str(excinfo.value) == (
+            "document ids must be valid UTF-8: " + ", ".join(ids) + ", ... (12 in all)")
 
 
 @pytest.mark.parametrize("build, what", [

@@ -13,7 +13,6 @@ import pytest
 
 from cowordmap.errors import DataError
 from cowordmap.export import (
-    PALETTE,
     _quote,
     _xml_escape,
     read_csv_matrix,
@@ -26,7 +25,6 @@ from cowordmap.export import (
     write_table_csv,
 )
 from cowordmap.factors import UNASSIGNED, FactorAssignment
-from cowordmap.layout import Layout
 from cowordmap.termstats import distinct_expected_cells, expected_matrix
 from cowordmap.vectorspace import Graph, SimilarityMatrix
 from conftest import make_matrix, same_graph
@@ -47,9 +45,8 @@ def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
     return Graph([f"node {i}" for i in range(n)], edges, weights, dots)
 
 
-def layout_for(g, rng) -> Layout:
-    coords = np.round(rng.random((len(g.nodes), 2)), 4)
-    return Layout(coords=coords, iterations=0, raw=coords)
+def coords_for(g, rng) -> np.ndarray:
+    return np.round(rng.random((len(g.nodes), 2)), 4)
 
 
 def rfc4180_line(fields) -> str:
@@ -104,18 +101,25 @@ def pajek_matrix_reference(values, labels) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, bytes]:
+# The SVG fill of factor f is entry f modulo 12.
+FACTOR_COLOURS = [
+    "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#ffd92f",
+    "#a65628", "#f781bf", "#999999", "#17becf", "#d62728", "#bcbd22",
+]
+
+
+def map_writers_reference(g, coords, assignment, size=1000) -> tuple[bytes, bytes]:
     """map.net and map.svg as the per-element writers built them: a ``px``
     call per edge end and node, the width rule per edge and a radius per node."""
     margin, span = 70.0, size - 2 * 70.0
 
     def px(i):
-        if layout is None:
+        if coords is None:
             return size / 2.0, size / 2.0
-        x, y = layout.coords[i]
+        x, y = coords[i]
         return margin + x * span, margin + (1.0 - y) * span
 
-    xy = [(0.5, 0.5)] * len(g.nodes) if layout is None else layout.coords
+    xy = [(0.5, 0.5)] * len(g.nodes) if coords is None else coords
     net = [f"*Vertices {len(g.nodes)}"]
     net += [f"{i} {_quote(label)} {x:.4f} {y:.4f} 0.5000"
             for i, (label, (x, y)) in enumerate(zip(g.nodes, xy), 1)]
@@ -157,7 +161,7 @@ def map_writers_reference(g, layout, assignment, size=1000) -> tuple[bytes, byte
         x, y = px(i)
         factor = factor_of.get(label, UNASSIGNED)
         if factor != UNASSIGNED:
-            fill, stroke = PALETTE[factor % len(PALETTE)][1], "#333333"
+            fill, stroke = FACTOR_COLOURS[factor % 12], "#333333"
         else:
             fill, stroke = "#ffffff", "black"
         svg.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r:.2f}" '
@@ -206,12 +210,12 @@ class TestPajekNet:
         rng = np.random.default_rng(70)
         for i in range(40):
             g = random_graph(rng, dotted=(i % 2 == 0))
-            layout = layout_for(g, rng)
+            coords = coords_for(g, rng)
             path = tmp_path / f"g{i}.net"
-            write_pajek_net(g, layout, path)
-            back, coords = read_pajek_net(path)
+            write_pajek_net(g, coords, path)
+            back, read_coords = read_pajek_net(path)
             assert same_graph(back, g)
-            np.testing.assert_allclose(coords, layout.coords, atol=5e-5)
+            np.testing.assert_allclose(read_coords, coords, atol=5e-5)
 
     def test_round_trip_without_layout(self, tmp_path):
         g = Graph(["x", "y"], [(0, 1)], [1.0])
@@ -573,9 +577,7 @@ class TestSvg:
     def graph(self):
         return Graph(["hot", "cold"], [(0, 1)], [0.5], [True], [9.0, 1.0])
 
-    def layout(self, g):
-        coords = np.array([[0.2, 0.2], [0.8, 0.8]])
-        return Layout(coords=coords, iterations=0, raw=coords)
+    coords = np.array([[0.2, 0.2], [0.8, 0.8]])
 
     def test_unassigned_node_is_white(self, tmp_path):
         g = self.graph()
@@ -585,7 +587,7 @@ class TestSvg:
             sign=np.array([1, 0]),
         )
         path = tmp_path / "map.svg"
-        render_svg_map(g, self.layout(g), assignment, path)
+        render_svg_map(g, self.coords, assignment, path)
         text = path.read_text()
         assert 'fill="#ffffff"' in text  # the unassigned node
         assert 'fill="#e41a1c"' in text  # factor 0 color
@@ -593,13 +595,13 @@ class TestSvg:
     def test_dotted_edge_dashed(self, tmp_path):
         g = self.graph()
         path = tmp_path / "map.svg"
-        render_svg_map(g, self.layout(g), None, path)
+        render_svg_map(g, self.coords, None, path)
         assert "stroke-dasharray" in path.read_text()
 
     def test_radius_grows_with_size(self, tmp_path):
         g = self.graph()
         path = tmp_path / "map.svg"
-        render_svg_map(g, self.layout(g), None, path)
+        render_svg_map(g, self.coords, None, path)
         radii = [
             float(part.split('r="')[1].split('"')[0])
             for part in path.read_text().split("<circle")[1:]
@@ -631,7 +633,7 @@ class TestSvg:
         g = Graph(labels, [(0, 1)], [1.0], sizes=[2.0] * len(labels))
         coords = np.linspace(0, 1, 2 * len(labels)).reshape(-1, 2)
         path = tmp_path / "special.svg"
-        render_svg_map(g, Layout(coords=coords, iterations=0, raw=coords), None, path)
+        render_svg_map(g, coords, None, path)
         texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
         assert texts == [s.replace("\r", "\n") for s in labels]  # XML reads CR as LF
 
@@ -686,29 +688,28 @@ class TestSvg:
             drawn = [(draw(st.sampled_from(weight_pool)), draw(st.booleans())) for _ in chosen]
             g = Graph(labels, sorted(chosen), [w for w, _ in drawn], [d for _, d in drawn],
                       [math.nan if s is None else s for s in sizes])
-            layout = None
+            coords = None
             if draw(st.booleans()):
                 coords = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0, 1)))
-                layout = Layout(coords=coords, iterations=0, raw=coords)
             assignment = None
             if draw(st.booleans()):
                 factor = draw(st.lists(st.integers(UNASSIGNED, 14), min_size=n, max_size=n))
                 assignment = FactorAssignment(labels=labels, factor=np.array(factor, dtype=int),
                                               sign=np.ones(n, dtype=int))
-            return g, layout, assignment
+            return g, coords, assignment
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
         @hypothesis.given(maps())
         def check(drawn):
-            g, layout, assignment = drawn
-            render_svg_map(g, layout, assignment, tmp_path / "map.svg")
-            net, svg = map_writers_reference(g, layout, assignment)
+            g, coords, assignment = drawn
+            render_svg_map(g, coords, assignment, tmp_path / "map.svg")
+            net, svg = map_writers_reference(g, coords, assignment)
             assert (tmp_path / "map.svg").read_bytes() == svg
             if not any("\n" in s or "\r" in s for s in g.nodes):
-                write_pajek_net(g, layout, tmp_path / "map.net")
+                write_pajek_net(g, coords, tmp_path / "map.net")
                 assert (tmp_path / "map.net").read_bytes() == net
             else:
                 with pytest.raises(DataError, match="line breaks"):
-                    write_pajek_net(g, layout, tmp_path / "map.net")
+                    write_pajek_net(g, coords, tmp_path / "map.net")
 
         check()

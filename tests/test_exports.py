@@ -85,4 +85,4 @@ def test_package_stays_within_the_line_budget():
     # The ROADMAP budget for src/cowordmap/*.py, with room left for a trace module.
     package = Path(__file__).resolve().parents[1] / "src" / "cowordmap"
     lines = sum(len(path.read_bytes().splitlines()) for path in package.glob("*.py"))
-    assert lines <= 2802, f"src/cowordmap/*.py has {lines} lines, over the budget of 2802"
+    assert lines <= 2795, f"src/cowordmap/*.py has {lines} lines, over the budget of 2795"

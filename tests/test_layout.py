@@ -17,6 +17,7 @@ from cowordmap.errors import ConfigError, DataError
 from cowordmap.layout import (
     _EPS,
     _classical_mds,
+    _normalize,
     _pair_offsets,
     _separate_coincident,
     _start,
@@ -201,8 +202,8 @@ def stress_oracle(coords, hops, scale=1.0):
 
 class TestFruchtermanReingold:
     def test_single_node_centered(self):
-        layout = fruchterman_reingold(unit_graph(["only"]), seed=1)
-        np.testing.assert_allclose(layout.coords, [[0.5, 0.5]])
+        coords = split_and_pack(unit_graph(["only"]), fruchterman_reingold, seed=1)
+        np.testing.assert_allclose(coords, [[0.5, 0.5]])
 
     @pytest.mark.parametrize("layout_fn", [fruchterman_reingold, kamada_kawai])
     def test_single_node_runs_no_steps(self, layout_fn):
@@ -218,20 +219,20 @@ class TestFruchtermanReingold:
         g = complete(6)
         a = fruchterman_reingold(g, iterations=120, seed=7)
         b = fruchterman_reingold(g, iterations=120, seed=7)
-        assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.raw, b.raw)
 
     def test_different_seeds_differ(self):
         g = complete(5)
         a = fruchterman_reingold(g, iterations=100, seed=1)
         b = fruchterman_reingold(g, iterations=100, seed=2)
-        assert not np.array_equal(a.coords, b.coords)
+        assert not np.array_equal(a.raw, b.raw)
 
     def test_coords_finite_and_in_unit_square(self):
         g = chain(9)
-        layout = fruchterman_reingold(g, iterations=200, seed=3)
-        assert np.isfinite(layout.coords).all()
-        assert (layout.coords >= -1e-12).all() and (layout.coords <= 1 + 1e-12).all()
+        coords = split_and_pack(
+            g, lambda sub, s: fruchterman_reingold(sub, iterations=200, seed=s), seed=3)
+        assert np.isfinite(coords).all()
+        assert (coords >= -1e-12).all() and (coords <= 1 + 1e-12).all()
 
     def test_coincident_nodes_are_separated(self):
         from cowordmap.layout import _separate_coincident
@@ -362,8 +363,6 @@ class TestFruchtermanReingold:
             fruchterman_reingold(graph, seed=-1)
 
     def test_normalization_preserves_aspect_ratio(self):
-        from cowordmap.layout import _normalize
-
         rng = np.random.default_rng(99)
         points = rng.random((10, 2)) * np.array([8.0, 2.0]) + 3.0
         scaled = _normalize(points)
@@ -495,7 +494,7 @@ class TestKamadaKawai:
         g = complete(4)
         a = kamada_kawai(g, seed=12)
         b = kamada_kawai(g, seed=12)
-        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.raw, b.raw)
 
     def test_stops_on_tolerance_before_iteration_cap(self):
         g = random_connected_graph(np.random.default_rng(20), 20, density=0.15)
@@ -664,9 +663,9 @@ class TestClassicalStart:
             "sys.path.insert(0, sys.argv[1])\n"
             "from test_layout import random_connected_graph\n"
             "from cowordmap.export import write_pajek_net\n"
-            "from cowordmap.layout import kamada_kawai\n"
+            "from cowordmap.layout import kamada_kawai, split_and_pack\n"
             "g = random_connected_graph(np.random.default_rng(2), 400, 0.001)\n"
-            "write_pajek_net(g, kamada_kawai(g, seed=1), sys.argv[2])\n"
+            "write_pajek_net(g, split_and_pack(g, kamada_kawai, seed=1), sys.argv[2])\n"
         )
         nets = []
         for threads in ("1", "2"):
@@ -688,42 +687,35 @@ class TestSplitAndPack:
         g = complete(4)
         direct = self.layout_fn(g, 42)
         packed = split_and_pack(g, self.layout_fn, seed=42)
-        assert np.array_equal(direct.coords, packed.coords)
+        assert np.array_equal(packed, _normalize(direct.raw))
 
     def test_two_components_disjoint_boxes(self):
         g = unit_graph("abcdef", [(0, 1), (1, 2), (3, 4)])
-        layout = split_and_pack(g, self.layout_fn, seed=42)
-        first = layout.coords[[0, 1, 2]]
-        second = layout.coords[[3, 4]]
+        coords = split_and_pack(g, self.layout_fn, seed=42)
+        first = coords[[0, 1, 2]]
+        second = coords[[3, 4]]
         assert first[:, 0].max() < second[:, 0].min() or second[:, 0].max() < first[:, 0].min()
 
     def test_larger_component_packed_first(self):
         g = unit_graph("abcde", [(0, 1), (2, 3), (3, 4)])
-        layout = split_and_pack(g, self.layout_fn, seed=42)
-        big = layout.coords[[2, 3, 4], 0]
-        small = layout.coords[[0, 1], 0]
+        coords = split_and_pack(g, self.layout_fn, seed=42)
+        big = coords[[2, 3, 4], 0]
+        small = coords[[0, 1], 0]
         assert big.max() < small.min()  # big component occupies the left band
 
     def test_isolates_in_trailing_row(self):
         g = unit_graph("abcd", [(0, 1)])
-        layout = split_and_pack(g, self.layout_fn, seed=42)
-        isolate_y = layout.coords[[2, 3], 1]
-        component_y = layout.coords[[0, 1], 1]
+        coords = split_and_pack(g, self.layout_fn, seed=42)
+        isolate_y = coords[[2, 3], 1]
+        component_y = coords[[0, 1], 1]
         assert isolate_y[0] == isolate_y[1]
         assert (isolate_y < component_y.min()).all()
 
     def test_all_isolates(self):
         g = unit_graph("abc")
-        layout = split_and_pack(g, self.layout_fn, seed=42)
-        assert np.isfinite(layout.coords).all()
-        assert len(np.unique(layout.coords[:, 0])) == 3
-
-    def test_keeps_the_largest_components_stress_history(self):
-        g = unit_graph("abcdefg", [(0, 1), (2, 3), (3, 4), (4, 5), (2, 4)])
-        packed = split_and_pack(g, lambda sub, s: kamada_kawai(sub, seed=s), seed=42)
-        largest = kamada_kawai(g.subgraph([2, 3, 4, 5]), seed=42)
-        assert len(largest.stress_history) > 1
-        assert packed.stress_history == largest.stress_history
+        coords = split_and_pack(g, self.layout_fn, seed=42)
+        assert np.isfinite(coords).all()
+        assert len(np.unique(coords[:, 0])) == 3
 
     def test_negative_seed_rejected(self):
         g = unit_graph("abcd", [(0, 1), (2, 3)])
@@ -734,4 +726,4 @@ class TestSplitAndPack:
         g = unit_graph("abcdef", [(0, 1), (2, 3), (4, 5)])
         a = split_and_pack(g, self.layout_fn, seed=9)
         b = split_and_pack(g, self.layout_fn, seed=9)
-        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a, b)

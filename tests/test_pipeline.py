@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import inspect
 import io
@@ -15,10 +16,11 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import pytest
 
-from conftest import make_matrix
+from conftest import make_matrix, write_bytes_name
 from cowordmap import corpus, export, factors, layout, termstats, vectorspace
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
@@ -42,6 +44,36 @@ def micro_config(micro_dir, out, **extra) -> PipelineConfig:
 
 def artifact_bytes(out):
     return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+def _check_parses_back(out, doc_ids):
+    """Every artifact of a run in ``out`` parses with a reader that is not the
+    writer's, and the labels in them are the corpus's ``doc_ids`` and terms."""
+    tables = {}
+    for name in ("matrix.csv", "expected.csv", "terms.csv", "loadings.csv"):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            tables[name] = rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])}, name
+    matrix = tables["matrix.csv"]
+    assert [row[0] for row in tables["expected.csv"]] == [row[0] for row in matrix]
+    assert tables["expected.csv"][0] == matrix[0]
+    docs, terms = [row[0] for row in matrix[1:]], matrix[0][1:]
+    assert set(docs) <= set(doc_ids)
+    assert {row[0] for row in tables["terms.csv"][1:]} == set(terms)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert len(docs) == report["corpus"]["documents_after_pruning"]
+    selected = report["selection"]["terms"]
+    assert set(selected) <= set(terms)
+    assert export.read_pajek_matrix(out / "coocc.dat").labels == selected
+    variables = [row[0] for row in tables["loadings.csv"][1:]]
+    assert set(variables) <= set(selected) | set(docs)
+    factor_graph, _ = export.read_pajek_net(out / "factors.net")
+    assert set(variables) <= set(factor_graph.nodes)
+    map_graph, coords = export.read_pajek_net(out / "map.net")
+    assert set(map_graph.nodes) <= set(selected)
+    assert ((coords >= 0) & (coords <= 1)).all()
+    svg = ElementTree.parse(out / "map.svg").iter("{http://www.w3.org/2000/svg}text")
+    assert [element.text for element in svg] == map_graph.nodes
 
 
 class TestPipelineConfig:
@@ -125,8 +157,23 @@ class TestPipelineConfig:
         assert len(flags) == 15
         for action in flags:
             assert action.dest == "config" or action.dest in _TYPES
+            assert action.choices is None  # PipelineConfig.validate checks every value
             if action.dest in _CHOICES:
-                assert tuple(action.choices) == _CHOICES[action.dest]
+                assert action.metavar == "{" + ",".join(_CHOICES[action.dest]) + "}"
+
+    def test_a_bad_choice_gets_one_message_from_a_flag_or_a_config_file(
+        self, tmp_path, capsys
+    ):
+        keys = [a.dest for a in build_parser()._actions if a.dest in _CHOICES]
+        assert keys
+        config = tmp_path / "run.cfg"
+        for key in keys:
+            config.write_text(f"input = x\n{key} = foo\n", encoding="utf-8")
+            assert main(["run", "--config", str(config)]) == 1
+            from_file = capsys.readouterr().err
+            assert main(["run", "--input", "x", "--" + key.replace("_", "-"), "foo"]) == 1
+            assert capsys.readouterr().err == from_file
+            assert f"unknown {key} 'foo'; valid values: " in from_file
 
     def test_readme_flag_block_lists_the_parser_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1021,6 +1068,74 @@ class TestCli:
                     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
 
         check()
+
+    def test_a_file_name_that_is_not_utf8_exits_two_before_any_artifact(
+        self, micro_dir, tmp_path, capsys
+    ):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        shutil.copytree(micro_dir, corpus)
+        if not write_bytes_name(corpus, b"caf\xe9.txt", "coffee words\n"):
+            pytest.skip("the file system refuses file names that are not UTF-8")
+        assert main(["run", "--input", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "coword-map: data error: document ids must be valid UTF-8: 'caf\\udce9.txt'\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_fuzzed_corpus_content_exits_with_a_documented_code(self):
+        """File names and texts with every kind of line break, quotes, commas,
+        a BOM, NUL and an undecodable name byte; token patterns that keep them.
+
+        Every case exits 0-3 without a traceback; on success every artifact
+        parses back and holds the corpus's labels.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        awkward = ["\r", "\n", "\r\n", "\x0b", "\x85", "\u2028", '"', ",", "\ufeff"]
+        words = ["map", "word", "term", " ", " "] * 3  # three in five pieces are plain
+        text = st.lists(st.sampled_from(words + awkward + ["\x00"]), max_size=12).map("".join)
+        name_bytes = [piece.encode("utf-8") for piece in ["map", "word"] * 3 + awkward]
+        with tempfile.TemporaryDirectory() as tmp:
+            if write_bytes_name(tmp, b"\xe9.txt", ""):
+                name_bytes.append(b"\xe9")
+        name = st.lists(st.sampled_from(name_bytes), max_size=3).map(b"".join)
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.lists(st.tuples(name, text), min_size=1, max_size=5),
+            st.sampled_from(["files", "lines"]), st.sampled_from(["\n", "\r\n", "\r"]),
+            st.sampled_from([r"\S+", r"[^ \n]+"]), st.sampled_from(["R", "Q"]),
+        )
+        def check(docs, input_format, ending, pattern, mode):
+            with tempfile.TemporaryDirectory() as tmp:
+                tmp = Path(tmp)
+                corpus = tmp / "corpus"
+                if input_format == "lines":
+                    corpus.write_bytes(ending.join(t for _, t in docs).encode("utf-8"))
+                    ids = [str(i) for i in range(1, len(corpus.read_bytes()) + 2)]  # any line number
+                else:
+                    corpus.mkdir()
+                    names = [b"%d" % i + n + b".txt" for i, (n, _) in enumerate(docs)]
+                    hypothesis.assume(all(write_bytes_name(corpus, n, t)
+                                          for n, (_, t) in zip(names, docs)))
+                    ids = [os.fsdecode(n) for n in names]
+                config = tmp / "run.cfg"
+                config.write_text(f"input = {corpus}\ninput_format = {input_format}\n"
+                                  f"token_pattern = {pattern}\nfr_iterations = 50\n",
+                                  encoding="utf-8")
+                out = tmp / "out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(["run", "--config", str(config), "--mode", mode,
+                                 "--out", str(out)])
+                assert code in (0, 1, 2, 3), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if code == 0:
+                    _check_parses_back(out, ids)
+                codes.append(code)
+
+        codes = []
+        check()
+        assert {0, 2} <= set(codes)  # both successes and label errors were exercised
 
     def test_module_entry_point(self, micro_dir, tmp_path):
         proc = subprocess.run(
