@@ -39,7 +39,6 @@ __all__ = [
     "load_stopword_file",
     "load_synonym_file",
     "read_lines",
-    "text_files",
     "tokenize",
 ]
 
@@ -54,7 +53,8 @@ class TokenizerConfig:
     Tokens are maximal runs of letters/digits (punctuation splits tokens).
     Processing order per token: pattern match, lowercasing, synonym mapping,
     minimum-length filter, stopword filter. Stopword matching is
-    case-insensitive (the list itself must be lowercase).
+    case-insensitive (the list itself must be lowercase); with ``lowercase``
+    on, both sides of every synonym must be lowercase too.
 
     Attributes:
         lowercase: Lowercase every token before further filtering.
@@ -78,6 +78,11 @@ class TokenizerConfig:
         bad = sorted(w for w in self.stopwords if w != w.lower())
         if bad:
             raise ConfigError(f"stopwords must be lowercase: {capped_ids(bad)}")
+        bad = sorted({w for pair in self.synonyms.items() for w in pair if w != w.lower()})
+        if self.lowercase and bad:
+            raise ConfigError(
+                f"synonyms must be lowercase when lowercase is on: {capped_ids(bad)}"
+            )
         try:
             if re.compile(self.token_pattern).groups > 1:  # findall would yield tuples
                 raise re.error("two or more capture groups; group with (?:...) instead")
@@ -243,7 +248,7 @@ def load_corpus(source: str | Path, format: str = "files") -> dict[str, str]:
     if format == "files":
         if not source.is_dir():
             raise FileNotFoundError(f"not a directory: {source}")
-        paths = text_files(source)
+        paths = sorted(path for path in source.glob("*.txt") if path.is_file())
         # Undecodable name bytes arrive as lone surrogates (surrogateescape).
         if bad := [repr(p.name) for p in paths if _SURROGATE.search(p.name)]:
             raise DataError(f"document ids must be valid UTF-8: {capped_ids(bad)}")
@@ -257,11 +262,6 @@ def load_corpus(source: str | Path, format: str = "files") -> dict[str, str]:
     if not docs:
         raise DataError(f"empty corpus: no documents found in {source}")
     return docs
-
-
-def text_files(directory: Path) -> list[Path]:
-    """The regular ``.txt`` files of a ``files`` corpus, in document order (by name)."""
-    return sorted(path for path in directory.glob("*.txt") if path.is_file())
 
 
 def _read_utf8(path: Path, error: type[Exception] = DataError) -> str:

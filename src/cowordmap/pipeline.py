@@ -16,13 +16,13 @@ render     map.svg (map with factor coloring)
 One table, :data:`STAGES`, drives every run. Each row names a stage, the
 stages it runs after, the config keys it reads, its artifacts, and a
 compute and a write step; a subcommand runs its stage and everything
-upstream. One cache rule holds: a stage's key hashes its declared reads
-(files by content), its upstream keys and the package's own sources, so
-a changed program rewrites every artifact, and a stage is a hit only
-when its key matches the manifest and every artifact still has the
-sha256 recorded when it was written. A hit skips the write step; the
-in-memory state later stages and report.json need is always rebuilt from
-the inputs. Identical inputs, config and seed produce byte-identical
+upstream. One cache rule holds: a stage's key hashes what its compute
+step returns (ingest: the matrix it built), else its declared config
+values, with its upstream keys and the package's own sources; a stage is
+a hit only when its key matches the manifest and every artifact still
+has the sha256 recorded when it was written. A hit skips the write step;
+the in-memory state later stages and report.json need is always rebuilt
+from the inputs. Identical inputs, config and seed produce byte-identical
 artifacts, whatever ran in the output directory before.
 """
 
@@ -223,7 +223,8 @@ class Stage:
     ``compute(view, products)`` fills the in-memory products and runs on
     every invocation; ``write(view, products, out)`` writes the artifacts
     and is skipped on a cache hit. Both see only the config keys named in
-    ``reads``, which together with the upstream keys make the cache key.
+    ``reads``; compute's value, or theirs when it returns None, and the
+    upstream keys make the cache key.
     """
 
     name: str
@@ -248,16 +249,6 @@ def _file_digest(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _key_part(view: SimpleNamespace, key: str):
-    """A config value as it enters a cache key; keys naming files by content."""
-    value = getattr(view, key)
-    if key == "input" and view.input_format == "files":
-        return [(p.name, _file_digest(p)) for p in corpus_mod.text_files(Path(value))]
-    if key in ("input", "stopword_file", "synonym_file") and value:
-        return _file_digest(Path(value))
-    return value
 
 
 def _tokenizer_config(view: SimpleNamespace) -> corpus_mod.TokenizerConfig:
@@ -298,12 +289,16 @@ def _cells_matrix(m: corpus_mod.WordDocMatrix, which: str) -> np.ndarray:
 # stage bodies
 
 
-def _compute_ingest(view: SimpleNamespace, products: dict) -> None:
+def _compute_ingest(view: SimpleNamespace, products: dict) -> tuple:
+    """Build the matrix; return all matrix.csv and expected.csv hold (arrays by digest)."""
     corpus = corpus_mod.load_corpus(view.input, format=view.input_format)
     products["documents"] = len(corpus)
-    products["matrix"] = corpus_mod.build_word_doc_matrix(
+    m = products["matrix"] = corpus_mod.build_word_doc_matrix(
         corpus, _tokenizer_config(view), binary=view.binary
     )
+    arrays = (m.indptr, m.indices, m.data)
+    # By their bytes: repr elides arrays longer than 1000 items.
+    return m.doc_ids, m.terms, [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
 
 
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
@@ -329,8 +324,8 @@ def _write_terms(view: SimpleNamespace, products: dict, out: Path) -> None:
 _SELECTION = ("criterion", "top", "min_score")
 
 
-def _selected_matrix(view: SimpleNamespace, products: dict) -> corpus_mod.WordDocMatrix:
-    """The matrix cut to the selected terms, built by the first stage that reads it."""
+def _select(view: SimpleNamespace, products: dict) -> None:
+    """Cut the matrix to the selected terms, once: the first stage that reads it."""
     if "selected" not in products:
         products["selected"] = termstats.select_terms(
             products["scores"], view.criterion, top_n=view.top, threshold=view.min_score
@@ -338,7 +333,6 @@ def _selected_matrix(view: SimpleNamespace, products: dict) -> corpus_mod.WordDo
         products["selected_matrix"] = products["matrix"].select_terms(
             products["selected"]
         )
-    return products["selected_matrix"]
 
 
 def _write_cooc(view: SimpleNamespace, products: dict, out: Path) -> None:
@@ -347,7 +341,8 @@ def _write_cooc(view: SimpleNamespace, products: dict, out: Path) -> None:
 
 
 def _compute_factors(view: SimpleNamespace, products: dict) -> None:
-    selected = _selected_matrix(view, products)
+    _select(view, products)
+    selected = products["selected_matrix"]
     # tf-idf cells feed the cosine map only; factors then correlate counts.
     cells = _cells_matrix(selected, "counts" if view.cells == "tfidf" else view.cells)
     labels = selected.terms
@@ -374,7 +369,8 @@ def _write_factors(view: SimpleNamespace, products: dict, out: Path) -> None:
 
 
 def _compute_map(view: SimpleNamespace, products: dict) -> None:
-    selected = _selected_matrix(view, products)
+    _select(view, products)
+    selected = products["selected_matrix"]
     if view.map == "cosine":  # no name holds the n×n matrix through the layout
         graph = vectorspace.threshold_graph(vectorspace.cosine_matrix(
             _cells_matrix(selected, view.cells), labels=selected.terms), view.cos_threshold, "geq")
@@ -417,7 +413,7 @@ STAGES = (
     Stage("terms", ("ingest",), ("criterion", "yates"), ("terms.csv",),
           _compute_terms, _write_terms),
     Stage("cooc", ("terms",), _SELECTION, ("coocc.dat",),
-          _selected_matrix, _write_cooc),
+          _select, _write_cooc),
     Stage(
         "factors", ("terms",),
         _SELECTION + ("cells", "mode", "factors", "rotate", "kaiser_normalize",
@@ -485,11 +481,13 @@ def _publish(staged: Path, names: tuple) -> dict[str, str]:
 def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     """Execute the pipeline prefix ending at ``subcommand``.
 
-    A stage is a cache hit when its key matches the manifest and every
-    artifact still has the sha256 recorded when it was written; a hit
-    skips the stage's writes. Every stage still computes its in-memory
-    products from the inputs, so cached and fresh runs produce identical
-    bytes whatever ran in the output directory before.
+    A stage's key hashes what its compute step returns, or its ``reads``
+    values when that is None, with the program digest and upstream keys.
+    It is a cache hit when its key matches the manifest and every artifact
+    still has the sha256 recorded when it was written; a hit skips the
+    stage's writes. Every stage still computes its in-memory products from
+    the inputs, so cached and fresh runs produce identical bytes whatever
+    ran in the output directory before.
 
     Writes are atomic: each write step writes into one temporary directory
     inside the output directory, opened for the whole run, and its artifacts
@@ -514,10 +512,9 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
         for stage in stages:
             started = time.perf_counter()
             view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
-            stage.compute(view, products)
+            value = stage.compute(view, products)
             key = keys[stage.name] = _digest([
-                stage.name, program,
-                [(read, _key_part(view, read)) for read in stage.reads],
+                stage.name, program, vars(view) if value is None else value,
                 [keys[upstream] for upstream in stage.after],
             ])
             entry = recorded.get(stage.name, {})

@@ -58,6 +58,17 @@ class TestTokenize:
         )
         assert tokenize("Colours of colour", cfg) == ["colour", "of", "colour"]
 
+    def test_cased_synonyms_are_a_config_error_only_under_lowercase(self):
+        synonyms = {"Journals": "journal", "impacts": "IMPACT"}
+        with pytest.raises(ConfigError, match=(
+            "^synonyms must be lowercase when lowercase is on: IMPACT, Journals$"
+        )):
+            TokenizerConfig(synonyms=synonyms)
+        cfg = TokenizerConfig(lowercase=False, stopwords=frozenset(), synonyms=synonyms)
+        assert tokenize("Journals journals impacts Impact", cfg) == [
+            "journal", "journals", "IMPACT", "Impact"
+        ]
+
     def test_idempotent_on_own_output(self):
         text = "Impact factors; citation networks, and 2 maps."
         cfg = TokenizerConfig()
@@ -284,10 +295,17 @@ def test_one_pass_ingest_matches_two_pass_oracle():
     )
     def check(texts, lowercase, min_token_length, stopwords, synonyms, binary):
         corpus = corpus_of(*texts)
-        cfg = TokenizerConfig(
-            lowercase=lowercase, min_token_length=min_token_length,
-            stopwords=stopwords, synonyms=synonyms,
-        )
+        settings = dict(lowercase=lowercase, min_token_length=min_token_length,
+                        stopwords=stopwords, synonyms=synonyms)
+        cased = sorted({w for pair in synonyms.items() for w in pair} & {"Ab", "The", "Maps"})
+        if lowercase and cased:  # a cased synonym could never match a lowercased token
+            with pytest.raises(ConfigError) as raised:
+                TokenizerConfig(**settings)
+            assert str(raised.value) == (
+                f"synonyms must be lowercase when lowercase is on: {', '.join(cased)}"
+            )
+            return
+        cfg = TokenizerConfig(**settings)
         vocab, vocab_warnings = outcome(lambda: build_vocabulary(corpus, cfg))
         old_vocab, old_vocab_warnings = outcome(lambda: two_pass_vocabulary(corpus, cfg))
         assert vocab_warnings == old_vocab_warnings == []

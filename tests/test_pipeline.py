@@ -558,6 +558,33 @@ class TestCache:
         assert {s for s, status in result.stages.items() if status == "computed"} == owners
         assert artifact_bytes(out) == golden
 
+    @pytest.mark.parametrize("reader", ["load_corpus", "load_stopword_file"])
+    def test_an_input_edited_mid_run_leaves_no_false_hit(
+        self, micro_dir, tmp_path, monkeypatch, reader
+    ):
+        """An input rewritten right after ingest read it: the run's artifacts
+        came from the old text, so the next run must not take them as cached."""
+        inputs, stop = tmp_path / "corpus", tmp_path / "stop.txt"
+        shutil.copytree(micro_dir, inputs)
+        stop.write_text("the\nof\na\n", encoding="utf-8")
+        edited, text = {
+            "load_corpus": (inputs / "d1.txt", "impact factor impact factor\n"),
+            "load_stopword_file": (stop, "the\nof\na\nimpact\n"),
+        }[reader]
+        real_reader = getattr(corpus, reader)
+
+        def read_then_edit(*args, **kwargs):
+            result = real_reader(*args, **kwargs)
+            edited.write_text(text, encoding="utf-8")
+            return result
+
+        config = micro_config(inputs, tmp_path / "out", stopword_file=str(stop))
+        monkeypatch.setattr(corpus, reader, read_then_edit)
+        run(config)
+        monkeypatch.undo()
+        result = run(config)
+        assert result.stages["ingest"] == "computed"
+        assert comparable(result) == comparable(fresh_run(config, tmp_path / "fresh"))
 
     def test_a_changed_program_misses_the_cache_of_a_used_directory(self, micro_dir, tmp_path):
         """A copy of the package whose Pajek writer prints 5 decimals reruns
@@ -601,7 +628,7 @@ def cache_workspace(tmp_path_factory):
     w = SimpleNamespace(
         corpus=root / "corpus", moved=root / "moved", edited=root / "edited",
         lines=root / "lines.txt", stop=root / "stop.txt", syn=root / "syn.txt",
-        base=root / "base",
+        absent_syn=root / "absent-syn.txt", base=root / "base",
     )
     for target in (w.corpus, w.moved, w.edited):
         shutil.copytree(micro, target)
@@ -613,6 +640,7 @@ def cache_workspace(tmp_path_factory):
     )
     w.stop.write_text("the\nof\na\nimpact\n", encoding="utf-8")
     w.syn.write_text("journals\tjournal\n", encoding="utf-8")
+    w.absent_syn.write_text("zebras\tzebra\n", encoding="utf-8")  # no micro document has it
     run(micro_config(w.corpus, w.base, fr_iterations=50))
     return w
 
@@ -649,6 +677,7 @@ INVALIDATION = [
     ("kk_max_iter", {"kk_max_iter": 50}, ("map", "render")),
     ("out", {}, ()),
     ("moved input", lambda w: {"input": str(w.moved)}, ()),
+    ("synonym of an absent word", lambda w: {"synonym_file": str(w.absent_syn)}, ()),
 ]
 
 
@@ -910,6 +939,23 @@ class TestCli:
             f"'kaiser', got {value!r}\n"
         )
         assert not out.exists()
+
+    def test_a_cased_synonym_exits_one_before_any_artifact_unless_case_is_kept(
+        self, micro_dir, tmp_path, capsys
+    ):
+        synonyms, out = tmp_path / "syn.txt", tmp_path / "out"
+        synonyms.write_text("Journals\tjournal\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"synonym_file = {synonyms}\n", encoding="utf-8")
+        argv = ["run", "--config", str(config), "--input", str(micro_dir), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "synonyms must be lowercase when lowercase is on: Journals" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        config.write_text(f"synonym_file = {synonyms}\nlowercase = false\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_no_input_exits_one(self, capsys):
         assert main(["run"]) == 1
