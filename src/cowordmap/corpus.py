@@ -31,9 +31,7 @@ from .errors import check_choice, check_unique
 
 __all__ = [
     "TokenizerConfig",
-    "Vocabulary",
     "WordDocMatrix",
-    "build_vocabulary",
     "build_word_doc_matrix",
     "load_corpus",
     "load_stopword_file",
@@ -88,27 +86,6 @@ class TokenizerConfig:
                 raise re.error("two or more capture groups; group with (?:...) instead")
         except re.error as exc:
             raise ConfigError(f"invalid token_pattern: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Surviving terms with corpus-wide counts.
-
-    Terms are ordered by descending total frequency, ties broken
-    lexicographically, so vocabulary construction is deterministic.
-
-    Attributes:
-        terms: Ordered unique terms.
-        total_freq: Occurrences of each term summed over all documents.
-        doc_freq: Number of documents each term occurs in.
-    """
-
-    terms: tuple[str, ...]
-    total_freq: np.ndarray
-    doc_freq: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def _whole(counts) -> np.ndarray:
@@ -330,12 +307,26 @@ def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
     return out
 
 
-def _count_terms(corpus: dict[str, str], cfg: TokenizerConfig) -> tuple[list[str], tuple]:
-    """Tokenize each document once into the CSR documents x terms counts.
+def build_word_doc_matrix(
+    corpus: dict[str, str], cfg: TokenizerConfig, binary: bool = False
+) -> WordDocMatrix:
+    """Tokenize each document once and fill the documents x terms count matrix.
 
     Each term gets an id when it first appears; the columns are then put in
     vocabulary order (descending total count, ties broken lexicographically)
     and the sorted ``(row, column)`` keys of the tokens give each cell once.
+
+    Args:
+        corpus: Each document's id mapped to its text; each becomes a row.
+        cfg: Tokenizer settings.
+        binary: Record presence (0/1) instead of occurrence counts.
+
+    Returns:
+        The pruned count matrix. ``counts[i][k]`` is the number of
+        occurrences of term ``k`` in document ``i`` (or 1 under ``binary``).
+
+    Raises:
+        DataError: The corpus is empty, or no token survives filtering.
     """
     if len(corpus) == 0:
         raise DataError("empty corpus")
@@ -358,44 +349,11 @@ def _count_terms(corpus: dict[str, str], cfg: TokenizerConfig) -> tuple[list[str
     row = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
     keys, data = np.unique(row * len(terms) + rank[col], return_counts=True)
     indptr = np.searchsorted(keys, np.arange(len(corpus) + 1) * len(terms))
-    return [terms[k] for k in order], (indptr, keys % len(terms), data)
-
-
-def build_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> Vocabulary:
-    """Count every surviving term across the corpus.
-
-    Returns:
-        Vocabulary ordered by descending total frequency, ties broken
-        lexicographically: the columns of :func:`build_word_doc_matrix`.
-
-    Raises:
-        DataError: No token survives filtering.
-    """
-    terms, (_, indices, data) = _count_terms(corpus, cfg)
-    total_freq = np.zeros(len(terms), dtype=np.int64)
-    np.add.at(total_freq, indices, data)
-    return Vocabulary(tuple(terms), total_freq, doc_freq=np.bincount(indices))
-
-
-def build_word_doc_matrix(
-    corpus: dict[str, str], cfg: TokenizerConfig, binary: bool = False
-) -> WordDocMatrix:
-    """Tokenize the corpus once and fill the documents x terms count matrix.
-
-    Args:
-        corpus: Each document's id mapped to its text; each becomes a row.
-        cfg: Tokenizer settings.
-        binary: Record presence (0/1) instead of occurrence counts.
-
-    Returns:
-        The pruned count matrix, its columns in :func:`build_vocabulary`
-        order. ``counts[i][k]`` is the number of occurrences of term ``k``
-        in document ``i`` (or 1 under ``binary``).
-
-    Raises:
-        DataError: The corpus is empty, or no token survives filtering.
-    """
-    terms, (indptr, indices, data) = _count_terms(corpus, cfg)
     if binary:
         np.minimum(data, 1, out=data)
-    return WordDocMatrix((indptr, indices, data), list(corpus), terms)
+    ordered = [terms[k] for k in order]
+    return WordDocMatrix((indptr, keys % len(terms), data), list(corpus), ordered)
+
+
+# perfbench/traced.py wraps this name; ROADMAP item 2 deletes it with that wrapper.
+build_vocabulary = build_word_doc_matrix

@@ -28,7 +28,9 @@ artifacts, whatever ran in the output directory before.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -490,14 +492,15 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     ran in the output directory before.
 
     Writes are atomic: each write step writes into one temporary directory
-    inside the output directory, opened for the whole run, and its artifacts
-    replace the old ones (``os.replace``) only after the step returns; the
-    manifest and report.json are replaced the same way. A failed run leaves
-    every file either as it was or complete, and no temporary file behind.
+    inside the output directory, and its artifacts replace the old ones
+    (``os.replace``) only after the step returns; the manifest and
+    report.json are replaced the same way. The first write creates the
+    output directory and the temporary one, so a run that fails before it
+    leaves no directory; a failed run leaves every file either as it was or
+    complete, and no temporary file behind.
     """
     stages = _prefix(subcommand)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     recorded = _recorded_stages(out)
     keys: dict[str, str] = {}
     sources = sorted(Path(__file__).parent.glob("*.py"))  # a changed program misses the cache
@@ -505,10 +508,15 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
     products: dict = {}
     statuses: dict[str, str] = {}
 
-    with (tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out) as tmp,
-          warnings.catch_warnings(record=True) as caught):
+    with contextlib.ExitStack() as cleanup, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        staged = Path(tmp)
+
+        @functools.cache
+        def staged() -> Path:
+            out.mkdir(parents=True, exist_ok=True)
+            tmp = tempfile.TemporaryDirectory(prefix=".coword-tmp-", dir=out)
+            return Path(cleanup.enter_context(tmp))
+
         for stage in stages:
             started = time.perf_counter()
             view = SimpleNamespace(**{key: getattr(config, key) for key in stage.reads})
@@ -523,8 +531,8 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
                 and entry.get("artifacts") == _artifact_hashes(out, stage)
             )
             if not cached:
-                stage.write(view, products, staged)
-                entry = {"key": key, "artifacts": _publish(staged, stage.artifacts)}
+                stage.write(view, products, staged())
+                entry = {"key": key, "artifacts": _publish(staged(), stage.artifacts)}
             recorded[stage.name] = entry
             statuses[stage.name] = "cached" if cached else "computed"
             logger.info("stage %s: %s (%.3fs)", stage.name, statuses[stage.name],
@@ -534,8 +542,8 @@ def run_stage(config: PipelineConfig, subcommand: str) -> RunResult:
         report = _build_report(config, products, names, [str(w.message) for w in caught])
         for name, data in ((_MANIFEST, {"stages": recorded}), ("report.json", report)):
             text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-            (staged / name).write_text(text, encoding="utf-8")
-        _publish(staged, (_MANIFEST, "report.json"))
+            (staged() / name).write_text(text, encoding="utf-8")
+        _publish(staged(), (_MANIFEST, "report.json"))
     artifacts = {name: out / name for name in ["report.json", *names]}
     return RunResult(out_dir=out, artifacts=artifacts, stages=statuses, report=report)
 

@@ -14,9 +14,7 @@ import pytest
 from conftest import make_matrix, write_bytes_name
 from cowordmap.corpus import (
     TokenizerConfig,
-    Vocabulary,
     WordDocMatrix,
-    build_vocabulary,
     build_word_doc_matrix,
     load_corpus,
     load_stopword_file,
@@ -189,20 +187,22 @@ class TestStopwordAndSynonymFiles:
 
 
 class TestBuildVocabulary:
+    """The vocabulary is the count matrix's columns: terms, totals, document counts."""
+
     def test_counts_and_tie_break(self):
-        vocab = build_vocabulary(corpus_of("a a b", "b"), NO_STOPWORDS)
-        assert vocab.terms == ("a", "b")
-        assert vocab.total_freq.tolist() == [2, 2]
+        vocab = build_word_doc_matrix(corpus_of("a a b", "b"), NO_STOPWORDS, binary=False)
+        assert vocab.terms == ["a", "b"]
+        assert vocab.col_margins.tolist() == [2, 2]
         assert vocab.doc_freq.tolist() == [1, 2]
 
     def test_all_stopwords_is_fatal(self):
         cfg = TokenizerConfig(stopwords=frozenset({"a", "b"}))
         with pytest.raises(DataError, match="empty"):
-            build_vocabulary(corpus_of("a a b", "b"), cfg)
+            build_word_doc_matrix(corpus_of("a a b", "b"), cfg, binary=False)
 
     def test_empty_corpus_is_fatal(self):
         with pytest.raises(DataError):
-            build_vocabulary({}, NO_STOPWORDS)
+            build_word_doc_matrix({}, NO_STOPWORDS, binary=False)
 
     def test_matches_single_pass_counting_oracle(self):
         rng = np.random.default_rng(7)
@@ -211,7 +211,7 @@ class TestBuildVocabulary:
             " ".join(rng.choice(words, size=rng.integers(5, 60)))
             for _ in range(12)
         ]
-        vocab = build_vocabulary(corpus_of(*texts), NO_STOPWORDS)
+        vocab = build_word_doc_matrix(corpus_of(*texts), NO_STOPWORDS, binary=False)
         totals = Counter()
         docfreq = Counter()
         for text in texts:
@@ -219,15 +219,15 @@ class TestBuildVocabulary:
             totals.update(tokens)
             docfreq.update(set(tokens))
         assert set(vocab.terms) == set(totals)
-        for term, tf, df in zip(vocab.terms, vocab.total_freq, vocab.doc_freq):
+        for term, tf, df in zip(vocab.terms, vocab.col_margins, vocab.doc_freq):
             assert totals[term] == tf
             assert docfreq[term] == df
         ordered = sorted(totals, key=lambda t: (-totals[t], t))
-        assert list(vocab.terms) == ordered
+        assert vocab.terms == ordered
 
 
-def two_pass_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> Vocabulary:
-    """The former first ingest pass, kept verbatim as the oracle."""
+def two_pass_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> tuple:
+    """The former first ingest pass as the oracle: terms, total and document counts."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
     totals: dict[str, int] = {}
@@ -241,19 +241,19 @@ def two_pass_vocabulary(corpus: dict[str, str], cfg: TokenizerConfig) -> Vocabul
     if not totals:
         raise DataError("vocabulary is empty after stopword/length filtering")
     ordered = sorted(totals, key=lambda t: (-totals[t], t))
-    return Vocabulary(
-        terms=tuple(ordered),
-        total_freq=np.array([totals[t] for t in ordered], dtype=np.int64),
-        doc_freq=np.array([docfreq[t] for t in ordered], dtype=np.int64),
+    return (
+        ordered,
+        np.array([totals[t] for t in ordered], dtype=np.int64),
+        np.array([docfreq[t] for t in ordered], dtype=np.int64),
     )
 
 
 def two_pass_matrix(
-    corpus: dict[str, str], vocab: Vocabulary, cfg: TokenizerConfig, binary: bool = False
+    corpus: dict[str, str], terms: list[str], cfg: TokenizerConfig, binary: bool = False
 ) -> WordDocMatrix:
     """The former second ingest pass, kept verbatim as the oracle."""
-    index = {t: i for i, t in enumerate(vocab.terms)}
-    counts = np.zeros((len(corpus), len(vocab)), dtype=np.int64)
+    index = {t: i for i, t in enumerate(terms)}
+    counts = np.zeros((len(corpus), len(terms)), dtype=np.int64)
     for i, text in enumerate(corpus.values()):
         for tok in tokenize(text, cfg):
             k = index.get(tok)
@@ -261,7 +261,7 @@ def two_pass_matrix(
                 counts[i, k] += 1
     if binary:
         counts = (counts > 0).astype(np.int64)
-    return WordDocMatrix(counts, list(corpus), list(vocab.terms))
+    return WordDocMatrix(counts, list(corpus), list(terms))
 
 
 def outcome(build):
@@ -306,22 +306,23 @@ def test_one_pass_ingest_matches_two_pass_oracle():
             )
             return
         cfg = TokenizerConfig(**settings)
-        vocab, vocab_warnings = outcome(lambda: build_vocabulary(corpus, cfg))
+        vocab, vocab_warnings = outcome(lambda: build_word_doc_matrix(corpus, cfg, binary=False))
         old_vocab, old_vocab_warnings = outcome(lambda: two_pass_vocabulary(corpus, cfg))
-        assert vocab_warnings == old_vocab_warnings == []
+        assert old_vocab_warnings == []
         if isinstance(old_vocab, str):
             assert vocab == old_vocab
         else:
-            assert vocab.terms == old_vocab.terms
-            assert np.array_equal(vocab.total_freq, old_vocab.total_freq)
-            assert np.array_equal(vocab.doc_freq, old_vocab.doc_freq)
-            assert vocab.total_freq.dtype == vocab.doc_freq.dtype == np.int64
+            old_terms, old_totals, old_doc_freq = old_vocab
+            assert vocab.terms == old_terms
+            assert np.array_equal(vocab.col_margins, old_totals)
+            assert np.array_equal(vocab.doc_freq, old_doc_freq)
+            assert vocab.col_margins.dtype == vocab.doc_freq.dtype == np.int64
 
         new, new_warnings = outcome(lambda: build_word_doc_matrix(corpus, cfg, binary=binary))
         old, old_warnings = outcome(
-            lambda: two_pass_matrix(corpus, two_pass_vocabulary(corpus, cfg), cfg, binary)
+            lambda: two_pass_matrix(corpus, two_pass_vocabulary(corpus, cfg)[0], cfg, binary)
         )
-        assert new_warnings == old_warnings
+        assert new_warnings == old_warnings == vocab_warnings
         if isinstance(old, str):
             assert new == old
             return
@@ -370,21 +371,20 @@ class TestBuildWordDocMatrix:
         words = [f"w{i}" for i in range(15)]
         texts = [" ".join(rng.choice(words, size=20)) for _ in range(6)]
         corpus = corpus_of(*texts)
-        vocab = build_vocabulary(corpus, NO_STOPWORDS)
-        m = build_word_doc_matrix(corpus, NO_STOPWORDS)
-        assert list(vocab.terms) == m.terms
-        for k, df in enumerate(vocab.doc_freq):
-            assert df == (m.counts[:, k] > 0).sum()
+        m = build_word_doc_matrix(corpus, NO_STOPWORDS, binary=False)
+        assert m.doc_freq.tolist() == (m.counts > 0).sum(axis=0).tolist()
+        binary = build_word_doc_matrix(corpus, NO_STOPWORDS, binary=True)
+        assert binary.terms == m.terms
+        assert binary.col_margins.tolist() == binary.doc_freq.tolist() == m.doc_freq.tolist()
 
     def test_deterministic(self):
         corpus = corpus_of("c a b a", "b c", "a a")
-        vocab1 = build_vocabulary(corpus, NO_STOPWORDS)
-        vocab2 = build_vocabulary(corpus, NO_STOPWORDS)
-        assert vocab1.terms == vocab2.terms
-        m1 = build_word_doc_matrix(corpus, NO_STOPWORDS)
-        m2 = build_word_doc_matrix(corpus, NO_STOPWORDS)
+        m1 = build_word_doc_matrix(corpus, NO_STOPWORDS, binary=False)
+        m2 = build_word_doc_matrix(corpus, NO_STOPWORDS, binary=False)
         assert np.array_equal(m1.counts, m2.counts)
-        assert m1.terms == m2.terms
+        assert m1.terms == m2.terms == ["a", "b", "c"]
+        assert m1.col_margins.tolist() == m2.col_margins.tolist() == [4, 2, 2]
+        assert m1.doc_freq.tolist() == m2.doc_freq.tolist() == [2, 2, 2]
 
     def test_binary_mode(self):
         corpus = corpus_of("a a a b", "a")

@@ -758,10 +758,11 @@ class TestCli:
 
     def test_missing_input_dir_exits_three(self, tmp_path, capsys):
         code = main([
-            "run", "--input", str(tmp_path / "absent"), "--out", str(tmp_path / "o"),
+            "run", "--input", str(tmp_path / "absent"), "--out", str(tmp_path / "a" / "b"),
         ])
         assert code == 3
         assert "absent" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()  # nor any parent of the output directory
 
     def test_empty_corpus_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -952,10 +953,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "synonyms must be lowercase when lowercase is on: Journals" in err
         assert "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
-        config.write_text(f"synonym_file = {synonyms}\nlowercase = false\n", encoding="utf-8")
+        assert not out.exists()
+        cased = config.read_text(encoding="utf-8")
+        config.write_text(f"{cased}lowercase = false\n", encoding="utf-8")
         assert main(argv) == 0
         assert "Traceback" not in capsys.readouterr().err
+        # The same error in a used directory leaves its files as they were.
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        config.write_text(cased, encoding="utf-8")
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_no_input_exits_one(self, capsys):
         assert main(["run"]) == 1
@@ -1125,7 +1132,7 @@ class TestCli:
         assert main(["run", "--input", str(corpus), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "coword-map: data error: document ids must be valid UTF-8: 'caf\\udce9.txt'\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_fuzzed_corpus_content_exits_with_a_documented_code(self):
         """File names and texts with every kind of line break, quotes, commas,
