@@ -17,8 +17,6 @@ default output minimal.
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
 import re
 from collections.abc import Iterable
@@ -33,7 +31,6 @@ from .vectorspace import Graph, SimilarityMatrix
 
 __all__ = [
     "PALETTE",
-    "read_csv_matrix",
     "read_pajek_matrix",
     "read_pajek_net",
     "render_svg_map",
@@ -284,35 +281,8 @@ def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> N
         fh.writelines(_csv_line(map(_cell, row)) for row in rows)
 
 
-def read_csv_matrix(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
-    """Reload a labelled matrix written by :func:`write_csv`.
-
-    Raises:
-        DataError: Bad UTF-8, or malformed content reported with its line number.
-    """
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:  # newline="": labels keep \r
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    row_labels, rows = [], []
-    try:
-        header = next(reader, [])
-        if not header:
-            raise DataError(f"{path.name}:1: expected a header row")
-        for record in reader:
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path.name}:{reader.line_num}: expected {len(header) - 1} values"
-                )
-            rows.append([float(v) for v in record[1:]])
-            row_labels.append(record[0])
-    except (csv.Error, ValueError):
-        raise DataError(f"{path.name}:{reader.line_num}: malformed CSV row") from None
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
-    return values, row_labels, header[1:]
+# perfbench/traced.py wraps this name; ROADMAP item 2 deletes it with that wrapper.
+read_csv_matrix = None
 
 
 def _radii(g: Graph) -> list[float]:

@@ -285,8 +285,6 @@ def kamada_kawai(
         raise ConfigError(f"tol must be finite and >= 0 and max_iter >= 0, got {tol}, {max_iter}")
     hops, pos, _ = _start(g, seed)
     n = len(g.nodes)
-    if n == 1:
-        return Layout(pos, 0, stress_history=(0.0,))
     if not np.isfinite(hops).all():
         raise DataError("kamada_kawai requires a connected graph; split components first")
     weight = _stress_weights(hops)

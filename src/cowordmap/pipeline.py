@@ -158,8 +158,9 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if not self.input:
-            raise ConfigError("input is required (config key 'input' or --input)")
+        for key in ("input", "out"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} is required (config key '{key}' or --{key})")
         for key, choices in _CHOICES.items():
             check_choice(key, getattr(self, key), choices)
         if (self.top is None) == (self.min_score is None):
@@ -294,7 +295,6 @@ def _cells_matrix(m: corpus_mod.WordDocMatrix, which: str) -> np.ndarray:
 def _compute_ingest(view: SimpleNamespace, products: dict) -> tuple:
     """Build the matrix; return all matrix.csv and expected.csv hold (arrays by digest)."""
     corpus = corpus_mod.load_corpus(view.input, format=view.input_format)
-    products["documents"] = len(corpus)
     m = products["matrix"] = corpus_mod.build_word_doc_matrix(
         corpus, _tokenizer_config(view), binary=view.binary
     )
@@ -563,7 +563,7 @@ def _build_report(config: PipelineConfig, products: dict, artifacts: list[str],
     if "matrix" in products:
         matrix = products["matrix"]
         report["corpus"] = {
-            "documents": products["documents"],
+            "documents": matrix.n_docs + len(matrix.pruned_docs),
             "documents_after_pruning": matrix.n_docs,
             "pruned_documents": list(matrix.pruned_docs),
             "vocabulary": matrix.n_terms,

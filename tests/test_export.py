@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import subprocess
@@ -15,7 +16,6 @@ from cowordmap.errors import DataError
 from cowordmap.export import (
     _quote,
     _xml_escape,
-    read_csv_matrix,
     read_pajek_matrix,
     read_pajek_net,
     render_svg_map,
@@ -47,6 +47,15 @@ def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
 
 def coords_for(g, rng) -> np.ndarray:
     return np.round(rng.random((len(g.nodes), 2)), 4)
+
+
+def read_csv_back(path):
+    """A written CSV matrix parsed by the stdlib reader: (values, row labels, column labels)."""
+    with open(path, encoding="utf-8", newline="") as fh:  # newline="": labels keep \r
+        header, *records = csv.reader(fh)
+    assert all(len(record) == len(header) for record in records)
+    values = np.array([[float(v) for v in record[1:]] for record in records], dtype=float)
+    return values.reshape(len(records), len(header) - 1), [r[0] for r in records], header[1:]
 
 
 def rfc4180_line(fields) -> str:
@@ -421,7 +430,7 @@ class TestCsv:
             path = tmp_path / f"m{i}.csv"
             write_csv(values, path, [f"r{j}" for j in range(4)],
                       [f"c{j}" for j in range(5)])
-            back, rows, cols = read_csv_matrix(path)
+            back, rows, cols = read_csv_back(path)
             np.testing.assert_allclose(back, values, rtol=1e-5)
             assert rows == [f"r{j}" for j in range(4)]
             assert cols == [f"c{j}" for j in range(5)]
@@ -429,7 +438,7 @@ class TestCsv:
     def test_labels_with_commas_are_quoted(self, tmp_path):
         path = tmp_path / "m.csv"
         write_csv(np.array([[1]]), path, ["a,b"], ["c"])
-        back, rows, _ = read_csv_matrix(path)
+        back, rows, _ = read_csv_back(path)
         assert rows == ["a,b"]
 
     @pytest.mark.parametrize("label, n_cols, text", [
@@ -453,27 +462,9 @@ class TestCsv:
         values = np.arange(n * n, dtype=float).reshape(n, n) / 8
         path = tmp_path / "m.csv"
         write_csv(values, path, AWKWARD_LABELS, AWKWARD_LABELS)
-        back, rows, cols = read_csv_matrix(path)
+        back, rows, cols = read_csv_back(path)
         assert (rows, cols) == (AWKWARD_LABELS, AWKWARD_LABELS)
         assert np.array_equal(back, values)
-
-    @pytest.mark.parametrize("content, message", [
-        (b"doc,a\nd1,\xff\n", r"m\.csv: not valid UTF-8 \(invalid start byte at byte 9\)"),
-        (b"", r"^m\.csv:1: expected a header row$"),
-        (b"\ndoc,a\n", r"^m\.csv:1: expected a header row$"),
-        (b"doc,a\nd1,1\nd2,x\n", r"^m\.csv:3: malformed CSV row$"),
-        (b'doc,a\nd1,1\n"' + b"x" * 200_000 + b'",1\n', r"^m\.csv:3: malformed CSV row$"),
-        (b"doc,a,b\nd1,1\n", r"^m\.csv:2: expected 2 values$"),
-        (b"doc,a\nd1,1,2\n", r"^m\.csv:2: expected 1 values$"),
-        (b"doc,a\nd1,1\n\n", r"^m\.csv:3: expected 1 values$"),
-        (b'doc,a\n"d\n1",1\nd2\n', r"^m\.csv:4: expected 1 values$"),
-    ], ids=["bad-utf8", "empty", "blank-header", "not-a-number", "huge-field", "short-row",
-            "long-row", "blank-row", "after-a-quoted-line-break"])
-    def test_malformed_input_is_a_data_error(self, tmp_path, content, message):
-        path = tmp_path / "m.csv"
-        path.write_bytes(content)
-        with pytest.raises(DataError, match=message):
-            read_csv_matrix(path)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint16, bool, np.float64, np.float32])
     def test_matches_cell_by_cell_reference(self, tmp_path, dtype):
@@ -502,7 +493,7 @@ class TestCsv:
         path = tmp_path / "m.csv"
         write_csv(values, path, rows, cols)
         assert path.read_bytes() == csv_reference(values, rows, cols)
-        back, back_rows, back_cols = read_csv_matrix(path)
+        back, back_rows, back_cols = read_csv_back(path)
         assert back.shape == shape and (back_rows, back_cols) == (rows, cols)
 
     def test_random_matrices_match_printf_oracle(self, tmp_path):

@@ -764,6 +764,22 @@ class TestCli:
         assert "absent" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()  # nor any parent of the output directory
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_empty_out_exits_one_and_writes_nothing(
+        self, micro_dir, tmp_path, monkeypatch, capsys, form
+    ):
+        # Path("") is the working directory: an empty out must not write there.
+        config, cwd = tmp_path / "run.cfg", tmp_path / "cwd"
+        config.write_text("out =\n", encoding="utf-8")
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = ["run", "--input", str(micro_dir)]
+        argv += ["--out", ""] if form == "flag" else ["--config", str(config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: out is required (config key 'out' or --out)" in err
+        assert list(cwd.iterdir()) == []
+
     def test_empty_corpus_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
