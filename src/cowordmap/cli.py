@@ -14,7 +14,8 @@ artifacts are unchanged; ``run`` runs every stage.
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
 3 I/O error. Progress lines go to stderr; artifacts are deterministic. The
 ``coword-map`` script exits right after its last line is flushed, without
-interpreter teardown.
+interpreter teardown; SIGTERM or SIGHUP unwinds a run as Ctrl-C does,
+removing its staging directory, and then ends the script by that signal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
 
 from .errors import ConfigError, DataError
@@ -122,11 +124,31 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _Killed(BaseException):
+    """A SIGTERM or SIGHUP, raised so that every ``with`` block of the run unwinds."""
+
+
+def _unwind(signum, frame) -> None:
+    for other in (signal.SIGTERM, signal.SIGHUP):  # a second signal must not cut the cleanup
+        signal.signal(other, signal.SIG_IGN)
+    raise _Killed(signum)
+
+
 def entrypoint() -> None:
-    """Run :func:`main` and end the process without interpreter teardown."""
-    status = main()
+    """Run :func:`main` and end the process without interpreter teardown; a SIGTERM
+    or SIGHUP unwinds the run, then ends the process by the same signal."""
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, _unwind)
+    try:
+        status, killed = main(), None
+    except _Killed as exc:
+        killed = exc.args[0]
+        status = 128 + killed
     sys.stdout.flush()
     sys.stderr.flush()  # the logging handler writes here too
+    if killed:
+        signal.signal(killed, signal.SIG_DFL)
+        os.kill(os.getpid(), killed)
     os._exit(status)
 
 

@@ -5,8 +5,6 @@ Pajek files, 6 significant digits in CSV), LF line endings, no timestamps.
 ``write_csv`` streams count rows from their nonzeros; given the row and
 column index into distinct cells, it formats each distinct cell once
 (``expected.csv`` has one per distinct pair of row and column margins).
-``read_pajek_net`` and ``read_pajek_matrix`` parse exactly what the writers
-emit, so written files can be reloaded and round-tripped in tests.
 
 Dialect notes: vertex ids are dense and 1-based; labels are quoted with
 embedded quotes doubled; the z coordinate is fixed at 0.5 (2-D maps). A
@@ -24,15 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_lines
 from .errors import DataError, capped_ids
 from .factors import UNASSIGNED, FactorAssignment
 from .vectorspace import Graph, SimilarityMatrix
 
 __all__ = [
     "PALETTE",
-    "read_pajek_matrix",
-    "read_pajek_net",
     "render_svg_map",
     "write_csv",
     "write_pajek_matrix",
@@ -91,88 +86,6 @@ def _vertex_lines(labels: list[str], tails: list[str]) -> list[str]:
     return [f"*Vertices {len(labels)}"] + [f"{i} {_quote(s)}{t}" for i, (s, t) in pairs]
 
 
-_COORD = r"\s+(-?(?:\d+\.?\d*|\.\d+))"  # a decimal that float() accepts
-_VERTEX_RE = re.compile(r'^(\d+)\s+"((?:[^"]|"")*)"(?:' + _COORD * 3 + r")?\s*$")
-
-
-def _line(path: Path, lines: list[str], lineno: int, what: str) -> str:
-    """Line ``lineno`` (1-based) of ``path``; a DataError names ``what`` if it is missing."""
-    if lineno > len(lines):
-        raise DataError(f"{path.name}:{lineno}: missing {what}")
-    return lines[lineno - 1]
-
-
-def _vertices(path: Path) -> tuple[list[str], list[tuple[str, tuple[float, float] | None]]]:
-    """The lines of ``path`` and its ``*Vertices N`` block: each label, with x, y if given.
-
-    N must be an integer >= 0, and vertex line ``i`` (file line ``i + 1``)
-    must match ``_VERTEX_RE`` with id ``i``; else a DataError.
-    """
-    lines = read_lines(path)
-    if lines[-1] == "":  # the split after the final newline
-        lines.pop()
-    try:
-        n = int(lines[0].split()[1]) if lines[0].lower().startswith("*vertices") else -1
-    except (IndexError, ValueError):
-        n = -1
-    if n < 0:
-        raise DataError(f"{path.name}:1: expected '*Vertices N' header")
-    vertices = []
-    for i in range(1, n + 1):
-        match = _VERTEX_RE.match(_line(path, lines, i + 1, f"vertex line {i}"))
-        if not match:
-            raise DataError(f"{path.name}:{i + 1}: malformed vertex line")
-        if int(match.group(1)) != i:
-            raise DataError(f"{path.name}:{i + 1}: vertex id {int(match.group(1))} "
-                            f"out of order (expected {i})")
-        xy = None if match.group(3) is None else (float(match.group(3)), float(match.group(4)))
-        vertices.append((match.group(2).replace('""', '"'), xy))
-    return lines, vertices
-
-
-def read_pajek_net(path: str | Path) -> tuple[Graph, np.ndarray | None]:
-    """Parse a Pajek network file written by :func:`write_pajek_net`.
-
-    Returns:
-        The graph and the vertex coordinates (or None when no vertex line
-        carried coordinates).
-
-    Raises:
-        DataError: Malformed content, reported with its line number.
-    """
-    path = Path(path)
-    lines, vertices = _vertices(path)
-    n = len(vertices)
-    have_coords = any(xy is not None for _, xy in vertices)
-    coords = np.array([xy or (0.5, 0.5) for _, xy in vertices], dtype=float).reshape(n, 2)
-
-    lineno = n + 2
-    if lineno > len(lines) or lines[lineno - 1].lower() != "*edges":
-        raise DataError(f"{path.name}:{lineno}: expected '*Edges' header")
-    ends, weights, dots = [], [], []
-    for raw in lines[lineno:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) not in (3, 5) or (len(parts) == 5 and parts[3] != "p"):
-            raise DataError(f"{path.name}:{lineno}: malformed edge line")
-        try:
-            a, b, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise DataError(f"{path.name}:{lineno}: malformed edge line") from None
-        for vid in (a, b):
-            if not 1 <= vid <= n:
-                raise DataError(
-                    f"{path.name}:{lineno}: edge endpoint {vid} outside 1..{n}"
-                )
-        ends.append((min(a, b) - 1, max(a, b) - 1))
-        weights.append(w)
-        dots.append(len(parts) == 5 and parts[4].lower() == "dots")
-    graph = Graph([label for label, _ in vertices], ends, weights, dots)
-    return graph, (coords if have_coords else None)
-
-
 def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
     """Write a symmetric integer matrix in Pajek matrix format.
 
@@ -188,30 +101,6 @@ def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
     row_format = " ".join(["%d"] * values.shape[1])
     lines += [row_format % tuple(row.tolist()) for row in values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_pajek_matrix(path: str | Path) -> SimilarityMatrix:
-    """Parse a Pajek matrix file written by :func:`write_pajek_matrix`."""
-    path = Path(path)
-    lines, vertices = _vertices(path)
-    n = len(vertices)
-    for lineno, (_, xy) in enumerate(vertices, start=2):
-        if xy is not None:  # .dat vertex lines carry no coordinates
-            raise DataError(f"{path.name}:{lineno}: malformed vertex line")
-    if _line(path, lines, n + 2, "'*Matrix' header").lower() != "*matrix":
-        raise DataError(f"{path.name}:{n + 2}: expected '*Matrix' header")
-    rows = []
-    for i in range(n):
-        lineno = n + 3 + i
-        try:
-            row = [int(v) for v in _line(path, lines, lineno, f"matrix row {i + 1}").split()]
-        except ValueError:
-            raise DataError(f"{path.name}:{lineno}: malformed matrix row") from None
-        if len(row) != n:
-            raise DataError(f"{path.name}:{lineno}: expected {n} values")
-        rows.append(row)
-    labels = [label for label, _ in vertices]
-    return SimilarityMatrix(values=np.array(rows, dtype=np.int64), labels=labels)
 
 
 def _cell(value) -> str:

@@ -20,15 +20,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_matrix, random_pruned_counts, same_graph
-from cowordmap.errors import CowordMapWarning
-from cowordmap.export import (
-    read_pajek_matrix,
-    read_pajek_net,
-    render_svg_map,
-    write_pajek_matrix,
-    write_pajek_net,
+from conftest import (
+    make_matrix, random_pruned_counts, read_pajek_matrix, read_pajek_net, same_graph,
 )
+from cowordmap.errors import CowordMapWarning
+from cowordmap.export import render_svg_map, write_pajek_matrix, write_pajek_net
 from cowordmap.factors import (
     UNASSIGNED,
     FactorSolution,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,8 +15,6 @@ from cowordmap.errors import DataError
 from cowordmap.export import (
     _quote,
     _xml_escape,
-    read_pajek_matrix,
-    read_pajek_net,
     render_svg_map,
     write_csv,
     write_pajek_matrix,
@@ -27,7 +24,7 @@ from cowordmap.export import (
 from cowordmap.factors import UNASSIGNED, FactorAssignment
 from cowordmap.termstats import distinct_expected_cells, expected_matrix
 from cowordmap.vectorspace import Graph, SimilarityMatrix
-from conftest import make_matrix, same_graph
+from conftest import make_matrix, read_pajek_matrix, read_pajek_net, same_graph
 
 
 def random_graph(rng, max_nodes=12, quantize=True, dotted=False):
@@ -242,46 +239,6 @@ class TestPajekNet:
         back, _ = read_pajek_net(path)
         assert back.nodes[0] == 'say "hi"'
 
-    def test_missing_vertices_header(self, tmp_path):
-        path = tmp_path / "bad.net"
-        path.write_text("hello\n")
-        with pytest.raises(DataError, match=":1"):
-            read_pajek_net(path)
-
-    def test_edge_endpoint_out_of_range_names_id(self, tmp_path):
-        path = tmp_path / "bad.net"
-        path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n*Edges\n1 3 1.0\n')
-        with pytest.raises(DataError, match="3"):
-            read_pajek_net(path)
-
-    def test_edge_endpoint_zero_rejected(self, tmp_path):
-        path = tmp_path / "bad.net"
-        path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n*Edges\n0 1 1.0\n')
-        with pytest.raises(DataError, match="0"):
-            read_pajek_net(path)
-
-    def test_malformed_vertex_line_reports_lineno(self, tmp_path):
-        path = tmp_path / "bad.net"
-        path.write_text("*Vertices 1\nnot a vertex\n*Edges\n")
-        with pytest.raises(DataError, match=":2"):
-            read_pajek_net(path)
-
-    @pytest.mark.parametrize(
-        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
-    )
-    @pytest.mark.parametrize("coord", ["1.2.3", "."])
-    def test_malformed_vertex_coordinate_reports_lineno(self, tmp_path, reader, name, coord):
-        path = tmp_path / name
-        path.write_text(f'*Vertices 1\n1 "a" {coord} 0.5 0.5\n*Edges\n*Matrix\n1\n')
-        with pytest.raises(DataError, match=rf"{name}:2: malformed vertex line"):
-            reader(path)
-
-    def test_missing_edges_header(self, tmp_path):
-        path = tmp_path / "bad.net"
-        path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n')
-        with pytest.raises(DataError, match="Edges"):
-            read_pajek_net(path)
-
 
 class TestPajekMatrix:
     def test_exact_format(self, tmp_path):
@@ -328,36 +285,6 @@ class TestPajekMatrix:
             write_pajek_matrix(SimilarityMatrix(values=values, labels=labels), path)
             assert path.read_bytes() == pajek_matrix_reference(values, labels)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ('*Vertices 2\n1 "a"\n', r"m\.dat:3: missing vertex line 2"),
-            ('*Vertices 2\n1 "a"\n2 "b"\n', r"m\.dat:4: missing '\*Matrix' header"),
-            ('*Vertices 2\n1 "a"\n2 "b"\n*Matrix\n1 0\n', r"m\.dat:6: missing matrix row 2"),
-        ],
-    )
-    def test_truncated_file_names_missing_line(self, tmp_path, text, message):
-        path = tmp_path / "m.dat"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match=message):
-            read_pajek_matrix(path)
-
-    @pytest.mark.parametrize(
-        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
-    )
-    @pytest.mark.parametrize("count", ["-1", "two", ""])
-    def test_bad_vertex_count_is_a_header_error(self, tmp_path, reader, name, count):
-        path = tmp_path / name
-        path.write_text(f"*Vertices {count}\n*Edges\n*Matrix\n", encoding="utf-8")
-        with pytest.raises(DataError, match=rf"{name}:1: expected '\*Vertices N' header"):
-            reader(path)
-
-    def test_vertex_line_with_coordinates_is_malformed(self, tmp_path):
-        path = tmp_path / "m.dat"
-        path.write_text('*Vertices 1\n1 "a" 0.5 0.5 0.5\n*Matrix\n1\n', encoding="utf-8")
-        with pytest.raises(DataError, match=r"m\.dat:2: malformed vertex line"):
-            read_pajek_matrix(path)
-
     def test_asymmetric_rejected(self, tmp_path):
         m = SimilarityMatrix(values=np.array([[1, 2], [3, 1]]), labels=["a", "b"])
         with pytest.raises(DataError, match="symmetric"):
@@ -372,7 +299,7 @@ class TestPajekMatrix:
 
 
 class TestPajekLines:
-    """Pajek files are line files: only ``\\n``, ``\\r\\n`` or ``\\r`` ends a line."""
+    """Pajek lines end in ``\\n``; a label may hold any other line separator."""
 
     @pytest.mark.parametrize(
         "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -386,15 +313,6 @@ class TestPajekLines:
         write_pajek_matrix(m, tmp_path / "x.dat")
         back = read_pajek_matrix(tmp_path / "x.dat")
         assert back.labels == labels and np.array_equal(back.values, m.values)
-
-    @pytest.mark.parametrize(
-        "reader, name", [(read_pajek_net, "v.net"), (read_pajek_matrix, "v.dat")]
-    )
-    def test_undecodable_bytes_name_the_file(self, tmp_path, reader, name):
-        path = tmp_path / name
-        path.write_bytes(b'*Vertices 1\n1 "caf\xe9"\n*Edges\n*Matrix\n1\n')
-        with pytest.raises(DataError, match=rf"{re.escape(name)}: not valid UTF-8"):
-            reader(path)
 
     @pytest.mark.parametrize("write, name", [
         (lambda labels, path: write_pajek_net(Graph(labels, [], []), None, path), "x.net"),

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from conftest import make_matrix, write_bytes_name
+from conftest import make_matrix, read_pajek_matrix, read_pajek_net, write_bytes_name
 from cowordmap import corpus, export, factors, layout, termstats, vectorspace
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
@@ -64,12 +65,12 @@ def _check_parses_back(out, doc_ids):
     assert len(docs) == report["corpus"]["documents_after_pruning"]
     selected = report["selection"]["terms"]
     assert set(selected) <= set(terms)
-    assert export.read_pajek_matrix(out / "coocc.dat").labels == selected
+    assert read_pajek_matrix(out / "coocc.dat").labels == selected
     variables = [row[0] for row in tables["loadings.csv"][1:]]
     assert set(variables) <= set(selected) | set(docs)
-    factor_graph, _ = export.read_pajek_net(out / "factors.net")
+    factor_graph, _ = read_pajek_net(out / "factors.net")
     assert set(variables) <= set(factor_graph.nodes)
-    map_graph, coords = export.read_pajek_net(out / "map.net")
+    map_graph, coords = read_pajek_net(out / "map.net")
     assert set(map_graph.nodes) <= set(selected)
     assert ((coords >= 0) & (coords <= 1)).all()
     svg = ElementTree.parse(out / "map.svg").iter("{http://www.w3.org/2000/svg}text")
@@ -871,9 +872,12 @@ class TestCli:
             "--out", str(tmp_path / "out"),
         ])
         err = capsys.readouterr().err
+        kind = "data" if code == 2 else "configuration"
         assert exit_code == code
-        assert str(target) in err and "UTF-8" in err
+        assert err.splitlines()[-1] == (f"coword-map: {kind} error: {target}: not valid UTF-8 "
+                                        "(invalid continuation byte at byte 3)")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_lines_corpus_exits_two_in_a_process(self, tmp_path):
         lines = tmp_path / "docs.lines"
@@ -1236,3 +1240,27 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.endswith(
             "factors must be a positive integer or 'kaiser', got 'many'\n")
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+    def test_a_terminating_signal_removes_the_staging_directory(
+        self, micro_dir, tmp_path, signum
+    ):
+        """A signal in a write step unwinds the run, then ends the process by that signal."""
+        out = tmp_path / "out"
+        script = (
+            "import os\n"
+            "from cowordmap import cli, export\n"
+            "write_csv = export.write_csv\n"
+            "def write_then_signal(*args, **kwargs):\n"
+            "    write_csv(*args, **kwargs)\n"
+            f"    os.kill(os.getpid(), {int(signum)})\n"
+            "export.write_csv = write_then_signal\n"
+            "cli.entrypoint()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--input", str(micro_dir), "--out", str(out)],
+            stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.returncode == -signum, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert out.is_dir() and not list(out.glob(".coword-tmp-*"))
