@@ -136,11 +136,16 @@ def _unwind(signum, frame) -> None:
 
 def entrypoint() -> None:
     """Run :func:`main` and end the process without interpreter teardown; a SIGTERM
-    or SIGHUP unwinds the run, then ends the process by the same signal."""
-    for signum in (signal.SIGTERM, signal.SIGHUP):
-        signal.signal(signum, _unwind)
+    or SIGHUP unwinds the run, then ends the process by the same signal. A signal
+    the parent set to ignored (``nohup``'s SIGHUP) stays ignored."""
+    caught = [s for s in (signal.SIGTERM, signal.SIGHUP)
+              if signal.getsignal(s) is not signal.SIG_IGN]
     try:
+        for signum in caught:
+            signal.signal(signum, _unwind)
         status, killed = main(), None
+        for signum in caught:  # the run is over: a signal from here on just ends it
+            signal.signal(signum, signal.SIG_DFL)
     except _Killed as exc:
         killed = exc.args[0]
         status = 128 + killed

@@ -1247,20 +1247,42 @@ class TestCli:
     ):
         """A signal in a write step unwinds the run, then ends the process by that signal."""
         out = tmp_path / "out"
-        script = (
-            "import os\n"
-            "from cowordmap import cli, export\n"
-            "write_csv = export.write_csv\n"
-            "def write_then_signal(*args, **kwargs):\n"
-            "    write_csv(*args, **kwargs)\n"
-            f"    os.kill(os.getpid(), {int(signum)})\n"
-            "export.write_csv = write_then_signal\n"
-            "cli.entrypoint()\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "run", "--input", str(micro_dir), "--out", str(out)],
-            stderr=subprocess.PIPE, text=True,
-        )
+        proc = _run_signalled(micro_dir, out, signum, signal.SIG_DFL)
         assert proc.returncode == -signum, proc.stderr
         assert "Traceback" not in proc.stderr
         assert out.is_dir() and not list(out.glob(".coword-tmp-*"))
+
+    def test_an_ignored_hangup_stays_ignored(self, micro_dir, tmp_path):
+        """Under ``nohup`` SIGHUP starts out ignored, and the run goes on to the end."""
+        out = tmp_path / "out"
+        proc = _run_signalled(micro_dir, out, signal.SIGHUP, signal.SIG_IGN)
+        assert proc.returncode == 0, proc.stderr
+        reference = tmp_path / "reference"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", "--input", str(micro_dir), "--out", str(reference)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            path.name for path in reference.iterdir())
+        for name in ARTIFACTS:
+            if name != "report.json":  # it records --out
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def _run_signalled(micro_dir, out, signum, disposition):
+    """Run the ``coword-map`` entry point with SIGTERM and SIGHUP starting at
+    ``disposition``, and send it ``signum`` after its first CSV is written."""
+    script = (
+        "import os\n"
+        "from cowordmap import cli, export\n"
+        "write_csv = export.write_csv\n"
+        "def write_then_signal(*args, **kwargs):\n"
+        "    write_csv(*args, **kwargs)\n"
+        f"    os.kill(os.getpid(), {int(signum)})\n"
+        "export.write_csv = write_then_signal\n"
+        "cli.entrypoint()\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, "run", "--input", str(micro_dir), "--out", str(out)],
+        stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: [signal.signal(s, disposition)
+                            for s in (signal.SIGTERM, signal.SIGHUP)],
+    )
