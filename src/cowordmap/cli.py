@@ -14,8 +14,9 @@ artifacts are unchanged; ``run`` runs every stage.
 Exit status: 0 success, 1 usage or configuration error, 2 data error,
 3 I/O error. Progress lines go to stderr; artifacts are deterministic. The
 ``coword-map`` script exits right after its last line is flushed, without
-interpreter teardown; SIGTERM or SIGHUP unwinds a run as Ctrl-C does,
-removing its staging directory, and then ends the script by that signal.
+interpreter teardown; Ctrl-C (SIGINT), SIGTERM or SIGHUP unwinds a run,
+removing its staging directory, and then ends the script by that signal
+without a traceback.
 """
 
 from __future__ import annotations
@@ -124,22 +125,24 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+_STOPS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
 class _Killed(BaseException):
-    """A SIGTERM or SIGHUP, raised so that every ``with`` block of the run unwinds."""
+    """A SIGINT, SIGTERM or SIGHUP, raised so that every ``with`` block of the run unwinds."""
 
 
 def _unwind(signum, frame) -> None:
-    for other in (signal.SIGTERM, signal.SIGHUP):  # a second signal must not cut the cleanup
+    for other in _STOPS:  # a second signal must not cut the cleanup
         signal.signal(other, signal.SIG_IGN)
     raise _Killed(signum)
 
 
 def entrypoint() -> None:
-    """Run :func:`main` and end the process without interpreter teardown; a SIGTERM
-    or SIGHUP unwinds the run, then ends the process by the same signal. A signal
-    the parent set to ignored (``nohup``'s SIGHUP) stays ignored."""
-    caught = [s for s in (signal.SIGTERM, signal.SIGHUP)
-              if signal.getsignal(s) is not signal.SIG_IGN]
+    """Run :func:`main` and end the process without interpreter teardown; a SIGINT,
+    SIGTERM or SIGHUP unwinds the run, then ends the process by the same signal.
+    A signal the parent set to ignored (``nohup``'s SIGHUP) stays ignored."""
+    caught = [s for s in _STOPS if signal.getsignal(s) is not signal.SIG_IGN]
     try:
         for signum in caught:
             signal.signal(signum, _unwind)

@@ -4,9 +4,9 @@ The pipeline starts here: a directory of ``.txt`` files (or a file with one
 document per line) becomes a corpus, an ordered ``{id: text}`` dict, and one
 tokenizing pass turns that into a :class:`WordDocMatrix` of occurrence counts
 with documents as rows and terms as columns, kept as compressed sparse rows.
-Everything downstream consumes the matrix: term statistics and ``matrix.csv``
-read it one dense row at a time, similarity and factors a selected submatrix
-whole.
+Everything downstream consumes the matrix: ``matrix.csv`` and most term
+statistics read its nonzeros, chi-square one dense row at a time, similarity
+and factors a selected submatrix whole.
 
 Example:
     >>> corpus = load_corpus("texts/", format="files")
@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,9 @@ class TokenizerConfig:
     Processing order per token: pattern match, lowercasing, synonym mapping,
     minimum-length filter, stopword filter. Stopword matching is
     case-insensitive (the list itself must be lowercase); with ``lowercase``
-    on, both sides of every synonym must be lowercase too.
+    on, both sides of every synonym must be lowercase too. ``synonyms`` is
+    copied at construction, so editing the caller's dict afterwards changes
+    nothing.
 
     Attributes:
         lowercase: Lowercase every token before further filtering.
@@ -69,6 +72,7 @@ class TokenizerConfig:
     synonyms: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "synonyms", dict(self.synonyms))  # _terms stays valid
         if self.min_token_length < 1:
             raise ConfigError(
                 f"min_token_length must be >= 1, got {self.min_token_length}"
@@ -86,6 +90,27 @@ class TokenizerConfig:
                 raise re.error("two or more capture groups; group with (?:...) instead")
         except re.error as exc:
             raise ConfigError(f"invalid token_pattern: {exc}") from exc
+
+    @cached_property
+    def _terms(self) -> dict[str, str | None]:
+        """Each raw pattern match seen so far mapped to its term, or None when filtered out."""
+        return _Terms(self)
+
+
+class _Terms(dict):
+    """The memo behind ``TokenizerConfig._terms``: a raw match is filtered on first lookup."""
+
+    def __init__(self, cfg: TokenizerConfig) -> None:
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, raw: str) -> str | None:
+        cfg = self.cfg
+        token = raw.lower() if cfg.lowercase else raw
+        token = cfg.synonyms.get(token, token)
+        keep = len(token) >= cfg.min_token_length and token.lower() not in cfg.stopwords
+        self[raw] = term = token if keep else None
+        return term
 
 
 def _whole(counts) -> np.ndarray:
@@ -294,17 +319,9 @@ def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
         mapping, length filtering, and stopword removal. Empty text yields
         an empty list.
     """
-    pattern = re.compile(cfg.token_pattern, re.UNICODE)
-    out: list[str] = []
-    for raw in pattern.findall(text):
-        token = raw.lower() if cfg.lowercase else raw
-        token = cfg.synonyms.get(token, token)
-        if len(token) < cfg.min_token_length:
-            continue
-        if token.lower() in cfg.stopwords:
-            continue
-        out.append(token)
-    return out
+    raws = re.findall(cfg.token_pattern, text, re.UNICODE)
+    # Each distinct match is filtered once per config; a kept term is never empty.
+    return list(filter(None, map(cfg._terms.__getitem__, raws)))
 
 
 def build_word_doc_matrix(
@@ -330,18 +347,18 @@ def build_word_doc_matrix(
     """
     if len(corpus) == 0:
         raise DataError("empty corpus")
-    ids: dict[str, int] = {}
-    cols: list[int] = []
+    tokens: list[str] = []
     lengths: list[int] = []
     for text in corpus.values():
-        tokens = tokenize(text, cfg)
-        cols.extend([ids.setdefault(tok, len(ids)) for tok in tokens])
-        lengths.append(len(tokens))
-    if not ids:
+        doc = tokenize(text, cfg)
+        tokens += doc
+        lengths.append(len(doc))
+    terms = list(dict.fromkeys(tokens))
+    if not terms:
         raise DataError("vocabulary is empty after stopword/length filtering")
-    terms = list(ids)
-    col = np.array(cols, dtype=np.int64)
-    del cols  # free the per-token list before the sort
+    ids = {t: k for k, t in enumerate(terms)}
+    col = np.fromiter(map(ids.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    del tokens  # free the per-token list before the sort
     totals = np.bincount(col).tolist()
     order = sorted(range(len(terms)), key=lambda k: (-totals[k], terms[k]))
     rank = np.empty(len(terms), dtype=np.int64)

@@ -2,9 +2,13 @@
 
 Writers are deterministic serializers: fixed number formats (4 decimals in
 Pajek files, 6 significant digits in CSV), LF line endings, no timestamps.
-``write_csv`` streams count rows from their nonzeros; given the row and
-column index into distinct cells, it formats each distinct cell once
-(``expected.csv`` has one per distinct pair of row and column margins).
+``write_csv`` writes a count matrix (``matrix.csv``) from its compressed
+sparse rows, block by block of rows: each nonzero becomes its run of ``,0``
+cells and its count. Given the row and column index into distinct cells, it
+formats each distinct cell once and joins the body of each distinct row once
+(``expected.csv`` has one cell per distinct pair of row and column margins,
+one body per distinct row margin). ``write_table_csv`` formats ``terms.csv``
+column by column and checks only the label for quoting.
 
 Dialect notes: vertex ids are dense and 1-based; labels are quoted with
 embedded quotes doubled; the z coordinate is fixed at 0.5 (2-D maps). A
@@ -17,11 +21,12 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import WordDocMatrix
 from .errors import DataError, capped_ids
 from .factors import UNASSIGNED, FactorAssignment
 from .vectorspace import Graph, SimilarityMatrix
@@ -103,12 +108,9 @@ def write_pajek_matrix(m: SimilarityMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))  # booleans as 0/1
-    return f"{float(value):.6g}"
+def _number_format(values: np.ndarray) -> str:
+    """``,%d`` for bool, integer and unsigned cells (booleans as 0/1), else ``,%.6g``."""
+    return ",%d" if values.dtype.kind in "biu" else ",%.6g"
 
 
 def _csv_line(fields: Iterable[str], body: str = "") -> str:
@@ -119,17 +121,45 @@ def _csv_line(fields: Iterable[str], body: str = "") -> str:
 
 
 def _row_body(row: np.ndarray) -> str:
-    """``,cell`` for each cell of ``row``: ``%d`` for integers, else ``%.6g``."""
-    if row.dtype.kind in "biu":
-        nz = np.flatnonzero(row)
-        zeros = np.diff(nz, prepend=-1, append=len(row)) - 1  # before each nonzero, then after
-        cells = [",%d" % v for v in row[nz].tolist()] + [""]
-        return "".join(",0" * z + cell for z, cell in zip(zeros.tolist(), cells))
-    return ",%.6g" * len(row) % tuple(row.tolist())
+    """``,cell`` for each cell of ``row``."""
+    return _number_format(row) * len(row) % tuple(row.tolist())
+
+
+# Cells per block of matrix.csv rows: bounds the strings held at once.
+_BLOCK_CELLS = 1 << 16
+
+
+def _count_bodies(m: WordDocMatrix) -> Iterator[str]:
+    """Each row's ``,%d`` cells, from the CSR arrays of ``m``, block by block of rows.
+
+    A nonzero is written as the run of ``,0`` since the previous nonzero of its
+    row, then its count; the row ends with the run of zeros after its last one.
+    Each distinct run and count of a block is formatted once. Every row holds a
+    nonzero, since ``WordDocMatrix`` prunes empty ones.
+    """
+    step = max(1, _BLOCK_CELLS // m.n_terms)
+    for first in range(0, m.n_docs, step):
+        ptr = m.indptr[first:first + step + 1]
+        lo, hi = ptr[0], ptr[-1]
+        row = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+        # A select_terms submatrix keeps its parent's column order within a row.
+        order = np.lexsort((m.indices[lo:hi], row))
+        cols, counts = m.indices[lo:hi][order], m.data[lo:hi][order]
+        starts, ends = ptr[:-1] - lo, ptr[1:] - lo
+        before = np.concatenate(([-1], cols[:-1]))  # the column of the previous nonzero
+        before[starts] = -1
+        runs, run_of = np.unique(cols - before - 1, return_inverse=True)
+        values, value_of = np.unique(counts, return_inverse=True)
+        parts = [""] * (2 * len(cols))  # a run of zeros, then a count
+        parts[0::2] = map([",0" * n for n in runs.tolist()].__getitem__, run_of.tolist())
+        parts[1::2] = map([",%d" % v for v in values.tolist()].__getitem__, value_of.tolist())
+        tails = (m.n_terms - 1 - cols[ends - 1]).tolist()
+        for start, end, tail in zip((2 * starts).tolist(), (2 * ends).tolist(), tails):
+            yield "".join(parts[start:end]) + ",0" * tail
 
 
 def write_csv(
-    values: np.ndarray | Iterable[np.ndarray],
+    values: np.ndarray | Iterable[np.ndarray] | WordDocMatrix,
     path: str | Path,
     row_labels: list[str],
     col_labels: list[str],
@@ -138,36 +168,52 @@ def write_csv(
 ) -> None:
     """Write a labelled matrix as CSV.
 
-    ``values`` is a 2-D array or an iterable of 1-D array rows. With
-    ``index=(rows, cols)``, ``values`` holds distinct cells, each formatted
-    once, and data cell ``(i, j)`` is ``values[rows[i], cols[j]]``, as
+    ``values`` is a 2-D array, an iterable of 1-D array rows, or a
+    :class:`~cowordmap.corpus.WordDocMatrix`, whose counts are written from
+    its nonzeros. With ``index=(rows, cols)``, ``values`` holds distinct
+    cells, each formatted once, and data cell ``(i, j)`` is
+    ``values[rows[i], cols[j]]``, as
     :func:`~cowordmap.termstats.distinct_expected_cells` gives for
-    ``expected.csv``. Header row holds
-    the column labels after the ``corner`` cell; each data row starts with
-    its row label. Bool, integer and unsigned rows are written with ``%d``
-    (booleans as 0/1), every other dtype with ``%.6g`` (6 significant
-    digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line endings.
+    ``expected.csv``; a distinct row that several data rows share is joined
+    once. Header row holds the column labels after the ``corner`` cell; each
+    data row starts with its row label. Bool, integer and unsigned rows are
+    written with ``%d`` (booleans as 0/1), every other dtype with ``%.6g``
+    (6 significant digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line
+    endings.
 
     Only labels are quoted (see :func:`_csv_line`): a formatted number
-    never needs it. Integer rows are built from their nonzeros and runs of ``,0``.
+    never needs it.
     """
-    bodies = map(_row_body, values)
-    if index is not None:
-        fmt = ",%d" if values.dtype.kind in "biu" else ",%.6g"
+    if isinstance(values, WordDocMatrix):
+        bodies = _count_bodies(values)
+    elif index is None:
+        bodies = map(_row_body, values)
+    else:
+        rows, fmt = index[0].tolist(), _number_format(values)
         cells = [[fmt % v for v in row] for row in values.tolist()]
         # itemgetter of one column gives a str, which joins to itself
         pick = operator.itemgetter(*index[1]) if len(index[1]) else lambda row: ()
-        bodies = ("".join(pick(cells[k])) for k in index[0])
+        # Only a body that repeats is kept: one per distinct row would hold them all.
+        repeated = np.flatnonzero(np.bincount(rows, minlength=len(cells)) > 1)
+        shared = {k: "".join(pick(cells[k])) for k in repeated.tolist()}
+        bodies = (shared[k] if k in shared else "".join(pick(cells[k])) for k in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([corner, *col_labels]))
         fh.writelines(_csv_line([label], body) for label, body in zip(row_labels, bodies))
 
 
-def write_table_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
-    """Write a generic table (e.g. per-term scores) as CSV."""
+def write_table_csv(
+    path: str | Path, header: list[str], labels: list[str], columns: list[np.ndarray]
+) -> None:
+    """Write a table (e.g. per-term scores) as CSV: the ``header`` line, then for
+    each label a line of the label and its cell of every column, formatted as
+    :func:`write_csv` formats the column's dtype."""
+    columns = [np.asarray(column) for column in columns]
+    row_format = "".join(map(_number_format, columns))
+    rows = zip(*(column.tolist() for column in columns)) if columns else [()] * len(labels)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(header))
-        fh.writelines(_csv_line(map(_cell, row)) for row in rows)
+        fh.writelines(_csv_line([label], row_format % row) for label, row in zip(labels, rows))
 
 
 # perfbench/traced.py wraps this name; ROADMAP item 2 deletes it with that wrapper.

@@ -305,7 +305,7 @@ def _compute_ingest(view: SimpleNamespace, products: dict) -> tuple:
 
 def _write_ingest(view: SimpleNamespace, products: dict, out: Path) -> None:
     matrix = products["matrix"]
-    export.write_csv(matrix.rows(), out / "matrix.csv", matrix.doc_ids, matrix.terms)
+    export.write_csv(matrix, out / "matrix.csv", matrix.doc_ids, matrix.terms)
     cells, *index = termstats.distinct_expected_cells(matrix)
     export.write_csv(cells, out / "expected.csv", matrix.doc_ids, matrix.terms, index=index)
 
@@ -316,11 +316,11 @@ def _compute_terms(view: SimpleNamespace, products: dict) -> None:
 
 def _write_terms(view: SimpleNamespace, products: dict, out: Path) -> None:
     scores = products["scores"]
-    columns = (scores.terms, scores.freq, scores.doc_freq, scores.tfidf, scores.chi2,
-               scores.obs_exp_sum)
-    rows = [tuple(column[k] for column in columns) for k in scores.ranked(view.criterion)]
+    order = scores.ranked(view.criterion)
+    columns = (scores.freq, scores.doc_freq, scores.tfidf, scores.chi2, scores.obs_exp_sum)
     header = ["term", "freq", "docfreq", "tfidf", "chi2", "obs_exp_sum"]
-    export.write_table_csv(out / "terms.csv", header, rows)
+    export.write_table_csv(out / "terms.csv", header, [scores.terms[k] for k in order],
+                           [column[order] for column in columns])
 
 
 _SELECTION = ("criterion", "top", "min_score")

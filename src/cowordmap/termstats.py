@@ -60,7 +60,7 @@ class TermScores:
 
     def ranked(self, criterion: str) -> list[int]:
         """Column indices by descending ``criterion`` score, ties broken by term."""
-        values = self.by_criterion(criterion)
+        values = self.by_criterion(criterion).tolist()
         return sorted(range(len(self.terms)), key=lambda k: (-values[k], self.terms[k]))
 
 
@@ -139,20 +139,23 @@ def term_scores(m: WordDocMatrix, yates: str = "observed_lt_5") -> TermScores:
     ``obs_exp_sum[k]`` says how far term ``k`` occurs above (``> n_docs``)
     or below expectation over the whole document set.
 
-    Each dense row of :meth:`~cowordmap.corpus.WordDocMatrix.rows` adds its
-    chi-square, obs/exp and tf-idf cells to three running column sums; no
-    temporary is larger than one row. A running sum from +0.0 in row order is
-    exactly what ``sum(axis=0)`` computes on a C-ordered matrix, so every
-    score has the bits of the whole-matrix functions (partial totals summed
-    afterwards would not; every cell is >= +0.0, so the zero start adds none).
+    Every score has the bits of the whole-matrix functions' ``sum(axis=0)``,
+    which on a C-ordered matrix is a running sum from +0.0 in row order.
+    Chi-square adds each dense row of
+    :meth:`~cowordmap.corpus.WordDocMatrix.rows` in turn, so no temporary is
+    larger than one row. The obs/exp and tf-idf sums come from the nonzeros
+    alone: ``np.bincount(indices, weights)`` adds each column's nonzero cells
+    in row order, each computed as the dense cell is, and the zero cells it
+    skips are +0.0, which changes no sum of cells >= +0.0. (Partial totals
+    summed afterwards would not keep the bits.)
     """
     idf = np.log2(m.n_docs / m.doc_freq)
-    chi2, ratio, tfidf = np.zeros((3, m.n_terms))
+    chi2 = np.zeros(m.n_terms)
     for margin, counts in zip(m.row_margins, m.rows()):
-        expected = _expected(m, margin)
-        chi2 += _chi_cells(counts, expected, yates)
-        ratio += counts / expected
-        tfidf += counts * idf
+        chi2 += _chi_cells(counts, _expected(m, margin), yates)
+    expected = np.repeat(m.row_margins, np.diff(m.indptr)) * m.col_margins[m.indices] / m.total
+    ratio = np.bincount(m.indices, m.data / expected, minlength=m.n_terms)
+    tfidf = np.bincount(m.indices, m.data * idf[m.indices], minlength=m.n_terms)
     return TermScores(
         terms=list(m.terms),
         freq=m.col_margins.astype(np.int64),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -83,6 +84,57 @@ class TestTokenize:
             TokenizerConfig(stopwords=frozenset({"The"}))
         with pytest.raises(ConfigError):
             TokenizerConfig(token_pattern="[unclosed")
+
+
+def tokenize_oracle(text: str, cfg: TokenizerConfig) -> list[str]:
+    """The former tokenizer, kept as the oracle: every match filtered in turn."""
+    out: list[str] = []
+    for raw in re.compile(cfg.token_pattern, re.UNICODE).findall(text):
+        token = raw.lower() if cfg.lowercase else raw
+        token = cfg.synonyms.get(token, token)
+        if len(token) < cfg.min_token_length:
+            continue
+        if token.lower() in cfg.stopwords:
+            continue
+        out.append(token)
+    return out
+
+
+def test_memoized_tokenizer_matches_the_per_token_oracle():
+    """Each distinct match is filtered once per config, with the per-token
+    result: casing that changes length (İ) or not (ß), synonyms that map to a
+    stopword or to a too-short token, lowercase off, a one-group pattern, two
+    configs taking turns over the same texts, and a synonyms dict edited after
+    construction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pool = ["İ", "İstanbul", "i̇stanbul", "ß", "STRASSE", "straße", "Straße", "the", "The",
+            "a", "ab", "Ab", "map", "maps", "x1", "ü", "Ü", "9"]
+    word = st.sampled_from(pool)
+    text = st.lists(word, max_size=10).map(lambda ws: " -".join(ws))
+    lower = st.sampled_from(sorted({w.lower() for w in pool}))
+    configs = st.fixed_dictionaries({
+        "lowercase": st.booleans(),
+        "min_token_length": st.integers(1, 3),
+        "stopwords": st.frozensets(lower, max_size=4),
+        # "" and "a" are too short at min_token_length 2 and 3; "the" may be a stopword
+        "synonyms": st.dictionaries(lower, st.sampled_from(["", "a", "the", "map", "ß"]),
+                                    max_size=3),
+        "token_pattern": st.sampled_from([r"[^\W_]+", r"(?:-)?(\w*)\b", r"\w+"]),
+    })
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(texts=st.lists(text, min_size=1, max_size=5), first=configs,
+                      second=configs)
+    def check(texts, first, second):
+        cfgs = [TokenizerConfig(**first), TokenizerConfig(**second)]
+        want = [[tokenize_oracle(text, cfg) for cfg in cfgs] for text in texts]
+        first["synonyms"].update({w.lower(): "edited" for w in pool})  # the caller's dict
+        for _ in range(2):  # the second pass reads the filled memo
+            got = [[tokenize(text, cfg) for cfg in cfgs] for text in texts]
+            assert got == want
+
+    check()
 
 
 class TestLoadCorpus:

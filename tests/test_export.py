@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from cowordmap.errors import DataError
+from cowordmap import export
+from cowordmap.errors import CowordMapWarning, DataError
 from cowordmap.export import (
+    _csv_line,
     _quote,
     _xml_escape,
     render_svg_map,
@@ -96,6 +101,34 @@ def write_csv_oracle(values, path, row_labels, col_labels, corner="doc") -> None
         for label, row in zip(row_labels, values):
             cells = (row_format % tuple(row.tolist())).split(",") if len(row) else []
             fh.write(rfc4180_line([label, *cells]))
+
+
+def count_row_body(row: np.ndarray) -> str:
+    """The former ``matrix.csv`` row body: ``,%d`` cells from one dense row's
+    nonzeros, with runs of ``,0`` before each and after the last."""
+    nz = np.flatnonzero(row)
+    zeros = np.diff(nz, prepend=-1, append=len(row)) - 1
+    cells = [",%d" % v for v in row[nz].tolist()] + [""]
+    return "".join(",0" * z + cell for z, cell in zip(zeros.tolist(), cells))
+
+
+def matrix_csv_oracle(m, path) -> None:
+    """The former ``matrix.csv`` writer: one scattered dense row of ``m.rows()`` at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_line(["doc", *m.terms]))
+        for label, row in zip(m.doc_ids, m.rows()):
+            fh.write(_csv_line([label], count_row_body(row)))
+
+
+def expected_csv_oracle(cells, index, path, row_labels, col_labels) -> None:
+    """The former indexed writer: each distinct cell formatted once, and every
+    data row joining its own body."""
+    fmt = ",%d" if cells.dtype.kind in "biu" else ",%.6g"
+    texts = [[fmt % v for v in row] for row in cells.tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_csv_line(["doc", *col_labels]))
+        for label, k in zip(row_labels, index[0].tolist()):
+            fh.write(_csv_line([label], "".join(texts[k][j] for j in index[1].tolist())))
 
 
 def pajek_matrix_reference(values, labels) -> bytes:
@@ -372,7 +405,7 @@ class TestCsv:
         cols, cells = ["c"] * n_cols, [1] * n_cols
         write_csv(np.array([cells], dtype=np.int64).reshape(1, n_cols), path, [label], cols)
         assert path.read_bytes() == text.encode("utf-8")
-        write_table_csv(path, ["doc", *cols], [(label, *cells)])  # the same line by line
+        write_table_csv(path, ["doc", *cols], [label], [np.array([c]) for c in cells])
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_awkward_labels_round_trip(self, tmp_path):
@@ -476,9 +509,110 @@ class TestCsv:
         write_csv_oracle(expected_matrix(m), tmp_path / "oracle.csv", m.doc_ids, m.terms)
         assert (tmp_path / "distinct.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    def test_count_matrix_from_csr_matches_the_dense_row_oracle(self, tmp_path, monkeypatch):
+        """matrix.csv from the CSR arrays, block by block, has the bytes of the
+        dense-row writer: nonzeros in the first and the last column, counts of
+        10 and more, a single column, presence counts, a select_terms submatrix
+        whose columns are out of order within a row, and blocks of 1 to 5 cells."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        seen = []
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(
+            seed=st.integers(0, 2**32 - 1),
+            shape=st.tuples(st.integers(1, 12), st.sampled_from([1, 2, 5, 17, 40])),
+            high=st.sampled_from([1, 3, 12, 10**6]),
+            edges=st.booleans(),
+            binary=st.booleans(),
+            block=st.sampled_from([1, 2, 5, 1 << 16]),
+            data=st.data(),
+        )
+        def check(seed, shape, high, edges, binary, block, data):
+            rng = np.random.default_rng(seed)
+            counts = rng.integers(0, high + 1, size=shape) * (rng.random(shape) < 0.4)
+            if edges:
+                counts[rng.integers(shape[0]), [0, -1]] = high
+            if binary:
+                counts = np.minimum(counts, 1)
+            labels = data.draw(st.permutations(AWKWARD_LABELS))[: shape[0]]
+            labels += [f"d{i}" for i in range(len(labels), shape[0])]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CowordMapWarning)
+                try:
+                    m = make_matrix(counts, doc_ids=labels)
+                    if data.draw(st.booleans()):
+                        m = m.select_terms(data.draw(st.permutations(m.terms)))
+                except DataError:  # nothing left after pruning
+                    return
+            monkeypatch.setattr(export, "_BLOCK_CELLS", block)
+            path = tmp_path / f"m{len(seen)}.csv"  # a new file: no truncation to wait for
+            write_csv(m, path, m.doc_ids, m.terms)
+            matrix_csv_oracle(m, path.with_suffix(".oracle"))
+            assert path.read_bytes() == path.with_suffix(".oracle").read_bytes()
+            unsorted = any(
+                (np.diff(m.indices[a:b]) < 0).any() for a, b in zip(m.indptr, m.indptr[1:])
+            )
+            seen.append((m.n_terms == 1, int(m.data.max()) >= 10, binary, unsorted,
+                         block * m.n_docs > m.n_terms > block,
+                         m.counts[:, 0].any() and m.counts[:, -1].any() and m.n_terms > 1))
+
+        check()
+        for case in range(6):
+            assert any(flags[case] for flags in seen), case
+
+    def test_traced_peak_of_matrix_csv_stays_far_below_a_dense_float_matrix(self, tmp_path):
+        """The twin of the term-scores bound: writing matrix.csv from a 400 x 5000
+        matrix, where one dense float copy would take 16 MB, peaks under 2 MB."""
+        rng = np.random.default_rng(1)
+        counts = rng.integers(1, 6, size=(400, 5000)) * (rng.random((400, 5000)) < 0.02)
+        counts[np.arange(5000) % 400, np.arange(5000)] += 1  # no zero margin
+        m = make_matrix(counts)
+        del counts
+        tracemalloc.start()
+        try:
+            write_csv(m, tmp_path / "matrix.csv", m.doc_ids, m.terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_csv_oracle(m, tmp_path / "oracle.csv")
+        assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize("margins", ["distinct", "equal", "mixed"])
+    def test_expected_csv_joins_each_distinct_row_once(self, tmp_path, margins):
+        """One body per distinct row margin has the bytes of one join per row,
+        when every row margin differs, when all are equal, and when some repeat."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        paths = (tmp_path / f"e{i}.csv" for i in itertools.count())
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 30),
+                          n_terms=st.integers(1, 12))
+        def check(seed, n_docs, n_terms):
+            rng = np.random.default_rng(seed)
+            base = rng.integers(1, 9, size=n_terms)
+            if margins == "equal":  # each row a permutation of one row
+                counts = np.array([rng.permutation(base) for _ in range(n_docs)])
+            else:
+                counts = rng.integers(1, 9, size=(n_docs, n_terms))
+                if margins == "distinct":
+                    counts[:, 0] += np.arange(n_docs) * 9 * n_terms
+            m = make_matrix(counts)
+            cells, *index = distinct_expected_cells(m)
+            assert len(cells) == {"distinct": n_docs, "equal": 1}.get(margins, len(cells))
+            path = next(paths)  # a new file: no truncation to wait for
+            write_csv(cells, path, m.doc_ids, m.terms, index=index)
+            expected_csv_oracle(cells, index, path.with_suffix(".oracle"), m.doc_ids, m.terms)
+            assert path.read_bytes() == path.with_suffix(".oracle").read_bytes()
+
+        check()
+
     def test_table_writer(self, tmp_path):
         path = tmp_path / "terms.csv"
-        write_table_csv(path, ["term", "freq", "tfidf"], [("alpha", 3, 1.5)])
+        write_table_csv(path, ["term", "freq", "tfidf"], ["alpha"], [np.array([3]), np.array([1.5])])
         assert path.read_text() == "term,freq,tfidf\nalpha,3,1.5\n"
 
 

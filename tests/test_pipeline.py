@@ -349,14 +349,9 @@ class TestRun:
         with pytest.warns(CowordMapWarning, match="pruned documents"):
             selected = matrix.select_terms(result.report["selection"]["terms"])
         sol = factor_analyze(selected.counts.T, selected.doc_ids, k=3)
-        rows = [
-            (label, *sol.loadings[j], communality)
-            for j, (label, communality) in enumerate(
-                zip(sol.variable_labels, sol.communalities())
-            )
-        ]
         header = ["variable", "factor_1", "factor_2", "factor_3", "communality"]
-        export.write_table_csv(tmp_path / "expected.csv", header, rows)
+        export.write_table_csv(tmp_path / "expected.csv", header, sol.variable_labels,
+                               [*sol.loadings.T, sol.communalities()])
         assert (out / "loadings.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("mode", ["R", "Q"])
@@ -1241,7 +1236,7 @@ class TestCli:
         assert proc.stderr.endswith(
             "factors must be a positive integer or 'kaiser', got 'many'\n")
 
-    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT])
     def test_a_terminating_signal_removes_the_staging_directory(
         self, micro_dir, tmp_path, signum
     ):

@@ -62,6 +62,22 @@ def term_scores_oracle(m, yates):
     }
 
 
+def term_scores_by_rows(m, yates):
+    """The former term_scores body: chi-square, obs/exp and tf-idf cells of
+    each dense row added to three running column sums from +0.0."""
+    idf = np.log2(m.n_docs / m.doc_freq)
+    chi2, ratio, tfidf = np.zeros((3, m.n_terms))
+    for margin, counts in zip(m.row_margins, m.rows()):
+        expected = np.multiply.outer(margin, m.col_margins) / m.total
+        deviation = np.abs(counts - expected)
+        if yates == "observed_lt_5":
+            deviation = np.where(counts < 5, np.maximum(deviation - 0.5, 0.0), deviation)
+        chi2 += deviation**2 / expected
+        ratio += counts / expected
+        tfidf += counts * idf
+    return {"tfidf": tfidf, "chi2": chi2, "obs_exp_sum": ratio}
+
+
 def random_count_matrix(seed, rows, cols, repeat_rows=True):
     """A ``rows`` x ``cols`` count matrix without zero margins; with
     ``repeat_rows``, as many rows again copy random earlier ones."""
@@ -95,6 +111,8 @@ class TestRowByRowScores:
             scores = term_scores(m, yates=yates)
             for field, values in oracle.items():
                 assert np.array_equal(getattr(scores, field), values), field
+            for field, values in term_scores_by_rows(m, yates).items():
+                assert getattr(scores, field).tobytes() == values.tobytes(), field
             assert np.array_equal(chi_square(m, yates).sum(axis=0), oracle["chi2"])
             assert np.array_equal(obs_exp(m).sum(axis=0), oracle["obs_exp_sum"])
 
