@@ -310,6 +310,9 @@ def load_synonym_file(path: str | Path) -> dict[str, str]:
 def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
     """Split a document's text into filtered terms, preserving text order.
 
+    Each distinct pattern match is filtered once per ``cfg``, which keeps the
+    result for every distinct match it has seen.
+
     Args:
         text: The raw text.
         cfg: Tokenizer settings.
@@ -320,8 +323,7 @@ def tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
         an empty list.
     """
     raws = re.findall(cfg.token_pattern, text, re.UNICODE)
-    # Each distinct match is filtered once per config; a kept term is never empty.
-    return list(filter(None, map(cfg._terms.__getitem__, raws)))
+    return list(filter(None, map(cfg._terms.__getitem__, raws)))  # a kept term is never empty
 
 
 def build_word_doc_matrix(
