@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,9 +55,9 @@ class TokenizerConfig:
     Processing order per token: pattern match, lowercasing, synonym mapping,
     minimum-length filter, stopword filter. Stopword matching is
     case-insensitive (the list itself must be lowercase); with ``lowercase``
-    on, both sides of every synonym must be lowercase too. ``synonyms`` is
-    copied at construction, so editing the caller's dict afterwards changes
-    nothing.
+    on, both sides of every synonym must be lowercase too. ``synonyms`` and
+    ``stopwords`` are kept as read-only copies made at construction, so
+    editing the caller's dict or set afterwards changes nothing.
 
     Attributes:
         lowercase: Lowercase every token before further filtering.
@@ -69,10 +71,12 @@ class TokenizerConfig:
     token_pattern: str = r"[^\W_]+"
     min_token_length: int = 1
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    synonyms: dict[str, str] = field(default_factory=dict)
+    synonyms: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "synonyms", dict(self.synonyms))  # _terms stays valid
+        # Read-only copies, so that _terms cannot go stale
+        object.__setattr__(self, "synonyms", MappingProxyType(dict(self.synonyms)))
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         if self.min_token_length < 1:
             raise ConfigError(
                 f"min_token_length must be >= 1, got {self.min_token_length}"

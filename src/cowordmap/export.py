@@ -5,10 +5,11 @@ Pajek files, 6 significant digits in CSV), LF line endings, no timestamps.
 ``write_csv`` writes a count matrix (``matrix.csv``) from its compressed
 sparse rows, block by block of rows: each nonzero becomes its run of ``,0``
 cells and its count. Given the row and column index into distinct cells, it
-formats each distinct cell once and joins the body of each distinct row once
-(``expected.csv`` has one cell per distinct pair of row and column margins,
-one body per distinct row margin). ``write_table_csv`` formats ``terms.csv``
-column by column and checks only the label for quoting.
+formats each distinct cell once (``expected.csv`` has one per distinct pair
+of row and column margins) and joins the body of each distinct row once, the
+most repeated first, while a fixed budget of cells holds them; the other
+rows are joined as they are written. ``write_table_csv`` formats
+``terms.csv`` column by column and checks only the label for quoting.
 
 Dialect notes: vertex ids are dense and 1-based; labels are quoted with
 embedded quotes doubled; the z coordinate is fixed at 0.5 (2-D maps). A
@@ -125,8 +126,10 @@ def _row_body(row: np.ndarray) -> str:
     return _number_format(row) * len(row) % tuple(row.tolist())
 
 
-# Cells per block of matrix.csv rows: bounds the strings held at once.
+# Cells per block of matrix.csv rows, and cells of the expected.csv row bodies
+# kept for reuse: each bounds the strings held at once.
 _BLOCK_CELLS = 1 << 16
+_BODY_CELLS = 1 << 18
 
 
 def _count_bodies(m: WordDocMatrix) -> Iterator[str]:
@@ -174,8 +177,8 @@ def write_csv(
     cells, each formatted once, and data cell ``(i, j)`` is
     ``values[rows[i], cols[j]]``, as
     :func:`~cowordmap.termstats.distinct_expected_cells` gives for
-    ``expected.csv``; a distinct row that several data rows share is joined
-    once. Header row holds the column labels after the ``corner`` cell; each
+    ``expected.csv``; the distinct rows that most data rows share are joined
+    once each, as many as fit in ``_BODY_CELLS`` cells. Header row holds the column labels after the ``corner`` cell; each
     data row starts with its row label. Bool, integer and unsigned rows are
     written with ``%d`` (booleans as 0/1), every other dtype with ``%.6g``
     (6 significant digits; ``nan``, ``inf``, ``-0``, ``1e+300``). LF line
@@ -193,9 +196,10 @@ def write_csv(
         cells = [[fmt % v for v in row] for row in values.tolist()]
         # itemgetter of one column gives a str, which joins to itself
         pick = operator.itemgetter(*index[1]) if len(index[1]) else lambda row: ()
-        # Only a body that repeats is kept: one per distinct row would hold them all.
-        repeated = np.flatnonzero(np.bincount(rows, minlength=len(cells)) > 1)
-        shared = {k: "".join(pick(cells[k])) for k in repeated.tolist()}
+        # The bodies of the rows that repeat most, up to _BODY_CELLS cells in all
+        often = np.argsort(-np.bincount(index[0]), kind="stable")
+        often = often[:_BODY_CELLS // max(1, len(index[1]))].tolist()
+        shared = {k: "".join(pick(cells[k])) for k in often}
         bodies = (shared[k] if k in shared else "".join(pick(cells[k])) for k in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line([corner, *col_labels]))

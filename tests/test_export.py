@@ -580,9 +580,10 @@ class TestCsv:
         assert peak < 2 * 2**20, peak
 
     @pytest.mark.parametrize("margins", ["distinct", "equal", "mixed"])
-    def test_expected_csv_joins_each_distinct_row_once(self, tmp_path, margins):
+    def test_expected_csv_joins_each_distinct_row_once(self, tmp_path, monkeypatch, margins):
         """One body per distinct row margin has the bytes of one join per row,
-        when every row margin differs, when all are equal, and when some repeat."""
+        when every row margin differs, when all are equal, and when some repeat,
+        and whether the body budget holds none, some or all of the bodies."""
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
@@ -590,8 +591,8 @@ class TestCsv:
 
         @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
         @hypothesis.given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 30),
-                          n_terms=st.integers(1, 12))
-        def check(seed, n_docs, n_terms):
+                          n_terms=st.integers(1, 12), budget=st.sampled_from([0, 30, 1 << 18]))
+        def check(seed, n_docs, n_terms, budget):
             rng = np.random.default_rng(seed)
             base = rng.integers(1, 9, size=n_terms)
             if margins == "equal":  # each row a permutation of one row
@@ -604,6 +605,7 @@ class TestCsv:
             cells, *index = distinct_expected_cells(m)
             assert len(cells) == {"distinct": n_docs, "equal": 1}.get(margins, len(cells))
             path = next(paths)  # a new file: no truncation to wait for
+            monkeypatch.setattr(export, "_BODY_CELLS", budget)
             write_csv(cells, path, m.doc_ids, m.terms, index=index)
             expected_csv_oracle(cells, index, path.with_suffix(".oracle"), m.doc_ids, m.terms)
             assert path.read_bytes() == path.with_suffix(".oracle").read_bytes()

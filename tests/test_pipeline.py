@@ -22,7 +22,7 @@ from xml.etree import ElementTree
 import pytest
 
 from conftest import make_matrix, read_pajek_matrix, read_pajek_net, write_bytes_name
-from cowordmap import corpus, export, factors, layout, termstats, vectorspace
+from cowordmap import cli, corpus, export, factors, layout, termstats, vectorspace
 from cowordmap.cli import build_parser, main
 from cowordmap.data import micro_corpus_dir
 from cowordmap.errors import ConfigError, CowordMapWarning, DataError
@@ -1263,8 +1263,8 @@ class TestCli:
 
 
 def _run_signalled(micro_dir, out, signum, disposition):
-    """Run the ``coword-map`` entry point with SIGTERM and SIGHUP starting at
-    ``disposition``, and send it ``signum`` after its first CSV is written."""
+    """Run the ``coword-map`` entry point with SIGINT, SIGTERM and SIGHUP starting
+    at ``disposition``, and send it ``signum`` after its first CSV is written."""
     script = (
         "import os\n"
         "from cowordmap import cli, export\n"
@@ -1278,6 +1278,5 @@ def _run_signalled(micro_dir, out, signum, disposition):
     return subprocess.run(
         [sys.executable, "-c", script, "run", "--input", str(micro_dir), "--out", str(out)],
         stderr=subprocess.PIPE, text=True,
-        preexec_fn=lambda: [signal.signal(s, disposition)
-                            for s in (signal.SIGTERM, signal.SIGHUP)],
+        preexec_fn=lambda: [signal.signal(s, disposition) for s in cli._STOPS],
     )
